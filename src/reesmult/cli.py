@@ -4,7 +4,7 @@ Parses ideals and models from inline JSON or files, runs the library,
 and emits deterministic JSON reports (or terse text summaries).
 Rationals are "p/q" strings in all I/O; no floats are accepted or
 emitted.  Exit codes: 0 success/verified, 1 verified-false, 2 parse
-error, 3 domain error, 4 resource guard.
+error, 3 domain error, 4 resource guard, 5 internal error.
 """
 
 from __future__ import annotations
@@ -43,8 +43,13 @@ from .serialize import dumps_canonical, frac_str, parse_rational
 UNIT_IDEAL_WARNING = "ht(a)=0: unit ideal lies outside the positive-height hypotheses"
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_source(text: str):
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         raw = text
     else:
         try:
@@ -67,10 +72,10 @@ def parse_ideal(text: str) -> MonomialIdeal:
         gens = data["generators"]
     except KeyError as exc:
         raise ParseError(f"ideal JSON missing key {exc}") from exc
-    if not isinstance(nvars, int) or not isinstance(gens, list):
+    if not _is_int(nvars) or not isinstance(gens, list):
         raise ParseError("ideal JSON: nvars must be int, generators a list")
     for g in gens:
-        if not isinstance(g, list) or not all(isinstance(e, int) for e in g):
+        if not isinstance(g, list) or not all(_is_int(e) for e in g):
             raise ParseError("ideal JSON: generators must be lists of integers")
     return minimalize([tuple(g) for g in gens], nvars)
 
@@ -83,8 +88,9 @@ def parse_model(text: str) -> LocalHypersurfaceModel:
         n, m, exps = data["n"], data["m"], data["exps"]
     except KeyError as exc:
         raise ParseError(f"model JSON missing key {exc}") from exc
-    if not isinstance(n, int) or not isinstance(m, int) or not isinstance(exps, list):
-        raise ParseError("model JSON: n, m integers and exps a list")
+    if not (_is_int(n) and _is_int(m) and isinstance(exps, list)
+            and all(_is_int(e) for e in exps)):
+        raise ParseError("model JSON: n, m integers and exps a list of integers")
     return LocalHypersurfaceModel(n, m, tuple(exps))
 
 
@@ -398,6 +404,12 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return 4
+    except Exception as exc:
+        # a kernel bug or a failed internal cross-check: never exit 1, which
+        # means "computed, verified false"
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {detail}\n")
+        return 5
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ is the whole content of the formulas computed downstream, so no rounding
 is tolerated anywhere.
 
 All values are immutable and every operation is a pure function of its
-inputs; concurrent use from multiple threads is safe.  Lattice-point
-enumeration may partition its box across threads (``REESMULT_THREADS``)
-but always returns the sequential, lexicographically sorted result.
+inputs; concurrent use from multiple threads is safe.
+
+Every facet list and ray list comes from one exact integer double
+description routine, ``_dd``.
 """
 
 from __future__ import annotations
@@ -20,22 +21,24 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ParseError, ResourceLimitError
 from .serialize import frac_str, parse_rational
 
 IntVec = tuple
 
 DEFAULT_POINT_GUARD = 10 ** 8
 POINT_GUARD_ENV = "REESMULT_MAX_POINTS"
-THREADS_ENV = "REESMULT_THREADS"
 
-# Fourier-Motzkin dualization is exponential in rank; the artifact is
-# desk-scale by design and refuses anything larger.
+# A dual cone can have exponentially many rays in its rank; the artifact
+# is desk-scale by design and refuses to dualize anything larger.
 MAX_DUAL_RANK = 12
+
+# The double description adjacency test is cubic in the number of rays;
+# a run whose intermediate ray list outgrows this stops instead of hanging.
+MAX_DD_RAYS = 5000
 
 
 def as_fraction(value) -> Fraction:
@@ -145,98 +148,91 @@ def kernel_basis(rows, rank):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination.
-#
-# A row (coeffs, rhs, strict) encodes <coeffs, x> >= rhs (or > rhs when
-# strict), with a primitive integer coefficient vector and an exact
-# rational right-hand side.  Growth is controlled by keeping only the
-# strongest row per direction, which is sound both for projections and
-# for infeasibility detection.  (History-based accelerations are NOT
-# sound for infeasible systems: they can drop the combination a Farkas
-# refutation needs.)
+# Double description: the one facet and ray mechanism.
 # ---------------------------------------------------------------------------
 
 
-def _const_ok(rhs, strict: bool) -> bool:
-    # constant row <0, x> >= rhs (or >)
-    return rhs < 0 or (rhs == 0 and not strict)
+def _combine(a, u, b, v):
+    """Primitive form of the nonzero integer vector a*u + b*v."""
+    return primitive([a * x + b * y for x, y in zip(u, v)])
 
 
-def _stronger(a, b):
-    """Of two (rhs, strict) bounds for the same direction, the binding one."""
-    if a[0] != b[0]:
-        return a if a[0] > b[0] else b
-    return a if a[1] else b
+def _dd(rows, rank):
+    """Lineality basis and extreme rays of {x : <a, x> >= 0 for a in rows}.
+
+    Double description in exact integers (Motzkin, Raiffa, Thompson and
+    Thrall 1953; Fukuda and Prodon 1996), from lin(e_1..e_rank), one row
+    at a time.  A row nonzero on the lineality space turns a lineality
+    vector into a ray; any other row joins each ray on its negative side
+    to each adjacent ray on its positive side, then drops the negative
+    ones.  Adjacency is the combinatorial test on zero-set bitmasks over
+    the rows so far: no third ray vanishes on every row both vanish on.
+    Rays are primitive and unique modulo the (non-unique) lineality basis.
+    """
+    lin = [_unit(rank, i) for i in range(rank)]
+    rays = []  # (ray, bitmask of the rows added so far that vanish on it)
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        k = next((j for j, l in enumerate(lin) if dot(a, l) != 0), None)
+        if k is not None:
+            pivot = lin.pop(k)
+            s = dot(a, pivot)
+            if s < 0:
+                pivot, s = _neg(pivot), -s
+            # move everything else onto <a, x> = 0 along the pivot
+            lin = [_combine(s, l, -dot(a, l), pivot) for l in lin]
+            rays = [(_combine(s, r, -dot(a, r), pivot), z | bit) for r, z in rays]
+            rays.append((pivot, bit - 1))
+            continue
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = dot(a, r)
+            if v > 0:
+                pos.append((r, z, v))
+                kept.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | bit))
+        # a 2-face of the pointed part lies on rows of rank dim - 2
+        need = rank - len(lin) - 2
+        masks = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for n, zn, vn in neg:
+                z = zp & zn
+                if z.bit_count() < need or any(
+                    z & zr == z and zr != zp and zr != zn for zr in masks
+                ):
+                    continue
+                kept.append((_combine(vp, n, -vn, p), z | bit))
+                if len(kept) > MAX_DD_RAYS:
+                    raise ResourceLimitError(f"double description exceeds {MAX_DD_RAYS} rays")
+        rays = kept
+    return lin, [r for r, _ in rays]
 
 
-class _Infeasible(Exception):
-    pass
+def _generators(rows, rank):
+    """Generators of {x : <a, x> >= 0 for a in rows}: lineality as +/- pairs, then rays."""
+    lin, rays = _dd(rows, rank)
+    return lin + [_neg(l) for l in lin] + rays
 
 
-def _push_row(out, coeffs, rhs, strict):
-    """Normalize a row and merge it into the direction-keyed map."""
-    g = math.gcd(*(abs(c) for c in coeffs))
-    if g == 0:
-        if not _const_ok(rhs, strict):
-            raise _Infeasible
-        return
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs = Fraction(rhs, g)
-    else:
-        rhs = Fraction(rhs)
-    old = out.get(coeffs)
-    out[coeffs] = (rhs, strict) if old is None else _stronger((rhs, strict), old)
+def _is_facet(a, gens, rank) -> bool:
+    """Incidence test: for a row a of the full-dimensional cone generated by
+    gens, <a, x> >= 0 is a facet iff the generators it vanishes on have
+    rank rank - 1."""
+    return matrix_rank([g for g in gens if dot(a, g) == 0]) == rank - 1
 
 
-def _eliminate_var(rows, j):
-    """One FM step on variable j.  Raises _Infeasible on a contradiction."""
-    pos, neg, rest = [], [], []
-    for r in rows:
-        c = r[0][j]
-        (pos if c > 0 else neg if c < 0 else rest).append(r)
-    out = {}
-    for coeffs, rhs, strict in rest:
-        _push_row(out, coeffs, rhs, strict)
-    for pc, pr, ps in pos:
-        a = pc[j]
-        for nc, nr, ns in neg:
-            b = -nc[j]
-            coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-            _push_row(out, coeffs, b * pr + a * nr, ps or ns)
-    return [(c, rhs, strict) for c, (rhs, strict) in out.items()]
+def _homogenized(facets, rank):
+    """Integer rows of {(x, s) : <w, x> >= c s per facet, s >= 0}.
 
-
-def _run_elimination(rows, eliminate):
-    """Eliminate the given variable indices.  Returns rows or None (infeasible)."""
-    try:
-        merged = {}
-        for coeffs, rhs, strict in rows:
-            _push_row(merged, coeffs, rhs, strict)
-        rows = [(c, rhs, strict) for c, (rhs, strict) in merged.items()]
-        remaining = set(eliminate)
-        while remaining:
-            # cheapest variable first: minimize the pos*neg product
-            best, best_cost = None, None
-            for j in sorted(remaining):
-                p = sum(1 for r in rows if r[0][j] > 0)
-                n = sum(1 for r in rows if r[0][j] < 0)
-                cost = p * n
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = j, cost
-            rows = _eliminate_var(rows, best)
-            remaining.discard(best)
-        return rows
-    except _Infeasible:
-        return None
-
-
-def _rows_from_halfspaces(halfspaces, strict=False):
-    return [(h.normal, h.threshold, strict) for h in halfspaces]
-
-
-def _feasible(rows, rank) -> bool:
-    return _run_elimination(rows, range(rank)) is not None
+    The cone is full-dimensional iff the polyhedron is, and then its
+    facets other than s >= 0 are exactly the polyhedron's.
+    """
+    rows = [tuple(e * h.threshold.denominator for e in h.normal) + (-h.threshold.numerator,)
+            for h in facets]
+    return rows + [_unit(rank + 1, rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +308,7 @@ class Cone:
     @property
     def strongly_convex(self) -> bool:
         """True iff the cone contains no line (equivalently its dual is full-dim)."""
-        if not self.rays:
-            return True
-        rows = [(r, 0, True) for r in self.rays]
-        return _feasible(rows, self.rank)
+        return matrix_rank(_generators(self.rays, self.rank)) == self.rank
 
     def contains(self, point) -> bool:
         if self.facets is None:
@@ -337,49 +330,33 @@ def orthant(rank: int) -> Cone:
 def _prune_homogeneous_normals(normals, rank):
     """Minimal subset of {<v,x> >= 0} inequalities describing the same cone."""
     kept = sorted(normals)
+    gens = _generators(kept, rank)
+    if matrix_rank(gens) == rank:
+        # full-dimensional: the facets are unique, read them off by incidence
+        return [v for v in kept if _is_facet(v, gens, rank)]
+    # lower-dimensional: the minimal list is not unique; sweep first to last,
+    # dropping a row when the cone of the remaining rows already implies it
     i = 0
     while i < len(kept):
-        v = kept[i]
-        rows = [(u, 0, False) for u in kept if u != v]
-        rows.append((_neg(v), 0, True))
-        if _feasible(rows, rank):
-            i += 1  # something violates v alone: keep it
+        others = kept[:i] + kept[i + 1:]
+        if all(dot(kept[i], g) >= 0 for g in _generators(others, rank)):
+            kept = others
         else:
-            kept.pop(i)
+            i += 1
     return kept
 
 
 def homogeneous_rays(normals, rank):
     """Generators of {x : <a, x> >= 0 for a in normals}.
 
-    Lineality directions are returned as +/- pairs; the pointed part's
-    extreme rays come from kernels of (rank-1)-subsets of the constraints.
+    Lineality directions are the ``kernel_basis`` vectors as +/- pairs;
+    the pointed part's extreme rays are those of the cone cut down to the
+    orthogonal complement of the lineality space.
     """
-    if not normals:
-        units = [_unit(rank, i) for i in range(rank)]
-        return tuple(sorted(units + [_neg(u) for u in units]))
     lineal = kernel_basis(normals, rank)
-    constraints = list(normals) + [l for l in lineal] + [_neg(l) for l in lineal]
-    rays = set()
-    for l in lineal:
-        rays.add(l)
-        rays.add(_neg(l))
-    if rank == 1:
-        for cand in [(1,), (-1,)]:
-            if all(dot(a, cand) >= 0 for a in constraints):
-                rays.add(cand)
-    else:
-        for subset in itertools.combinations(range(len(constraints)), rank - 1):
-            sub = [constraints[i] for i in subset]
-            kern = kernel_basis(sub, rank)
-            if len(kern) != 1:
-                continue
-            k = kern[0]
-            if all(dot(a, k) >= 0 for a in constraints):
-                rays.add(k)
-            elif all(dot(a, k) <= 0 for a in constraints):
-                rays.add(_neg(k))
-    return tuple(sorted(rays))
+    pairs = lineal + [_neg(l) for l in lineal]
+    _, rays = _dd(list(normals) + pairs, rank)
+    return tuple(sorted(set(pairs + rays)))
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -427,8 +404,8 @@ class Polyhedron:
 
     def full_dimensional(self) -> bool:
         """True iff a rational interior point exists (all facets strictly satisfiable)."""
-        rows = _rows_from_halfspaces(self.facets, strict=True)
-        return _feasible(rows, self.rank)
+        gens = _generators(_homogenized(self.facets, self.rank), self.rank + 1)
+        return matrix_rank(gens) == self.rank + 1
 
     def to_json(self):
         data = {
@@ -448,81 +425,32 @@ def irredundant_facets(p: Polyhedron) -> Polyhedron:
     """
     if p.irredundant:
         return p
-    if not p.full_dimensional():
+    facets = _sorted_facets(set(p.facets))
+    rows = _homogenized(facets, p.rank)
+    gens = _generators(rows, p.rank + 1)
+    if matrix_rank(gens) != p.rank + 1:
         raise DomainError("interior undefined: not full-dimensional")
-    kept = list(p.facets)
-    i = 0
-    while i < len(kept):
-        h = kept[i]
-        rows = _rows_from_halfspaces([g for g in kept if g is not h])
-        # negate: <normal, x> < threshold
-        rows.append((_neg(h.normal), -h.threshold, True))
-        if _feasible(rows, p.rank):
-            i += 1
-        else:
-            kept.pop(i)
-    return Polyhedron(p.rank, tuple(kept), p.vertices, p.recession, irredundant=True)
-
-
-def _facet_filter(halfspaces, points, rays, rank):
-    """Keep exactly the facet-defining inequalities, given generators.
-
-    For full-dimensional conv(points) + cone(rays), a valid inequality is
-    a facet iff its contact set (active points and active rays) has
-    affine dimension rank - 1.
-    """
-    kept = []
-    for h in halfspaces:
-        active_pts = [p for p in points if h.eval(p) == h.threshold]
-        if not active_pts:
-            continue
-        active_rays = [r for r in rays if dot(h.normal, r) == 0]
-        base = active_pts[0]
-        vecs = [tuple(a - b for a, b in zip(p, base)) for p in active_pts[1:]]
-        vecs.extend(active_rays)
-        if matrix_rank(vecs) == rank - 1:
-            kept.append(h)
-    return _sorted_facets(kept)
+    kept = tuple(h for h, a in zip(facets, rows) if _is_facet(a, gens, p.rank + 1))
+    return Polyhedron(p.rank, kept, p.vertices, p.recession, irredundant=True)
 
 
 def points_plus_cone(points, recession: Cone, rank: int) -> Polyhedron:
-    """Facet description of conv(points) + recession, via FM elimination.
+    """Facet description of a full-dimensional conv(points) + recession.
 
-    The recession cone must be full-dimensional-compatible in the sense
-    that it carries both rays and facets.  Points are integer vectors;
-    all thresholds come out integral because every vertex of the sum is
-    one of the generating points.
+    The facets are the extreme rays (w, c) with w != 0 of the cone of
+    valid inequalities {(w, c) : <w, r> >= 0 per recession ray r,
+    <w, p> >= c per point p}, which is pointed exactly when the sum is
+    full-dimensional.  Points are integer vectors; all thresholds come
+    out integral because every facet contains a generating point.
     """
     pts = sorted({tuple(int(e) for e in p) for p in points})
     if not pts:
         raise DomainError("no generating points")
-    if recession.facets is None:
-        raise DomainError("recession cone needs facets")
-    s = len(pts)
-    width = s + rank
-    rows = []
-    for i in range(s):
-        rows.append((tuple(1 if j == i else 0 for j in range(width)), 0, False))
-    ones = tuple(1 if j < s else 0 for j in range(width))
-    rows.append((ones, 1, False))
-    rows.append((_neg(ones), -1, False))
-    for h in recession.facets:
-        # <v, x - sum mu_i p_i> >= 0
-        coeffs = tuple(
-            -dot(h.normal, pts[j]) if j < s else h.normal[j - s] for j in range(width)
-        )
-        rows.append((coeffs, 0, False))
-    out = _run_elimination(rows, range(s))
-    if out is None:
-        raise DomainError("internal: generator system infeasible")
-    halfspaces = set()
-    for coeffs, rhs, _ in out:
-        xpart = coeffs[s:]
-        if all(c == 0 for c in xpart):
-            continue
-        halfspaces.add(HalfSpace(xpart, rhs))
-    facets = _facet_filter(sorted(halfspaces, key=lambda h: (h.normal, h.threshold)),
-                           pts, recession.rays, rank)
+    rows = [r + (0,) for r in recession.rays] + [p + (-1,) for p in pts]
+    lin, rays = _dd(rows, rank + 1)
+    if lin:
+        raise DomainError("interior undefined: not full-dimensional")
+    facets = tuple(HalfSpace(r[:-1], r[-1]) for r in rays if any(r[:-1]))
     return Polyhedron(rank, facets, vertices=pts, recession=recession, irredundant=True)
 
 
@@ -650,7 +578,10 @@ def _point_guard(max_points):
         return int(max_points)
     env = os.environ.get(POINT_GUARD_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"{POINT_GUARD_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_POINT_GUARD
 
 
@@ -720,29 +651,6 @@ def lattice_points(system: ThresholdSystem, box, max_points=None):
         raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:
         return []
-    threads = 1
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            threads = 1
-    lo0, hi0 = bounds[0]
-    span = hi0 - lo0 + 1
-    if threads > 1 and span >= 2:
-        nchunks = min(threads, span)
-        edges = [lo0 + (span * i) // nchunks for i in range(nchunks)] + [hi0 + 1]
-        chunks = [
-            ((edges[i], edges[i + 1] - 1),) + bounds[1:]
-            for i in range(nchunks)
-            if edges[i] <= edges[i + 1] - 1
-        ]
-        with ThreadPoolExecutor(max_workers=nchunks) as pool:
-            parts = list(pool.map(lambda b: _enumerate_box(system.constraints, b), chunks))
-        out = []
-        for part in parts:
-            out.extend(part)
-        return out
     return _enumerate_box(system.constraints, bounds)
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
+import pytest
 
+import reesmult.cli
 from reesmult.cli import main
 
 X2Y3 = '{"nvars":2,"generators":[[2,0],[0,3]]}'
@@ -46,6 +47,20 @@ class TestNewton:
     def test_malformed_json_exit2(self, capsys):
         code, _, err = run_main(capsys, "newton", "-i", '{"nvars":2')
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"nvars":2,"generators":[[true,0],[0,3]]}',
+        '{"nvars":true,"generators":[[1]]}',
+    ])
+    def test_boolean_ideal_exit2(self, capsys, text):
+        code, _, err = run_main(capsys, "newton", "-i", text)
+        assert code == 2
+        assert "parse error" in err
+
+    def test_inline_array_is_json(self, capsys):
+        code, _, err = run_main(capsys, "newton", "-i", "[[1,0],[0,1]]")
+        assert code == 2
+        assert "ideal JSON must be an object" in err
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"
@@ -147,6 +162,16 @@ class TestVerify:
         assert data["overall"] is True
         assert data["inconclusive"] == []
 
+    @pytest.mark.parametrize("model", [
+        '{"n":2,"m":2,"exps":[true,3]}',
+        '{"n":2,"m":true,"exps":[2]}',
+        '{"n":2,"m":1,"exps":[2.5]}',
+    ])
+    def test_local_non_integer_model_exit2(self, capsys, model):
+        code, _, err = run_main(capsys, "verify", "local", "-m", model, "--lambda", "0")
+        assert code == 2
+        assert "model JSON" in err
+
     def test_local_missing_model(self, capsys):
         code, _, err = run_main(capsys, "verify", "local", "--lambda", "0")
         assert code == 2
@@ -211,18 +236,32 @@ class TestOtherCommands:
         assert code == 4
         assert "guard" in err
 
+    def test_malformed_point_guard_exit2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REESMULT_MAX_POINTS", "abc")
+        code, _, err = run_main(capsys, "jumps", "-i", X2Y3, "--max", "2")
+        assert code == 2
+        assert "REESMULT_MAX_POINTS" in err
+
+    def test_internal_error_exit5(self, capsys, monkeypatch):
+        def broken(a):
+            raise AssertionError("lct computations disagree:\nformula 1, scan 2")
+
+        monkeypatch.setattr(reesmult.cli, "lct", broken)
+        code, out, err = run_main(capsys, "lct", "-i", X2Y3)
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: AssertionError: lct computations disagree: formula 1, scan 2\n"
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self):
-        env = dict(os.environ)
         cmd = [
             sys.executable, "-m", "reesmult",
             "verify", "B2", "-i", XY2, "--lambda", "1/2", "--k", "-2..4",
         ]
         runs = []
-        for threads in ("1", "3"):
-            env["REESMULT_THREADS"] = threads
-            proc = subprocess.run(cmd, capture_output=True, env=env)
+        for _ in range(2):
+            proc = subprocess.run(cmd, capture_output=True)
             assert proc.returncode == 0
             runs.append(proc.stdout)
         assert runs[0] == runs[1]

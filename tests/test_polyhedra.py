@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from reesmult import polyhedra
 from reesmult.errors import DomainError, ResourceLimitError
 from reesmult.polyhedra import (
     Cone,
@@ -16,6 +18,7 @@ from reesmult.polyhedra import (
     ThresholdSystem,
     cube,
     dual_cone,
+    homogeneous_rays,
     irredundant_facets,
     lattice_points,
     matrix_rank,
@@ -25,7 +28,16 @@ from reesmult.polyhedra import (
     strict_interior_system,
 )
 
-from oracles import in_hull_plus_orthant, strict_interior_points
+from oracles import (
+    fm_dual_cone,
+    fm_full_dimensional,
+    fm_irredundant_facets,
+    fm_newton_from_points,
+    fm_strongly_convex,
+    in_hull_plus_orthant,
+    strict_interior_points,
+    subset_homogeneous_rays,
+)
 
 
 def facet_pairs(obj):
@@ -351,12 +363,6 @@ class TestLatticePoints:
         with pytest.raises(DomainError):
             lattice_points(sys, ((2, 1),))
 
-    def test_threaded_identical(self, monkeypatch):
-        sys = ThresholdSystem(2, (((3, 2), 7), ((1, 0), 0), ((0, 1), 0)))
-        sequential = lattice_points(sys, cube(2, 0, 12))
-        monkeypatch.setenv("REESMULT_THREADS", "4")
-        assert lattice_points(sys, cube(2, 0, 12)) == sequential
-
     def test_infeasible_system(self):
         sys = ThresholdSystem(2, (((0, 0), 5),))
         assert sys.infeasible
@@ -422,3 +428,127 @@ class TestFacetRemovalStrictness:
             w = self._witness(p.facets, h, 2, 9)
             assert w is not None
             assert not in_hull_plus_orthant(w, [(2, 0), (0, 3)])
+
+
+def random_cone(rng, rank, pointed):
+    """Random rays spanning any subspace; a non-pointed cone gets a line."""
+    while True:
+        rays = [
+            tuple(rng.randint(-4, 4) for _ in range(rank))
+            for _ in range(rng.randint(1, rank + 2))
+        ]
+        rays = [r for r in rays if any(r)]
+        if not rays:
+            continue
+        if not pointed:
+            rays.append(tuple(-e for e in rays[0]))
+        c = Cone(rank, tuple(rays))
+        if c.strongly_convex == pointed:
+            return c
+
+
+class TestDoubleDescriptionAgainstFM:
+    """Exact facet and ray lists of the double description kernel against
+    the Fourier-Motzkin reference kernel in ``oracles``."""
+
+    @pytest.mark.parametrize("rank", (2, 3, 4, 5))
+    def test_newton_from_points(self, rank):
+        rng = random.Random(5100 + rank)
+        for _ in range(25):
+            pts = [
+                tuple(rng.randint(0, 6) for _ in range(rank))
+                for _ in range(rng.randint(1, 4))
+            ]
+            assert facet_pairs(newton_from_points(pts, rank)) == facet_pairs(
+                fm_newton_from_points(pts, rank)
+            ), pts
+
+    @pytest.mark.parametrize("rank", (2, 3, 4, 5))
+    def test_newton_of_squares(self, rank):
+        # pairwise sums put many points on one facet: degenerate inputs,
+        # where adjacency needs the combinatorial test
+        rng = random.Random(5150 + rank)
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        for trial in range(10):
+            base = units if trial == 0 else [
+                tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(3)
+            ]
+            pts = sorted({
+                tuple(a + b for a, b in zip(p, q))
+                for p, q in itertools.combinations_with_replacement(base, 2)
+            })
+            assert facet_pairs(newton_from_points(pts, rank)) == facet_pairs(
+                fm_newton_from_points(pts, rank)
+            ), pts
+
+    @pytest.mark.parametrize("rank", (2, 3, 4, 5))
+    @pytest.mark.parametrize("pointed", (True, False))
+    def test_dual_cone(self, rank, pointed):
+        rng = random.Random(5200 + 10 * rank + pointed)
+        for _ in range(15):
+            c = random_cone(rng, rank, pointed)
+            assert c.strongly_convex == fm_strongly_convex(c)
+            got, want = dual_cone(c), fm_dual_cone(c)
+            assert got.rays == want.rays, c.rays
+            assert facet_pairs(got) == facet_pairs(want), c.rays
+            assert got.strongly_convex == fm_strongly_convex(got)
+
+    @pytest.mark.parametrize("rank", (1, 2, 3, 4))
+    def test_homogeneous_rays(self, rank):
+        rng = random.Random(5300 + rank)
+        for _ in range(20):
+            normals = [
+                tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(0, rank + 2))
+            ]
+            normals = sorted({primitive(v) for v in normals if any(v)})
+            assert homogeneous_rays(normals, rank) == subset_homogeneous_rays(
+                normals, rank
+            ), normals
+
+    @pytest.mark.parametrize("rank", (1, 2, 3, 4))
+    def test_irredundant_facets(self, rank):
+        # redundant rows (positive combinations and weakened thresholds),
+        # exact duplicates and rational thresholds
+        rng = random.Random(5400 + rank)
+        for _ in range(20):
+            rows = []
+            for _ in range(rng.randint(1, rank + 3)):
+                normal = tuple(rng.randint(-3, 3) for _ in range(rank))
+                if any(normal):
+                    rows.append(HalfSpace(normal, Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+            if not rows:
+                continue
+            for _ in range(rng.randint(0, 3)):
+                g, h = rng.choice(rows), rng.choice(rows)
+                normal = tuple(a + b for a, b in zip(g.normal, h.normal))
+                if any(normal):
+                    rows.append(HalfSpace(normal, g.threshold + h.threshold - rng.randint(0, 2)))
+            # an equal copy; the reference sweep skips rows by identity
+            dup = rng.choice(rows)
+            rows.append(HalfSpace(dup.normal, dup.threshold))
+            p = Polyhedron(rank, tuple(rows))
+            assert p.full_dimensional() == fm_full_dimensional(p)
+            if not p.full_dimensional():
+                with pytest.raises(DomainError):
+                    irredundant_facets(p)
+                continue
+            assert facet_pairs(irredundant_facets(p)) == facet_pairs(
+                fm_irredundant_facets(p)
+            ), facet_pairs(p)
+
+    def test_ray_guard(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "MAX_DD_RAYS", 8)
+        with pytest.raises(ResourceLimitError, match="double description"):
+            newton_from_points([(2, 0, 1, 3), (0, 3, 2, 1), (1, 1, 0, 2)], 4)
+
+    def test_five_variable_ideal(self):
+        # Fourier-Motzkin took minutes on this one
+        pts = [(1, 5, 9, 0, 4), (2, 1, 6, 8, 2), (2, 6, 5, 2, 0),
+               (6, 4, 2, 7, 9), (7, 4, 4, 7, 6), (7, 5, 2, 1, 7)]
+        start = time.perf_counter()
+        p = newton_from_points(pts, 5)
+        assert time.perf_counter() - start < 1.0
+        assert len(p.facets) == 31
+        for h in p.facets:
+            assert all(h.holds(pt) for pt in pts)
