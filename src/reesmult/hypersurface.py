@@ -17,8 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .polyhedra import as_fraction
+from .errors import DomainError, ResourceLimitError
+from .polyhedra import _point_guard, as_fraction
 from .rees import PerLevel, VerificationReport
 
 
@@ -178,6 +178,7 @@ def verify_local_decomposition(
     if box_c is None:
         box_c = max(model.exps) * box_deg + 2
     lo, hi = k_range
+    guard = _point_guard(None)
     per_k = []
     inconclusive = []
     for k in range(lo, hi + 1):
@@ -185,17 +186,21 @@ def verify_local_decomposition(
             inconclusive.append(k)
             continue
         a, b = max(k, 0), max(-k, 0)
-        lhs = set()
-        for c in itertools.product(range(box_c + 1), repeat=model.n):
-            mono = LocalMonomial(a, b, c)
-            if is_section(model, mono, lam):
-                lhs.add(regrade(model, mono)[0])
+        exponents = [range(box_c + 1)] * model.n
         reach = [
             range(a * model.exps[i], a * model.exps[i] + box_c + 1)
             if i < model.m
             else range(box_c + 1)
             for i in range(model.n)
         ]
+        size = max(math.prod(map(len, ranges)) for ranges in (exponents, reach))
+        if size > guard:
+            raise ResourceLimitError(f"box volume {size} exceeds enumeration guard {guard}")
+        lhs = set()
+        for c in itertools.product(*exponents):
+            mono = LocalMonomial(a, b, c)
+            if is_section(model, mono, lam):
+                lhs.add(regrade(model, mono)[0])
         rhs = set()
         for cprime in itertools.product(*reach):
             if snc_multiplier_section(model, cprime, k + lam):

@@ -21,6 +21,7 @@ from .polyhedra import (
     as_fraction,
     cube,
     lattice_points,
+    lattice_runs,
     newton_from_points,
     scale,
     strict_interior_system,
@@ -29,6 +30,10 @@ from .serialize import frac_str
 
 OMEGA = "OMEGA"
 RING = "RING"
+
+# lru_cache bound: room for the ideals and cones one computation reuses,
+# while a long-running process keeps finitely many results alive
+CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ def minimalize(gens, nvars=None) -> MonomialIdeal:
     return MonomialIdeal(nvars, tuple(kept))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def newton(a: MonomialIdeal) -> Polyhedron:
     """Newton polyhedron conv(generators) + orthant, irredundant facets."""
     return newton_from_points(a.generators, a.nvars)
@@ -123,7 +128,8 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
 
     Minimal lattice points of the Newton polyhedron have coordinates
     bounded by the per-coordinate maxima of the generators, so a finite
-    box suffices.
+    box suffices.  Every other point of a run lies above its first, so
+    only the first points are candidates.
     """
     bounds = tuple(
         (0, max(g[i] for g in a.generators)) for i in range(a.nvars)
@@ -132,8 +138,8 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
         a.nvars,
         tuple((h.normal, int(h.threshold)) for h in newton(a).facets),
     )
-    pts = lattice_points(system, bounds)
-    return minimalize(pts, a.nvars)
+    starts = [prefix + (lo,) for prefix, lo, _ in lattice_runs(system, bounds)]
+    return minimalize(starts, a.nvars)
 
 
 def is_normal(a: MonomialIdeal, bound=None) -> bool:
@@ -204,13 +210,6 @@ def omega_module(nvars: int) -> MonomialModule:
     return MonomialModule(nvars, ThresholdSystem(nvars, units), OMEGA)
 
 
-def full_ring_module(nvars: int) -> MonomialModule:
-    units = tuple(
-        (tuple(1 if j == i else 0 for j in range(nvars)), 0) for i in range(nvars)
-    )
-    return MonomialModule(nvars, ThresholdSystem(nvars, units), RING)
-
-
 def multiplier_module(a: MonomialIdeal, lam) -> MonomialModule:
     """Monomials in the interior of lam * Newt(a); a submodule of omega_R.
 
@@ -234,7 +233,7 @@ def multiplier_ideal(a: MonomialIdeal, lam) -> MonomialModule:
 
 def systems_equal(s1: ThresholdSystem, s2: ThresholdSystem, box) -> bool:
     """Set equality of two lattice systems: thresholdwise when the normal
-    sets coincide, otherwise by enumeration inside the box."""
+    sets coincide, otherwise by comparing their runs inside the box."""
     if s1.rank != s2.rank:
         raise DomainError("mismatched rank")
     if not s1.infeasible and not s2.infeasible:
@@ -242,7 +241,7 @@ def systems_equal(s1: ThresholdSystem, s2: ThresholdSystem, box) -> bool:
         if set(d1) == set(d2):
             if all(d1[w] == d2[w] for w in d1):
                 return True
-    return lattice_points(s1, box) == lattice_points(s2, box)
+    return lattice_runs(s1, box) == lattice_runs(s2, box)
 
 
 def module_contains(big: MonomialModule, small: MonomialModule, box) -> bool:
@@ -250,8 +249,9 @@ def module_contains(big: MonomialModule, small: MonomialModule, box) -> bool:
 
     When the constraint normal sets coincide, thresholdwise comparison
     certifies containment without enumeration (sufficient, not
-    necessary, because of attainability gaps over the lattice); the
-    enumeration fallback decides the rest within the box.
+    necessary, because of attainability gaps over the lattice); otherwise
+    each run of ``small`` inside the box must lie in the run of ``big``
+    on the same line.
     """
     if big.nvars != small.nvars:
         raise DomainError("mismatched rank")
@@ -261,7 +261,9 @@ def module_contains(big: MonomialModule, small: MonomialModule, box) -> bool:
         d_big, d_small = dict(big.system.constraints), dict(small.system.constraints)
         if set(d_big) == set(d_small) and all(d_big[w] <= d_small[w] for w in d_big):
             return True
-    return all(big.system.satisfies(m) for m in small.points(box))
+    lines = {prefix: range(lo, hi + 1) for prefix, lo, hi in lattice_runs(big.system, box)}
+    runs = lattice_runs(small.system, box)
+    return all(lo in lines.get(p, ()) and hi in lines[p] for p, lo, hi in runs)
 
 
 def default_box(a: MonomialIdeal, lam_max):
@@ -356,7 +358,7 @@ def jumping_numbers(a: MonomialIdeal, lam_max, box=None) -> JumpReport:
             warnings.append(
                 f"box may be too small to witness a jump at {frac_str(cand)}"
             )
-        if at.points(box) != before.points(box):
+        if lattice_runs(at.system, box) != lattice_runs(before.system, box):
             jumps.append(cand)
     return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), box, tuple(warnings))
 

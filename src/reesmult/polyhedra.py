@@ -2,7 +2,8 @@
 
 Cones, dual cones, polyhedra of the shape ``conv(points) + recession
 cone``, irredundant facet systems, strict-interior threshold systems
-over the integer lattice, and bounded lattice-point enumeration.
+over the integer lattice, and their points inside a box, listed as one
+interval per line and compared in that form.
 
 Everything runs on unbounded integers and :class:`fractions.Fraction`;
 floats are rejected at the boundary.  Strictness of interior conditions
@@ -18,7 +19,6 @@ description routine, ``_dd``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -585,58 +585,15 @@ def _point_guard(max_points):
     return DEFAULT_POINT_GUARD
 
 
-def _enumerate_box(constraints, bounds):
-    rank = len(bounds)
-    if not constraints:
-        return [tuple(p) for p in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))]
-    ncons = len(constraints)
-    ws = [w for w, _ in constraints]
-    ts = [t for _, t in constraints]
-    smin = [[0] * (rank + 1) for _ in range(ncons)]
-    smax = [[0] * (rank + 1) for _ in range(ncons)]
-    for ci in range(ncons):
-        w = ws[ci]
-        for d in range(rank - 1, -1, -1):
-            lo, hi = bounds[d]
-            a, b = w[d] * lo, w[d] * hi
-            smin[ci][d] = smin[ci][d + 1] + min(a, b)
-            smax[ci][d] = smax[ci][d + 1] + max(a, b)
-    out = []
-    prefix = []
+def lattice_runs(system: ThresholdSystem, box, max_points=None):
+    """Integer points of the system inside the box as runs ``(prefix, lo, hi)``,
+    the points ``prefix + (v,)`` with lo <= v <= hi, one per line along the
+    last coordinate that meets the set, in lex order of ``prefix``.
 
-    def rec(depth, partials):
-        certified = True
-        for ci in range(ncons):
-            p = partials[ci]
-            if p + smax[ci][depth] < ts[ci]:
-                return
-            if p + smin[ci][depth] < ts[ci]:
-                certified = False
-        if certified:
-            if depth == rank:
-                out.append(tuple(prefix))
-            else:
-                head = tuple(prefix)
-                for tail in itertools.product(
-                    *(range(lo, hi + 1) for lo, hi in bounds[depth:])
-                ):
-                    out.append(head + tail)
-            return
-        lo, hi = bounds[depth]
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            rec(depth + 1, [partials[ci] + ws[ci][depth] * v for ci in range(ncons)])
-            prefix.pop()
-
-    rec(0, [0] * ncons)
-    return out
-
-
-def lattice_points(system: ThresholdSystem, box, max_points=None):
-    """All integer points of the system inside the box, sorted lexicographically.
-
-    ``box`` is one (lo, hi) pair per coordinate.  The box volume guard
-    (default 10**8, override via REESMULT_MAX_POINTS or ``max_points``)
+    A constraint bounds v from one side, or tests the prefix alone when its
+    last entry is 0, so each line meets the set in one interval, whatever the
+    system.  ``box`` is one (lo, hi) pair per coordinate.  The box volume
+    guard (default 10**8, override via REESMULT_MAX_POINTS or ``max_points``)
     bounds the search space, not the output.
     """
     bounds = tuple((int(lo), int(hi)) for lo, hi in box)
@@ -651,7 +608,67 @@ def lattice_points(system: ThresholdSystem, box, max_points=None):
         raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:
         return []
-    return _enumerate_box(system.constraints, bounds)
+    if system.rank == 1:
+        # the one line has an empty prefix: search a box with a dummy first axis
+        lifted = ThresholdSystem(2, tuple(((0,) + w, t) for w, t in system.constraints))
+        return [((), lo, hi) for _, lo, hi in lattice_runs(lifted, ((0, 0),) + bounds, volume)]
+    last = system.rank - 1
+    last_lo, last_hi = bounds[last]
+    ws = [w for w, _ in system.constraints]
+    ts = [t for _, t in system.constraints]
+    # smax[ci][d]: the most that coordinates d.. can add to constraint ci
+    most = [[max(e * lo, e * hi) for e, (lo, hi) in zip(w, bounds)] for w in ws]
+    smax = [[sum(m[d:]) for d in range(last + 1)] for m in most]
+    out = []
+
+    def rec(depth, prefix, partials):
+        if any(p + smax[ci][depth] < t for ci, (p, t) in enumerate(zip(partials, ts))):
+            return
+        vs = range(bounds[depth][0], bounds[depth][1] + 1)
+        if depth < last - 1:
+            for v in vs:
+                rec(depth + 1, prefix + (v,), [p + w[depth] * v for p, w in zip(partials, ws)])
+            return
+        # the lines prefix + (v,), all v at once, one constraint at a time
+        los, his = [last_lo] * len(vs), [last_hi] * len(vs)
+        for w, t, p in zip(ws, ts, partials):
+            wd, wl = w[depth], w[last]
+            if wl > 0:
+                los = [max(lo, _ceil_div(t - p - wd * v, wl)) for lo, v in zip(los, vs)]
+            elif wl < 0:
+                his = [min(hi, (t - p - wd * v) // wl) for hi, v in zip(his, vs)]
+            else:
+                his = [hi if p + wd * v >= t else last_lo - 1 for hi, v in zip(his, vs)]
+        out.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
+
+    rec(0, (), [0] * len(ws))
+    return out
+
+
+def lattice_points(system: ThresholdSystem, box, max_points=None):
+    """All integer points of the system inside the box, sorted
+    lexicographically: the expansion of ``lattice_runs``."""
+    runs = lattice_runs(system, box, max_points)
+    return [prefix + (v,) for prefix, lo, hi in runs for v in range(lo, hi + 1)]
+
+
+def compare_runs(runs1, runs2):
+    """``(count1, count2, witness)`` of two run lists over one box: the point
+    counts and the lex-least point in exactly one set (None if equal), on the
+    first line where the lists differ: the ``lo`` of a line only one list has,
+    else the smaller ``lo`` if they differ, else one past the smaller ``hi``.
+    """
+    counts = [sum(hi - lo + 1 for _, lo, hi in runs) for runs in (runs1, runs2)]
+    i = next((i for i, (r1, r2) in enumerate(zip(runs1, runs2)) if r1 != r2),
+             min(len(runs1), len(runs2)))
+    first = runs1[i:i + 1] + runs2[i:i + 1]
+    if not first:
+        return (*counts, None)
+    if len(first) == 1 or first[0][0] != first[1][0]:
+        prefix, lo, _ = min(first)
+        return (*counts, prefix + (lo,))
+    (prefix, lo1, hi1), (_, lo2, hi2) = first
+    return (*counts, prefix + (min(lo1, lo2) if lo1 != lo2 else min(hi1, hi2) + 1,))
 
 
 def cube(rank: int, lo: int, hi: int):

@@ -13,6 +13,7 @@ level by level against the base-ring Newton computation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .ideals import (
+    CACHE_SIZE,
     OMEGA,
     MonomialIdeal,
     MonomialModule,
@@ -38,10 +40,11 @@ from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
     as_fraction,
+    compare_runs,
     cube,
     dot,
     irredundant_facets,
-    lattice_points,
+    lattice_runs,
     points_plus_cone,
     scale,
     strict_interior_system,
@@ -145,26 +148,25 @@ class VerificationReport:
         return data
 
 
-def _slice_box(a: MonomialIdeal):
-    upper = a.max_entry() * 3 + 2
-    return cube(a.nvars, 0, upper)
-
-
 def _validate_slices(alg: GradedToricAlgebra):
     """Level-k lattice points must equal the exponents of a^k (k >= 1),
-    the whole orthant for k <= 0."""
+    the whole orthant (the unit ideal) for k <= 0.  The reference runs come
+    from the generators alone: a line starts at the least last exponent of a
+    generator on it or of the lines one step below, which lex order visits first.
+    """
     a = alg.source
-    box = _slice_box(a)
-    lo = -2 if alg.kind == EXTENDED_REES else 0
-    for k in range(lo, 4):
-        got = lattice_points(alg.cone.substitute_last(k), box)
-        if k <= 0:
-            want = lattice_points(ThresholdSystem(a.nvars, ()), box)
-        else:
-            ak = power(a, k)
-            want = [m for m in lattice_points(ThresholdSystem(a.nvars, ()), box)
-                    if ak.contains_exponent(m)]
-        if got != want:
+    upper = a.max_entry() * 3 + 2
+    prefixes = list(itertools.product(range(upper + 1), repeat=a.nvars - 1))
+    for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
+        least, want = {}, []
+        for g in (power(a, k).generators if k > 0 else ((0,) * a.nvars,)):
+            least[g[:-1]] = min(least.get(g[:-1], upper + 1), g[-1])
+        for p in prefixes:
+            below = [least[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e > 0]
+            least[p] = min([least.get(p, upper + 1)] + below)
+            if least[p] <= upper:
+                want.append((p, least[p], upper))
+        if lattice_runs(alg.cone.substitute_last(k), cube(a.nvars, 0, upper)) != want:
             raise AssertionError(
                 f"internal: level-{k} slice of the {alg.kind} cone of "
                 f"{a.to_json()} does not match a^{k}"
@@ -201,13 +203,13 @@ def _build_algebra(a: MonomialIdeal, kind: str) -> GradedToricAlgebra:
     return alg
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def extended_rees_cone(a: MonomialIdeal) -> GradedToricAlgebra:
     """Cone of R[at, t^-1]: {m >= 0} and <w_j, m> >= c_j k per Newton facet."""
     return _build_algebra(a, EXTENDED_REES)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def rees_cone(a: MonomialIdeal) -> GradedToricAlgebra:
     """Cone of R[at]: the extended cone intersected with {k >= 0}."""
     return _build_algebra(a, REES)
@@ -253,7 +255,7 @@ def multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModule
     return GradedModuleSpec(alg.ambient_rank, system, f"MULT_{tail}({frac_str(lam)})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _graded_newton(alg: GradedToricAlgebra, gens) -> Polyhedron:
     normals = alg.cone.normals()
     recession = Cone(
@@ -312,12 +314,6 @@ def graded_default_box(a: MonomialIdeal, lam, k_max: int):
     return cube(a.nvars, 0, upper)
 
 
-def _first_mismatch(pts1, pts2):
-    s1, s2 = set(pts1), set(pts2)
-    diff = s1.symmetric_difference(s2)
-    return min(diff) if diff else None
-
-
 def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> VerificationReport:
     """Graded decomposition of the extended-Rees multiplier module.
 
@@ -338,10 +334,9 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     for k in range(lo, hi + 1):
         lhs = graded_piece(module, k)
         rhs = decomposition_rhs_T(a, lam, k)
-        pts_l = lhs.points(box)
-        pts_r = rhs.points(box)
-        equal = pts_l == pts_r
-        per_k.append(PerLevel(k, len(pts_l), len(pts_r), equal, _first_mismatch(pts_l, pts_r)))
+        runs = lattice_runs(lhs.system, box), lattice_runs(rhs.system, box)
+        count_l, count_r, witness = compare_runs(*runs)
+        per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
         lhs_t = dict(lhs.system.constraints)
         rhs_t = dict(rhs.system.constraints)
         for w in set(lhs_t) & set(rhs_t):
@@ -384,14 +379,10 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     for n in range(lo, hi + 1):
         lhs = graded_piece(module, n + 1)
         rhs = decomposition_rhs_S(a, lam, n)
-        pts_l = lhs.points(box)
-        pts_r = rhs.points(box)
-        equal = pts_l == pts_r
-        per_k.append(
-            PerLevel(n + 1, len(pts_l), len(pts_r), equal, _first_mismatch(pts_l, pts_r))
-        )
-    degree_zero = graded_piece(module, 0).points(box)
-    degree_zero_empty = not degree_zero
+        runs = lattice_runs(lhs.system, box), lattice_runs(rhs.system, box)
+        count_l, count_r, witness = compare_runs(*runs)
+        per_k.append(PerLevel(n + 1, count_l, count_r, witness is None, witness))
+    degree_zero_empty = not lattice_runs(graded_piece(module, 0).system, box)
     overall = all(p.equal for p in per_k) and degree_zero_empty
     return VerificationReport(
         theorem="B.1",

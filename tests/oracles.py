@@ -6,7 +6,8 @@ subsets (a point lies in the sum iff some convex combination of at most
 rank points of the generating set is componentwise below it, obtained
 by pushing any dominated point down to a boundary face), with exact
 one- and two-parameter interval elimination.  Interior membership is a
-strict rational comparison with no floor arithmetic anywhere.
+strict rational comparison with no floor arithmetic anywhere.  Lattice
+sets are listed point by point over the whole box.
 
 The second half is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.
@@ -133,6 +134,25 @@ def box_points_satisfying(facets, box):
         ):
             out.append(m)
     return out
+
+
+def brute_lattice_points(system, box):
+    """Every box point that satisfies the system, by itertools.product."""
+    return [
+        m for m in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+        if system.satisfies(m)
+    ]
+
+
+def first_mismatch(pts1, pts2):
+    """Lex-least point in exactly one of two point lists, or None.
+
+    The verifiers' witness as it was taken from point lists, before it was
+    read from runs.
+    """
+    s1, s2 = set(pts1), set(pts2)
+    diff = s1.symmetric_difference(s2)
+    return min(diff) if diff else None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -175,6 +176,23 @@ class TestVerify:
     def test_local_missing_model(self, capsys):
         code, _, err = run_main(capsys, "verify", "local", "--lambda", "0")
         assert code == 2
+
+    def test_local_point_guard_exit4(self, capsys):
+        # 21^7 (about 1.8e9) exponent vectors per level at the default box
+        start = time.perf_counter()
+        code, out, err = run_main(
+            capsys, "verify", "local", "-m", '{"n":7,"m":1,"exps":[3]}', "--lambda", "1/2"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert "enumeration guard" in err
+
+    def test_local_point_guard_env_exit4(self, capsys, monkeypatch):
+        monkeypatch.setenv("REESMULT_MAX_POINTS", "10")
+        code, _, err = run_main(capsys, "verify", "local", "-m", MODEL23, "--lambda", "1/2")
+        assert code == 4
+        assert "enumeration guard 10" in err
 
 
 class TestOtherCommands:

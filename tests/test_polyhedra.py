@@ -8,19 +8,24 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reesmult import polyhedra
 from reesmult.errors import DomainError, ResourceLimitError
+from reesmult.ideals import OMEGA, MonomialModule, module_contains, systems_equal
 from reesmult.polyhedra import (
     Cone,
     HalfSpace,
     Polyhedron,
     ThresholdSystem,
+    compare_runs,
     cube,
     dual_cone,
     homogeneous_rays,
     irredundant_facets,
     lattice_points,
+    lattice_runs,
     matrix_rank,
     newton_from_points,
     primitive,
@@ -29,6 +34,8 @@ from reesmult.polyhedra import (
 )
 
 from oracles import (
+    brute_lattice_points,
+    first_mismatch,
     fm_dual_cone,
     fm_full_dimensional,
     fm_irredundant_facets,
@@ -367,6 +374,135 @@ class TestLatticePoints:
         sys = ThresholdSystem(2, (((0, 0), 5),))
         assert sys.infeasible
         assert lattice_points(sys, cube(2, 0, 3)) == []
+
+
+def _random_system(rng, rank):
+    cons = tuple(
+        (tuple(rng.randint(-3, 3) for _ in range(rank)), rng.randint(-6, 8))
+        for _ in range(rng.randint(0, 4))
+    )
+    return ThresholdSystem(rank, cons)
+
+
+def _shifted(rng, system):
+    """The same normals with some thresholds moved by one."""
+    return ThresholdSystem(
+        system.rank,
+        tuple((w, t + rng.choice((-1, 0, 0, 1))) for w, t in system.constraints),
+    )
+
+
+def _check_against_oracle(s1, s2, box):
+    """Runs of two systems agree with the brute-force point lists."""
+    pts1, pts2 = brute_lattice_points(s1, box), brute_lattice_points(s2, box)
+    runs1, runs2 = lattice_runs(s1, box), lattice_runs(s2, box)
+    expansion = [p + (v,) for p, lo, hi in runs1 for v in range(lo, hi + 1)]
+    assert expansion == lattice_points(s1, box) == pts1
+    # one run per line, each a nonempty interval
+    assert all(lo <= hi for _, lo, hi in runs1)
+    assert [p for p, _, _ in runs1] == sorted({p for p, _, _ in runs1})
+    assert compare_runs(runs1, runs2) == (len(pts1), len(pts2), first_mismatch(pts1, pts2))
+    assert (runs1 == runs2) == (pts1 == pts2)
+    assert systems_equal(s1, s2, box) == (pts1 == pts2)
+    small, big = MonomialModule(s1.rank, s1, OMEGA), MonomialModule(s2.rank, s2, OMEGA)
+    assert module_contains(big, small, box) == all(s2.satisfies(m) for m in pts1)
+
+
+class TestLatticeRuns:
+    def test_simple(self):
+        sys = ThresholdSystem(2, (((3, 2), 7), ((1, 0), 1), ((0, 1), 1)))
+        assert lattice_runs(sys, cube(2, 0, 3)) == [((1,), 2, 3), ((2,), 1, 3), ((3,), 1, 3)]
+
+    def test_upper_bound_from_negative_last_entry(self):
+        # x - y >= 0 on the box [0,3]^2: the line x = v runs up to y = v
+        sys = ThresholdSystem(2, (((1, -1), 0),))
+        assert lattice_runs(sys, cube(2, 0, 3)) == [((v,), 0, v) for v in range(4)]
+
+    def test_prefix_only_constraint(self):
+        sys = ThresholdSystem(3, (((1, 1, 0), 3),))
+        runs = lattice_runs(sys, cube(3, 0, 2))
+        assert runs == [((x, y), 0, 2) for x in range(3) for y in range(3) if x + y >= 3]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_signs_against_oracle(self, seed):
+        rng = random.Random(8200 + seed)
+        for _ in range(120):
+            rank = rng.randint(1, 4)
+            s1 = _random_system(rng, rank)
+            box = tuple(
+                (lo, lo + rng.randint(0, 4)) for lo in (rng.randint(-3, 2) for _ in range(rank))
+            )
+            _check_against_oracle(s1, _shifted(rng, s1), box)
+
+    def test_empty_system_is_whole_box(self):
+        sys = ThresholdSystem(3, ())
+        box = ((-1, 0), (2, 3), (-2, 1))
+        assert lattice_runs(sys, box) == [((x, y), -2, 1) for x in (-1, 0) for y in (2, 3)]
+        _check_against_oracle(sys, ThresholdSystem(3, (((0, 0, 1), 0),)), box)
+
+    def test_infeasible_system(self):
+        sys = ThresholdSystem(2, (((0, 0), 5),))
+        assert sys.infeasible
+        assert lattice_runs(sys, cube(2, 0, 3)) == []
+        _check_against_oracle(sys, ThresholdSystem(2, ()), cube(2, 0, 3))
+        _check_against_oracle(ThresholdSystem(2, ()), sys, cube(2, 0, 3))
+
+    def test_no_point_in_box(self):
+        sys = ThresholdSystem(2, (((1, 1), 9),))
+        assert lattice_runs(sys, cube(2, 0, 3)) == []
+        assert compare_runs([], []) == (0, 0, None)
+
+    def test_single_point_box(self):
+        box = ((3, 3), (-1, -1))
+        assert lattice_runs(ThresholdSystem(2, (((1, 1), 2),)), box) == [((3,), -1, -1)]
+        assert lattice_runs(ThresholdSystem(2, (((1, 1), 3),)), box) == []
+        assert lattice_runs(ThresholdSystem(1, (((-1,), 0),)), ((0, 0),)) == [((), 0, 0)]
+
+    def test_negative_lower_bounds(self):
+        sys = ThresholdSystem(2, (((1, 2), -3), ((-1, 1), -2)))
+        _check_against_oracle(sys, ThresholdSystem(2, (((1, 2), -2),)), cube(2, -4, 2))
+
+    def test_witness_cases(self):
+        # a line in only one list, a later lo, an earlier hi
+        assert compare_runs([((0,), 1, 2), ((1,), 0, 2)], [((1,), 0, 2)]) == (5, 3, (0, 1))
+        assert compare_runs([((0,), 1, 2)], [((0,), 3, 4)]) == (2, 2, (0, 1))
+        assert compare_runs([((0,), 1, 2)], [((0,), 1, 4)]) == (2, 4, (0, 3))
+        assert compare_runs([((0,), 1, 2)], [((0,), 1, 2), ((2,), 5, 5)]) == (2, 3, (2, 5))
+
+    def test_volume_guard_same_as_points(self):
+        sys = ThresholdSystem(2, ())
+        for fn in (lattice_runs, lattice_points):
+            with pytest.raises(ResourceLimitError) as exc:
+                fn(sys, cube(2, 0, 10), max_points=120)
+            assert str(exc.value) == "box volume 121 exceeds enumeration guard 120"
+        assert len(lattice_runs(sys, cube(2, 0, 10), max_points=121)) == 11
+        assert len(lattice_points(sys, cube(2, 0, 10), max_points=121)) == 121
+
+    def test_guard_env_override(self, monkeypatch):
+        monkeypatch.setenv("REESMULT_MAX_POINTS", "50")
+        with pytest.raises(ResourceLimitError, match="box volume 121 exceeds enumeration guard 50"):
+            lattice_runs(ThresholdSystem(2, ()), cube(2, 0, 10))
+
+    def test_bad_box(self):
+        with pytest.raises(DomainError, match="box lower bound exceeds upper bound"):
+            lattice_runs(ThresholdSystem(1, ()), ((2, 1),))
+        with pytest.raises(DomainError, match="box length does not match system rank"):
+            lattice_runs(ThresholdSystem(2, ()), ((0, 1),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_against_oracle(self, data):
+        rank = data.draw(st.integers(1, 4))
+        normal = st.tuples(*[st.integers(-3, 3)] * rank)
+        cons = data.draw(st.lists(st.tuples(normal, st.integers(-6, 8)), max_size=4))
+        shifts = data.draw(st.lists(st.integers(-1, 1), min_size=len(cons), max_size=len(cons)))
+        box = data.draw(st.lists(
+            st.tuples(st.integers(-3, 2), st.integers(0, 4)), min_size=rank, max_size=rank
+        ))
+        box = tuple((lo, lo + span) for lo, span in box)
+        s1 = ThresholdSystem(rank, tuple(cons))
+        s2 = ThresholdSystem(rank, tuple((w, t + d) for (w, t), d in zip(cons, shifts)))
+        _check_against_oracle(s1, s2, box)
 
 
 class TestThresholdSystem:

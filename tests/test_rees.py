@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,10 +10,19 @@ from fractions import Fraction
 import pytest
 
 from reesmult.errors import DomainError
-from reesmult.ideals import minimalize, omega_module, power
-from reesmult.polyhedra import ThresholdSystem, cube, dot, lattice_points
+from reesmult.ideals import minimalize, newton, omega_module, power
+from reesmult.polyhedra import (
+    ThresholdSystem,
+    compare_runs,
+    cube,
+    dot,
+    lattice_points,
+    lattice_runs,
+)
 from reesmult.rees import (
     EXTENDED_REES,
+    _graded_newton,
+    _validate_slices,
     canonical_module,
     decomposition_rhs_S,
     decomposition_rhs_T,
@@ -28,6 +38,8 @@ from reesmult.rees import (
     verify_theoremB_S,
     verify_theoremB_T,
 )
+
+from oracles import first_mismatch
 
 M_XY = minimalize([(1, 0), (0, 1)])
 M_XY2 = minimalize([(2, 0), (1, 1), (0, 2)])
@@ -107,6 +119,25 @@ class TestSliceOracle:
                 assert got == [m for m in everything if ak.contains_exponent(m)]
         # below the grading the Rees cone is empty
         assert lattice_points(alg.cone.substitute_last(-1), box) == []
+
+    @pytest.mark.parametrize("build", [extended_rees_cone, rees_cone])
+    @pytest.mark.parametrize("ideal", [M_XY, M_XY2, M_XYZ])
+    def test_shifted_threshold_raises(self, build, ideal):
+        alg = build(ideal)
+        _validate_slices(alg)
+        rows = alg.cone.constraints
+        for i, (w, t) in enumerate(rows):
+            shifted = rows[:i] + ((w, t + 1),) + rows[i + 1:]
+            bad = dataclasses.replace(alg, cone=ThresholdSystem(alg.ambient_rank, shifted))
+            with pytest.raises(AssertionError, match="does not match a\\^"):
+                _validate_slices(bad)
+
+
+class TestCaches:
+    def test_bounded(self):
+        for cached in (newton, extended_rees_cone, rees_cone, _graded_newton):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize > 0
 
 
 class TestCanonicalModule:
@@ -297,6 +328,19 @@ class TestVerifyTheoremB:
             verify_theoremB_T(M_X2Y3, 0)
         rhs = decomposition_rhs_T(M_X2Y3, Fraction(1, 2), 1)
         assert rhs.system.constraints == (((0, 1), 1), ((1, 0), 1), ((3, 2), 10))
+
+    def test_level_counts_and_witness_from_points(self):
+        # off-by-one levels differ: the runs give the point-list counts and witness
+        a, lam, box = M_XY2, Fraction(1, 2), cube(2, 0, 10)
+        module = multiplier_module_principal(extended_rees_cone(a), (0, 0, -1), lam)
+        for k in range(-2, 4):
+            for rhs_k in (k, k + 1):
+                lhs = graded_piece(module, k).system
+                rhs = decomposition_rhs_T(a, lam, rhs_k).system
+                pts_l, pts_r = lattice_points(lhs, box), lattice_points(rhs, box)
+                assert compare_runs(lattice_runs(lhs, box), lattice_runs(rhs, box)) == (
+                    len(pts_l), len(pts_r), first_mismatch(pts_l, pts_r)
+                )
 
     def test_S_maximal(self):
         report = verify_theoremB_S(M_XY, 0, (0, 5))
