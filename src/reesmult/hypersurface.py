@@ -13,12 +13,11 @@ without double counting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError
-from .polyhedra import _point_guard, as_fraction
+from .errors import DomainError
+from .polyhedra import ThresholdSystem, as_fraction, compare_runs, lattice_runs
 from .rees import PerLevel, VerificationReport
 
 
@@ -171,6 +170,14 @@ def verify_local_decomposition(
     to those reachable from the box (recorded); degrees |k| > box_deg
     have no monomials at all and are reported inconclusive rather than
     silently passing.
+
+    In regraded coordinates c' (injective on normal forms, so counts and
+    witnesses carry over) every condition of is_section and
+    snc_multiplier_section bounds one coordinate: sections are
+    c'_i >= max(1, 1 + floor(lam * a_i) + k * a_i), the SNC side is
+    c'_i >= 1 + floor(mu * a_i) for mu = k + lam > 0 (else 1), and both
+    need c'_i >= 1 past m.  The two sides are compared as runs over the
+    reachable box.
     """
     lam = as_fraction(lam)
     if lam < 0:
@@ -178,36 +185,24 @@ def verify_local_decomposition(
     if box_c is None:
         box_c = max(model.exps) * box_deg + 2
     lo, hi = k_range
-    guard = _point_guard(None)
+    units = [tuple(int(i == j) for j in range(model.n)) for i in range(model.n)]
+    rest = [1] * (model.n - model.m)
     per_k = []
     inconclusive = []
     for k in range(lo, hi + 1):
         if abs(k) > box_deg:
             inconclusive.append(k)
             continue
-        a, b = max(k, 0), max(-k, 0)
-        exponents = [range(box_c + 1)] * model.n
-        reach = [
-            range(a * model.exps[i], a * model.exps[i] + box_c + 1)
-            if i < model.m
-            else range(box_c + 1)
-            for i in range(model.n)
+        a, mu = max(k, 0), k + lam
+        reach = [(a * e, a * e + box_c) for e in model.exps] + [(0, box_c)] * len(rest)
+        lhs = [max(1, 1 + math.floor(lam * e) + k * e) for e in model.exps] + rest
+        rhs = [1 + math.floor(mu * e) if mu > 0 else 1 for e in model.exps] + rest
+        runs = [
+            lattice_runs(ThresholdSystem(model.n, tuple(zip(units, need))), reach)
+            for need in (lhs, rhs)
         ]
-        size = max(math.prod(map(len, ranges)) for ranges in (exponents, reach))
-        if size > guard:
-            raise ResourceLimitError(f"box volume {size} exceeds enumeration guard {guard}")
-        lhs = set()
-        for c in itertools.product(*exponents):
-            mono = LocalMonomial(a, b, c)
-            if is_section(model, mono, lam):
-                lhs.add(regrade(model, mono)[0])
-        rhs = set()
-        for cprime in itertools.product(*reach):
-            if snc_multiplier_section(model, cprime, k + lam):
-                rhs.add(cprime)
-        equal = lhs == rhs
-        witness = min(lhs.symmetric_difference(rhs)) if not equal else None
-        per_k.append(PerLevel(k, len(lhs), len(rhs), equal, witness))
+        count_l, count_r, witness = compare_runs(*runs)
+        per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
     overall = all(p.equal for p in per_k)
     return VerificationReport(
         theorem="local",

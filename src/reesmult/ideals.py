@@ -88,9 +88,9 @@ def minimalize(gens, nvars=None) -> MonomialIdeal:
     if nvars is None:
         nvars = len(gens[0])
     kept = []
+    # a proper divisor precedes its multiples in lex order, so one pass suffices
     for g in sorted(set(gens)):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept if h != g):
-            kept = [h for h in kept if not all(a <= b for a, b in zip(g, h))]
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
             kept.append(g)
     return MonomialIdeal(nvars, tuple(kept))
 

@@ -585,6 +585,15 @@ def _point_guard(max_points):
     return DEFAULT_POINT_GUARD
 
 
+def _narrow(lo, hi, a, r):
+    """The part of [lo, hi] where a * v >= r (empty as lo > hi)."""
+    if a > 0:
+        return max(lo, _ceil_div(r, a)), hi
+    if a < 0:
+        return lo, min(hi, r // a)
+    return (lo, hi) if r <= 0 else (hi + 1, hi)
+
+
 def lattice_runs(system: ThresholdSystem, box, max_points=None):
     """Integer points of the system inside the box as runs ``(prefix, lo, hi)``,
     the points ``prefix + (v,)`` with lo <= v <= hi, one per line along the
@@ -622,23 +631,35 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
     out = []
 
     def rec(depth, prefix, partials):
-        if any(p + smax[ci][depth] < t for ci, (p, t) in enumerate(zip(partials, ts))):
-            return
-        vs = range(bounds[depth][0], bounds[depth][1] + 1)
+        vlo, vhi = bounds[depth]
         if depth < last - 1:
-            for v in vs:
+            # the values of this coordinate whose subtree can meet the set
+            for w, t, p, s in zip(ws, ts, partials, smax):
+                vlo, vhi = _narrow(vlo, vhi, w[depth], t - p - s[depth + 1])
+            for v in range(vlo, vhi + 1):
                 rec(depth + 1, prefix + (v,), [p + w[depth] * v for p, w in zip(partials, ws)])
             return
-        # the lines prefix + (v,), all v at once, one constraint at a time
-        los, his = [last_lo] * len(vs), [last_hi] * len(vs)
+        # the lines prefix + (v,): a constraint without the last coordinate
+        # narrows v, one without this coordinate bounds every line alike, and
+        # only the rest bound each line on its own
+        lo, hi, rows = last_lo, last_hi, []
         for w, t, p in zip(ws, ts, partials):
             wd, wl = w[depth], w[last]
-            if wl > 0:
-                los = [max(lo, _ceil_div(t - p - wd * v, wl)) for lo, v in zip(los, vs)]
-            elif wl < 0:
-                his = [min(hi, (t - p - wd * v) // wl) for hi, v in zip(his, vs)]
+            if wl == 0:
+                vlo, vhi = _narrow(vlo, vhi, wd, t - p)
+            elif wd == 0:
+                lo, hi = _narrow(lo, hi, wl, t - p)
             else:
-                his = [hi if p + wd * v >= t else last_lo - 1 for hi, v in zip(his, vs)]
+                rows.append((wd, wl, t - p))
+        if lo > hi:
+            return
+        vs = range(vlo, vhi + 1)
+        los, his = [lo] * len(vs), [hi] * len(vs)
+        for wd, wl, r in rows:
+            if wl > 0:
+                los = [max(lo, _ceil_div(r - wd * v, wl)) for lo, v in zip(los, vs)]
+            else:
+                his = [min(hi, (r - wd * v) // wl) for hi, v in zip(his, vs)]
         out.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
 
     rec(0, (), [0] * len(ws))

@@ -9,8 +9,11 @@ one- and two-parameter interval elimination.  Interior membership is a
 strict rational comparison with no floor arithmetic anywhere.  Lattice
 sets are listed point by point over the whole box.
 
-The second half is a reference facet kernel (Fourier-Motzkin) for
-differential tests of the library's double description kernel.
+The second part is a reference facet kernel (Fourier-Motzkin) for
+differential tests of the library's double description kernel.  The last
+part keeps former library routines verbatim as references for the ones
+that replaced them: the quadratic ``minimalize`` and the point-by-point
+local verifier.
 """
 
 from __future__ import annotations
@@ -19,20 +22,31 @@ import itertools
 import math
 from fractions import Fraction
 
-from reesmult.errors import DomainError
+from reesmult.errors import DomainError, ResourceLimitError
+from reesmult.hypersurface import (
+    LocalHypersurfaceModel,
+    LocalMonomial,
+    is_section,
+    regrade,
+    snc_multiplier_section,
+)
+from reesmult.ideals import MonomialIdeal
 from reesmult.polyhedra import (
     Cone,
     HalfSpace,
     Polyhedron,
     _neg,
+    _point_guard,
     _sorted_facets,
     _unit,
+    as_fraction,
     dot,
     kernel_basis,
     matrix_rank,
     orthant,
     primitive,
 )
+from reesmult.rees import PerLevel, VerificationReport
 
 
 def _pair_dominates(p, q, x) -> bool:
@@ -406,3 +420,88 @@ def fm_points_plus_cone(points, recession: Cone, rank: int) -> Polyhedron:
 def fm_newton_from_points(points, rank: int) -> Polyhedron:
     """conv(points) + nonnegative orthant, via the reference kernel."""
     return fm_points_plus_cone(list(points), orthant(rank), rank)
+
+
+# ---------------------------------------------------------------------------
+# Former library routines, kept verbatim as differential references.
+# ---------------------------------------------------------------------------
+
+
+def minimalize_reference(gens, nvars=None) -> MonomialIdeal:
+    """Drop divisible generators and build the ideal; idempotent."""
+    gens = [tuple(int(e) for e in g) for g in gens]
+    if not gens:
+        raise DomainError("zero ideal")
+    if nvars is None:
+        nvars = len(gens[0])
+    kept = []
+    for g in sorted(set(gens)):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept if h != g):
+            kept = [h for h in kept if not all(a <= b for a, b in zip(g, h))]
+            kept.append(g)
+    return MonomialIdeal(nvars, tuple(kept))
+
+
+def local_decomposition_by_points(
+    model: LocalHypersurfaceModel,
+    lam,
+    box_deg: int = 6,
+    box_c: int | None = None,
+    k_range=(-4, 4),
+) -> VerificationReport:
+    """Per t-degree, sections of the hypersurface twist regrade onto
+    exactly the SNC multiplier monomials at exponent k + lam.
+
+    Monomials are enumerated in normal form with x, y degrees up to
+    box_deg and s-exponents up to box_c.  A compared c' is restricted
+    to those reachable from the box (recorded); degrees |k| > box_deg
+    have no monomials at all and are reported inconclusive rather than
+    silently passing.
+    """
+    lam = as_fraction(lam)
+    if lam < 0:
+        raise DomainError("lambda must be nonnegative")
+    if box_c is None:
+        box_c = max(model.exps) * box_deg + 2
+    lo, hi = k_range
+    guard = _point_guard(None)
+    per_k = []
+    inconclusive = []
+    for k in range(lo, hi + 1):
+        if abs(k) > box_deg:
+            inconclusive.append(k)
+            continue
+        a, b = max(k, 0), max(-k, 0)
+        exponents = [range(box_c + 1)] * model.n
+        reach = [
+            range(a * model.exps[i], a * model.exps[i] + box_c + 1)
+            if i < model.m
+            else range(box_c + 1)
+            for i in range(model.n)
+        ]
+        size = max(math.prod(map(len, ranges)) for ranges in (exponents, reach))
+        if size > guard:
+            raise ResourceLimitError(f"box volume {size} exceeds enumeration guard {guard}")
+        lhs = set()
+        for c in itertools.product(*exponents):
+            mono = LocalMonomial(a, b, c)
+            if is_section(model, mono, lam):
+                lhs.add(regrade(model, mono)[0])
+        rhs = set()
+        for cprime in itertools.product(*reach):
+            if snc_multiplier_section(model, cprime, k + lam):
+                rhs.add(cprime)
+        equal = lhs == rhs
+        witness = min(lhs.symmetric_difference(rhs)) if not equal else None
+        per_k.append(PerLevel(k, len(lhs), len(rhs), equal, witness))
+    overall = all(p.equal for p in per_k)
+    return VerificationReport(
+        theorem="local",
+        subject={"model": model.to_json()},
+        lam=lam,
+        k_range=(lo, hi),
+        box=((0, box_deg), (0, box_c)),
+        per_k=tuple(per_k),
+        overall=overall,
+        details={"inconclusive": inconclusive, "boxDeg": box_deg, "boxC": box_c},
+    )

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reesmult.errors import DomainError
 from reesmult.hypersurface import (
@@ -23,6 +25,9 @@ from reesmult.hypersurface import (
 from reesmult.ideals import minimalize
 from reesmult.polyhedra import dot
 from reesmult.rees import extended_rees_cone
+from reesmult.serialize import dumps_canonical
+
+from oracles import local_decomposition_by_points
 
 M23 = LocalHypersurfaceModel(2, 2, (2, 3))
 M11 = LocalHypersurfaceModel(1, 1, (1,))
@@ -199,3 +204,41 @@ class TestVerifyLocal:
         assert report.details["inconclusive"] == [-4, -3, 3, 4]
         assert all(abs(p.k) <= 2 for p in report.per_k)
         assert report.overall  # conclusive degrees all pass
+
+
+def _same_report(model, lam, box_deg, box_c, k_range):
+    args = (model, lam, box_deg, box_c, k_range)
+    got = dumps_canonical(verify_local_decomposition(*args).to_json())
+    assert got == dumps_canonical(local_decomposition_by_points(*args).to_json()), args
+
+
+class TestVerifyLocalAgainstPoints:
+    """Reports of the run-form verifier against the former point-by-point
+    verifier in ``oracles``, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in range(1, 5) for m in range(1, n + 1)]
+    )
+    def test_grid(self, n, m):
+        rng = random.Random(7300 + 10 * n + m)
+        box_deg = 2 if n <= 2 else 1
+        cycled = tuple(1 + (i + n) % 4 for i in range(m))
+        for exps in (cycled, tuple(rng.randint(1, 4) for _ in range(m))):
+            model = LocalHypersurfaceModel(n, m, exps)
+            for lam in (0, 1, 2, Fraction(5, 6)):
+                for box_c in (0, 1, None):
+                    # |k| > box_deg: inconclusive degrees on both sides
+                    _same_report(model, lam, box_deg, box_c, (-box_deg - 2, box_deg + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, n))
+        exps = tuple(data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+        lam = Fraction(data.draw(st.integers(0, 12)), data.draw(st.integers(1, 6)))
+        box_deg = data.draw(st.integers(0, 3 if n <= 2 else 1))
+        box_c = data.draw(st.sampled_from((0, 1, 2, None)))
+        lo = data.draw(st.integers(-5, 0))
+        k_range = (lo, lo + data.draw(st.integers(0, 8)))
+        _same_report(LocalHypersurfaceModel(n, m, exps), lam, box_deg, box_c, k_range)

@@ -26,7 +26,7 @@ from reesmult.ideals import (
 )
 from reesmult.polyhedra import cube, scale
 
-from oracles import in_hull_plus_orthant, strict_interior_points
+from oracles import in_hull_plus_orthant, minimalize_reference, strict_interior_points
 
 M_XY = minimalize([(1, 0), (0, 1)])
 M_X2Y3 = minimalize([(2, 0), (0, 3)])
@@ -63,6 +63,20 @@ class TestMinimalize:
         for _ in range(20):
             a = random_ideal(rng, rng.choice((1, 2, 3)))
             assert minimalize(a.generators, a.nvars) == a
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, seed):
+        # the former two-filter body, kept in oracles, on inputs with duplicates
+        rng = random.Random(6100 + seed)
+        for _ in range(250):
+            nvars = rng.randint(1, 5)
+            gens = [
+                tuple(rng.randint(0, 4) for _ in range(nvars))
+                for _ in range(rng.randint(1, 30))
+            ]
+            gens += rng.choices(gens, k=rng.randint(0, 5))
+            rng.shuffle(gens)
+            assert minimalize(gens, nvars) == minimalize_reference(gens, nvars), gens
 
     def test_constructor_rejects_non_minimal(self):
         with pytest.raises(DomainError):

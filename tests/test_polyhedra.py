@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reesmult import polyhedra
@@ -489,6 +489,33 @@ class TestLatticeRuns:
         with pytest.raises(DomainError, match="box length does not match system rank"):
             lattice_runs(ThresholdSystem(2, ()), ((0, 1),))
 
+    @pytest.mark.parametrize("rank", (3, 4))
+    @pytest.mark.parametrize(
+        "pair",
+        ((0, 2), (0, -2), (0, 0), (3, 0), (-3, 0)),
+        ids=("line_lower", "line_upper", "prefix_only", "v_lower", "v_upper"),
+    )
+    def test_last_level_constraint_class(self, rank, pair):
+        # (w[last-1], w[last]) = pair: with w[last-1] = 0 the constraint bounds
+        # every line of a prefix alike (or tests the prefix), with w[last] = 0
+        # it narrows the values of coordinate last-1; mixed with random rows,
+        # among them rows that bound each line on its own
+        rng = random.Random(f"last-level {rank} {pair}")
+        for _ in range(80):
+            head = tuple(rng.randint(-2, 2) for _ in range(rank - 2))
+            if not any(head + pair):
+                head = (1,) + head[1:]
+            pinned = (head + pair, rng.randint(-6, 6))
+            s1 = ThresholdSystem(rank, (pinned,) + _random_system(rng, rank).constraints)
+            signs = tuple((e > 0) - (e < 0) for e in pair)
+            assert any(tuple((e > 0) - (e < 0) for e in w[-2:]) == signs
+                       for w, _ in s1.constraints)
+            box = tuple(
+                (lo, lo + rng.randint(0, 4)) for lo in (rng.randint(-3, 2) for _ in range(rank))
+            )
+            _check_against_oracle(s1, _shifted(rng, s1), box)
+            _check_against_oracle(ThresholdSystem(rank, (pinned,)), s1, box)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_property_against_oracle(self, data):
@@ -672,6 +699,27 @@ class TestDoubleDescriptionAgainstFM:
             assert facet_pairs(irredundant_facets(p)) == facet_pairs(
                 fm_irredundant_facets(p)
             ), facet_pairs(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_newton_from_points(self, data):
+        rank = data.draw(st.integers(2, 5))
+        point = st.tuples(*[st.integers(0, 6)] * rank)
+        pts = data.draw(st.lists(point, min_size=1, max_size=4))
+        assert facet_pairs(newton_from_points(pts, rank)) == facet_pairs(
+            fm_newton_from_points(pts, rank)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_pointed_dual_cone(self, data):
+        rank = data.draw(st.integers(2, 5))
+        ray = st.tuples(*[st.integers(-4, 4)] * rank).filter(any)
+        c = Cone(rank, tuple(data.draw(st.lists(ray, min_size=1, max_size=rank + 2))))
+        assume(c.strongly_convex)
+        got, want = dual_cone(c), fm_dual_cone(c)
+        assert got.rays == want.rays
+        assert facet_pairs(got) == facet_pairs(want)
 
     def test_ray_guard(self, monkeypatch):
         monkeypatch.setattr(polyhedra, "MAX_DD_RAYS", 8)
