@@ -26,6 +26,7 @@ from .ideals import (
     multiplier_module,
     newton,
 )
+from .polyhedra import point_guard
 from .rees import (
     canonical_module,
     extended_rees_cone,
@@ -59,7 +60,7 @@ def _load_source(text: str):
             raise ParseError(f"cannot read input file {text!r}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also overlong integers, deep nesting
         raise ParseError(f"malformed JSON input: {exc}") from exc
 
 
@@ -236,7 +237,7 @@ def cmd_verify(args) -> int:
             lam,
             box_deg=args.box_deg,
             box_c=args.box_c,
-            k_range=_parse_range(args.k) if args.k else (-4, 4),
+            k_range=_parse_range(args.k) if args.k is not None else (-4, 4),
         )
     else:
         if not args.ideal:
@@ -255,10 +256,10 @@ def cmd_verify(args) -> int:
             box = tuple((0, args.box) for _ in range(a.nvars))
         try:
             if args.theorem == "B2":
-                k_range = _parse_range(args.k) if args.k else (-3, 6)
+                k_range = _parse_range(args.k) if args.k is not None else (-3, 6)
                 report = verify_theoremB_T(a, lam, k_range, box)
             elif args.theorem == "B1":
-                n_range = _parse_range(args.n) if args.n else (0, 5)
+                n_range = _parse_range(args.n) if args.n is not None else (0, 5)
                 report = verify_theoremB_S(a, lam, n_range, box)
             else:
                 report = verify_theoremA(a, lam, box)
@@ -394,6 +395,7 @@ def main(argv=None) -> int:
     args.format = getattr(args, "format", None) or "json"
     args.output = getattr(args, "output", None)
     try:
+        point_guard()
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

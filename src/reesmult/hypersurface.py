@@ -182,6 +182,8 @@ def verify_local_decomposition(
     lam = as_fraction(lam)
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
+    if box_deg < 0 or (box_c is not None and box_c < 0):
+        raise DomainError("box_deg and box_c must be nonnegative")
     if box_c is None:
         box_c = max(model.exps) * box_deg + 2
     lo, hi = k_range

@@ -142,30 +142,49 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     return minimalize(starts, a.nvars)
 
 
-def is_normal(a: MonomialIdeal, bound=None) -> bool:
-    """All powers up to the bound integrally closed.
-
-    For monomial ideals, closedness of the first nvars - 1 powers already
-    implies normality, hence the default bound.
-    """
-    if bound is None:
-        bound = max(a.nvars - 1, 1)
-    for k in range(1, bound + 1):
-        ak = power(a, k)
-        if integral_closure(ak) != ak:
-            return False
-    return True
+def power_runs(a: MonomialIdeal, k: int, box):
+    """Runs (as ``lattice_runs`` gives them) of the exponents of a^k, the unit
+    ideal for k <= 0, in a box starting at 0.  A line starts at the least last
+    exponent of a k-fold generator sum on it or of the lines one step below,
+    which lex order visits first; that needs no minimal generators."""
+    sums = {(0,) * a.nvars}
+    for _ in range(k):
+        sums = {tuple(x + y for x, y in zip(s, g)) for s in sums for g in a.generators}
+    *head, (_, top) = box
+    least = {}
+    for s in sums:
+        least[s[:-1]] = min(least.get(s[:-1], top + 1), s[-1])
+    runs = []
+    for p in itertools.product(*(range(hi + 1) for _, hi in head)):
+        below = [least[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e > 0]
+        least[p] = min([least.get(p, top + 1)] + below)
+        if least[p] <= top:
+            runs.append((p, least[p], top))
+    return runs
 
 
 def first_non_closed_power(a: MonomialIdeal, bound=None):
-    """Smallest k <= bound with a^k not integrally closed, or None."""
+    """Smallest k <= bound with a^k not integrally closed, or None.
+
+    The lattice points of Newt(a^k) = k Newt(a) are compared with the
+    exponents of a^k; both sets are upward closed with minimal points in
+    the box of k times the per-coordinate generator maxima.  Closedness of
+    the first nvars - 1 powers implies normality, hence the default bound.
+    """
     if bound is None:
         bound = max(a.nvars - 1, 1)
+    facets = [(h.normal, int(h.threshold)) for h in newton(a).facets]
     for k in range(1, bound + 1):
-        ak = power(a, k)
-        if integral_closure(ak) != ak:
+        box = tuple((0, k * max(g[i] for g in a.generators)) for i in range(a.nvars))
+        scaled = ThresholdSystem(a.nvars, tuple((w, k * c) for w, c in facets))
+        if lattice_runs(scaled, box) != power_runs(a, k, box):
             return k
     return None
+
+
+def is_normal(a: MonomialIdeal, bound=None) -> bool:
+    """All powers up to the bound integrally closed."""
+    return first_non_closed_power(a, bound) is None
 
 
 @dataclass(frozen=True)
@@ -232,35 +251,23 @@ def multiplier_ideal(a: MonomialIdeal, lam) -> MonomialModule:
 
 
 def systems_equal(s1: ThresholdSystem, s2: ThresholdSystem, box) -> bool:
-    """Set equality of two lattice systems: thresholdwise when the normal
-    sets coincide, otherwise by comparing their runs inside the box."""
+    """Set equality of two lattice systems: at once when the canonical
+    systems coincide, otherwise by comparing their runs inside the box."""
     if s1.rank != s2.rank:
         raise DomainError("mismatched rank")
-    if not s1.infeasible and not s2.infeasible:
-        d1, d2 = dict(s1.constraints), dict(s2.constraints)
-        if set(d1) == set(d2):
-            if all(d1[w] == d2[w] for w in d1):
-                return True
+    if s1 == s2:
+        return True
     return lattice_runs(s1, box) == lattice_runs(s2, box)
 
 
 def module_contains(big: MonomialModule, small: MonomialModule, box) -> bool:
-    """True iff every lattice point of ``small`` inside the box lies in ``big``.
-
-    When the constraint normal sets coincide, thresholdwise comparison
-    certifies containment without enumeration (sufficient, not
-    necessary, because of attainability gaps over the lattice); otherwise
-    each run of ``small`` inside the box must lie in the run of ``big``
-    on the same line.
-    """
+    """True iff every lattice point of ``small`` inside the box lies in
+    ``big``: each run of ``small`` must lie in the run of ``big`` on the
+    same line."""
     if big.nvars != small.nvars:
         raise DomainError("mismatched rank")
     if big.ambient != small.ambient:
         raise DomainError("mismatched ambient")
-    if not big.system.infeasible and not small.system.infeasible:
-        d_big, d_small = dict(big.system.constraints), dict(small.system.constraints)
-        if set(d_big) == set(d_small) and all(d_big[w] <= d_small[w] for w in d_big):
-            return True
     lines = {prefix: range(lo, hi + 1) for prefix, lo, hi in lattice_runs(big.system, box)}
     runs = lattice_runs(small.system, box)
     return all(lo in lines.get(p, ()) and hi in lines[p] for p, lo, hi in runs)

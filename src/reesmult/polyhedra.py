@@ -573,16 +573,21 @@ def strict_interior_system(p: Polyhedron) -> ThresholdSystem:
 # ---------------------------------------------------------------------------
 
 
-def _point_guard(max_points):
+def point_guard(max_points=None):
+    """The box-volume guard: ``max_points`` if given, else REESMULT_MAX_POINTS
+    (a positive integer; unset or empty means the default 10**8)."""
     if max_points is not None:
         return int(max_points)
     env = os.environ.get(POINT_GUARD_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"{POINT_GUARD_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_POINT_GUARD
+    if not env:
+        return DEFAULT_POINT_GUARD
+    try:
+        guard = int(env)
+    except ValueError:
+        guard = 0
+    if guard < 1:
+        raise ParseError(f"{POINT_GUARD_ENV} must be a positive integer, got {env!r}")
+    return guard
 
 
 def _narrow(lo, hi, a, r):
@@ -612,7 +617,7 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
         if lo > hi:
             raise DomainError("box lower bound exceeds upper bound")
     volume = math.prod(hi - lo + 1 for lo, hi in bounds)
-    guard = _point_guard(max_points)
+    guard = point_guard(max_points)
     if volume > guard:
         raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:

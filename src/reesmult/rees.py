@@ -13,7 +13,6 @@ level by level against the base-ring Newton computation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .ideals import (
     multiplier_module,
     newton_positive_facets,
     omega_module,
-    power,
+    power_runs,
     systems_equal,
 )
 from .polyhedra import (
@@ -150,23 +149,11 @@ class VerificationReport:
 
 def _validate_slices(alg: GradedToricAlgebra):
     """Level-k lattice points must equal the exponents of a^k (k >= 1),
-    the whole orthant (the unit ideal) for k <= 0.  The reference runs come
-    from the generators alone: a line starts at the least last exponent of a
-    generator on it or of the lines one step below, which lex order visits first.
-    """
+    the whole orthant (the unit ideal) for k <= 0."""
     a = alg.source
-    upper = a.max_entry() * 3 + 2
-    prefixes = list(itertools.product(range(upper + 1), repeat=a.nvars - 1))
+    box = cube(a.nvars, 0, a.max_entry() * 3 + 2)
     for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
-        least, want = {}, []
-        for g in (power(a, k).generators if k > 0 else ((0,) * a.nvars,)):
-            least[g[:-1]] = min(least.get(g[:-1], upper + 1), g[-1])
-        for p in prefixes:
-            below = [least[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e > 0]
-            least[p] = min([least.get(p, upper + 1)] + below)
-            if least[p] <= upper:
-                want.append((p, least[p], upper))
-        if lattice_runs(alg.cone.substitute_last(k), cube(a.nvars, 0, upper)) != want:
+        if lattice_runs(alg.cone.substitute_last(k), box) != power_runs(a, k, box):
             raise AssertionError(
                 f"internal: level-{k} slice of the {alg.kind} cone of "
                 f"{a.to_json()} does not match a^{k}"
@@ -308,12 +295,6 @@ def decomposition_rhs_S(a: MonomialIdeal, lam, n: int) -> MonomialModule:
     return multiplier_module(a, n + 1 + lam)
 
 
-def graded_default_box(a: MonomialIdeal, lam, k_max: int):
-    lam = as_fraction(lam)
-    upper = a.max_entry() * (max(k_max, 0) + math.ceil(lam) + 2) + 2
-    return cube(a.nvars, 0, upper)
-
-
 def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> VerificationReport:
     """Graded decomposition of the extended-Rees multiplier module.
 
@@ -328,7 +309,7 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     module = multiplier_module_principal(alg, alg.t_inverse(), lam)
     lo, hi = k_range
     if box is None:
-        box = graded_default_box(a, lam, hi)
+        box = default_box(a, lam + max(hi, 0))
     per_k = []
     thresholds_identical = True
     for k in range(lo, hi + 1):
@@ -374,7 +355,7 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     if lo < 0:
         raise DomainError("decomposition index must be nonnegative")
     if box is None:
-        box = graded_default_box(a, lam, hi + 1)
+        box = default_box(a, lam + max(hi + 1, 0))
     per_k = []
     for n in range(lo, hi + 1):
         lhs = graded_piece(module, n + 1)
@@ -412,8 +393,7 @@ def is_pair_rational(alg: GradedToricAlgebra, u, lam, box=None) -> bool:
 
 
 def _pair_box(alg: GradedToricAlgebra, lam, k_span=(-3, 6)):
-    base = graded_default_box(alg.source, lam, k_span[1])
-    return base + (k_span,)
+    return default_box(alg.source, lam + k_span[1]) + (k_span,)
 
 
 def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:

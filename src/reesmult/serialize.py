@@ -31,12 +31,14 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"rationals must be p/q, got {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in rational {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # more digits than int() reads
+        raise ParseError(f"cannot read rational: {exc}") from None
+    if den == 0:
+        raise ParseError(f"zero denominator in rational {text!r}")
+    return Fraction(num, den)
 
 
 def dumps_canonical(obj) -> str:

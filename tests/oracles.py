@@ -12,8 +12,9 @@ sets are listed point by point over the whole box.
 The second part is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.  The last
 part keeps former library routines verbatim as references for the ones
-that replaced them: the quadratic ``minimalize`` and the point-by-point
-local verifier.
+that replaced them: the quadratic ``minimalize``, the point-by-point
+local verifier, the closure-based normality test and the generator-based
+cone slice check.
 """
 
 from __future__ import annotations
@@ -30,23 +31,25 @@ from reesmult.hypersurface import (
     regrade,
     snc_multiplier_section,
 )
-from reesmult.ideals import MonomialIdeal
+from reesmult.ideals import MonomialIdeal, integral_closure, power
 from reesmult.polyhedra import (
     Cone,
     HalfSpace,
     Polyhedron,
     _neg,
-    _point_guard,
     _sorted_facets,
     _unit,
     as_fraction,
+    cube,
     dot,
     kernel_basis,
+    lattice_runs,
     matrix_rank,
     orthant,
+    point_guard,
     primitive,
 )
-from reesmult.rees import PerLevel, VerificationReport
+from reesmult.rees import EXTENDED_REES, GradedToricAlgebra, PerLevel, VerificationReport
 
 
 def _pair_dominates(p, q, x) -> bool:
@@ -464,7 +467,7 @@ def local_decomposition_by_points(
     if box_c is None:
         box_c = max(model.exps) * box_deg + 2
     lo, hi = k_range
-    guard = _point_guard(None)
+    guard = point_guard(None)
     per_k = []
     inconclusive = []
     for k in range(lo, hi + 1):
@@ -505,3 +508,39 @@ def local_decomposition_by_points(
         overall=overall,
         details={"inconclusive": inconclusive, "boxDeg": box_deg, "boxC": box_c},
     )
+
+
+def first_non_closed_power_by_closure(a: MonomialIdeal, bound=None):
+    """Smallest k <= bound with a^k not integrally closed, or None."""
+    if bound is None:
+        bound = max(a.nvars - 1, 1)
+    for k in range(1, bound + 1):
+        ak = power(a, k)
+        if integral_closure(ak) != ak:
+            return k
+    return None
+
+
+def validate_slices_reference(alg: GradedToricAlgebra):
+    """Level-k lattice points must equal the exponents of a^k (k >= 1),
+    the whole orthant (the unit ideal) for k <= 0.  The reference runs come
+    from the generators alone: a line starts at the least last exponent of a
+    generator on it or of the lines one step below, which lex order visits first.
+    """
+    a = alg.source
+    upper = a.max_entry() * 3 + 2
+    prefixes = list(itertools.product(range(upper + 1), repeat=a.nvars - 1))
+    for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
+        least, want = {}, []
+        for g in (power(a, k).generators if k > 0 else ((0,) * a.nvars,)):
+            least[g[:-1]] = min(least.get(g[:-1], upper + 1), g[-1])
+        for p in prefixes:
+            below = [least[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e > 0]
+            least[p] = min([least.get(p, upper + 1)] + below)
+            if least[p] <= upper:
+                want.append((p, least[p], upper))
+        if lattice_runs(alg.cone.substitute_last(k), cube(a.nvars, 0, upper)) != want:
+            raise AssertionError(
+                f"internal: level-{k} slice of the {alg.kind} cone of "
+                f"{a.to_json()} does not match a^{k}"
+            )

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reesmult.cli
 from reesmult.cli import main
@@ -188,6 +194,15 @@ class TestVerify:
         assert out == ""
         assert "enumeration guard" in err
 
+    @pytest.mark.parametrize("flag", ["--box-deg", "--box-c"])
+    def test_local_negative_box_exit3(self, capsys, flag):
+        code, out, err = run_main(
+            capsys, "verify", "local", "-m", MODEL23, "--lambda", "0", flag, "-1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "nonnegative" in err
+
     def test_local_point_guard_env_exit4(self, capsys, monkeypatch):
         monkeypatch.setenv("REESMULT_MAX_POINTS", "10")
         code, _, err = run_main(capsys, "verify", "local", "-m", MODEL23, "--lambda", "1/2")
@@ -260,6 +275,20 @@ class TestOtherCommands:
         assert code == 2
         assert "REESMULT_MAX_POINTS" in err
 
+    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["newton", "-i", X2Y3],
+        ["lct", "-i", X2Y3],
+        # every degree inconclusive: nothing is listed
+        ["verify", "local", "-m", MODEL23, "--box-deg", "0", "--k", "3..4"],
+    ])
+    def test_point_guard_checked_before_dispatch(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("REESMULT_MAX_POINTS", value)
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "REESMULT_MAX_POINTS must be a positive integer" in err
+
     def test_internal_error_exit5(self, capsys, monkeypatch):
         def broken(a):
             raise AssertionError("lct computations disagree:\nformula 1, scan 2")
@@ -283,3 +312,118 @@ class TestDeterminism:
             assert proc.returncode == 0
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Malformed input, one class at a time: every class is a parse error (exit 2),
+# never "verified false" (1) or an internal error (5).
+# ---------------------------------------------------------------------------
+
+IDEAL_COMMANDS = (
+    ["newton"], ["lct"], ["jumps", "--max", "2"], ["multiplier", "--lambda", "1/2", "--module"],
+    ["ext-rees-cone"], ["rees-cone"], ["canonical"], ["graded-piece", "--k", "1"],
+    ["verify", "B1"], ["verify", "B2"], ["verify", "A"],
+)
+NOT_NUL = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+WRONG_TYPE = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none())
+
+
+def _is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _positive_int(text):
+    try:
+        return int(text) > 0
+    except ValueError:
+        return False
+
+
+def _with_field(data, draw, keys):
+    """``data`` with one field (or one entry of its list fields) replaced by
+    a value of the wrong type, or removed."""
+    key = draw(st.sampled_from(keys))
+    data = dict(data)
+    how = draw(st.sampled_from(("replace", "entry", "drop")))
+    if how == "drop":
+        del data[key]
+    elif how == "entry" and isinstance(data[key], list) and data[key]:
+        # a wrong-typed entry, at any depth of the nested integer lists
+        entries = data[key] = json.loads(json.dumps(data[key]))
+        while isinstance(entries[0], list):
+            entries = entries[0]
+        entries[0] = draw(WRONG_TYPE)
+    else:
+        data[key] = draw(WRONG_TYPE)
+    return json.dumps(data)
+
+
+@st.composite
+def malformed_runs(draw):
+    """(argv, env) of one CLI run whose only fault is one malformed input."""
+    kind = draw(st.sampled_from(("json", "ideal", "model", "rational", "range", "env")))
+    command = draw(st.sampled_from(IDEAL_COMMANDS)) if kind in ("json", "ideal", "env") else None
+    env = {}
+    if kind == "json":
+        text = draw(st.one_of(
+            st.text(NOT_NUL, max_size=20).map(lambda t: "{" + t).filter(lambda t: not _is_json(t)),
+            st.lists(st.integers(), max_size=3).map(json.dumps),
+            st.just("[" * 100000),
+            st.just('{"nvars":1,"generators":[[' + "9" * 5000 + "]]}"),
+        ))
+        argv = command + ["-i", text]
+    elif kind == "ideal":
+        argv = command + ["-i", _with_field(
+            {"nvars": 2, "generators": [[2, 0], [1, 1], [0, 2]]}, draw, ("nvars", "generators"))]
+    elif kind == "model":
+        argv = ["verify", "local", "-m", _with_field(
+            {"n": 2, "m": 2, "exps": [2, 3]}, draw, ("n", "m", "exps"))]
+    elif kind == "rational":
+        bad = draw(st.one_of(
+            st.builds("{}.{}".format, st.integers(-3, 3), st.integers(0, 99)),
+            st.sampled_from(["1e3", ".5", "1/0", "1/2/3", "nan", "inf", "", "1/", "9" * 5000]),
+        ))
+        argv = draw(st.sampled_from((
+            ["multiplier", "-i", XY2, "--module", "--lambda", bad],
+            ["jumps", "-i", XY2, "--max", bad],
+            ["graded-piece", "-i", XY2, "--k", "1", "--lambda", bad],
+            ["verify", "B2", "-i", XY2, "--lambda", bad],
+            ["verify", "local", "-m", MODEL23, "--lambda", bad],
+        )))
+    elif kind == "range":
+        lo = draw(st.integers(-5, 5))
+        bad = draw(st.one_of(
+            st.builds("{}..{}".format, st.just(lo), st.integers(-10, lo - 1)),
+            st.text(NOT_NUL, max_size=8).filter(lambda t: ".." not in t),
+            st.builds("{}..{}".format, st.text("ab x", min_size=1, max_size=3), st.just(lo)),
+            st.sampled_from(["", "1..2..3"]),
+        ))
+        argv = draw(st.sampled_from((
+            ["verify", "B2", "-i", XY2, "--k", bad],
+            ["verify", "B1", "-i", XY2, "--n", bad],
+            ["verify", "local", "-m", MODEL23, "--k", bad],
+        )))
+    else:
+        env["REESMULT_MAX_POINTS"] = draw(st.one_of(
+            st.integers(max_value=0).map(str),
+            st.text(NOT_NUL, min_size=1, max_size=8).filter(lambda t: not _positive_int(t)),
+        ))
+        argv = command + ["-i", XY2]
+    return argv, env
+
+
+class TestMalformedInputExitCode:
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_runs())
+    def test_parse_error_exit2(self, run):
+        argv, env = run
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, (argv, env, err.getvalue())
+        assert out.getvalue() == ""

@@ -17,16 +17,23 @@ from reesmult.ideals import (
     jumping_numbers,
     lct,
     minimalize,
+    first_non_closed_power,
     module_contains,
     multiplier_ideal,
     multiplier_module,
     newton,
     omega_module,
     power,
+    power_runs,
 )
 from reesmult.polyhedra import cube, scale
 
-from oracles import in_hull_plus_orthant, minimalize_reference, strict_interior_points
+from oracles import (
+    first_non_closed_power_by_closure,
+    in_hull_plus_orthant,
+    minimalize_reference,
+    strict_interior_points,
+)
 
 M_XY = minimalize([(1, 0), (0, 1)])
 M_X2Y3 = minimalize([(2, 0), (0, 3)])
@@ -164,6 +171,46 @@ class TestIsNormal:
 
     def test_bound_override(self):
         assert is_normal(M_XY, bound=4)
+
+    def test_matches_closure_oracle(self):
+        rng = random.Random(5)
+        # closed, but its square is not
+        square_not_closed = minimalize([(0, 3, 3), (1, 0, 3), (1, 2, 2), (2, 1, 0)])
+        ideals = [UNIT2, M_X2Y3, minimalize([(0,)]), minimalize([(0, 0, 0, 0)]),
+                  square_not_closed]
+        for _ in range(500):
+            a = random_ideal(rng, rng.randint(1, 4), max_entry=3)
+            # closures are where a higher power can be the first to fail
+            ideals.append(integral_closure(a) if rng.random() < 0.5 else a)
+        seen = set()
+        for a in ideals:
+            for bound in (None, 3):
+                want = first_non_closed_power_by_closure(a, bound)
+                assert first_non_closed_power(a, bound) == want, (a, bound)
+                assert is_normal(a, bound) == (want is None)
+                seen.add((a.nvars, want))
+        # every rank, and non-normal ideals at more than one power
+        assert {n for n, _ in seen} == {1, 2, 3, 4}
+        assert {k for _, k in seen} >= {None, 1, 2}
+
+
+class TestPowerRuns:
+    def test_matches_brute_force(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            a = random_ideal(rng, rng.randint(1, 4), max_entry=3)
+            box = tuple((0, rng.randint(0, 5)) for _ in range(a.nvars))
+            everything = itertools.product(*(range(hi + 1) for _, hi in box))
+            everything = list(everything)
+            for k in range(-2, 4):
+                want = everything if k <= 0 else [
+                    m for m in everything if power(a, k).contains_exponent(m)
+                ]
+                got = [
+                    p + (v,) for p, lo, hi in power_runs(a, k, box)
+                    for v in range(lo, hi + 1)
+                ]
+                assert got == want, (a, k, box)
 
 
 class TestMultiplierModule:

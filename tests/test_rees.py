@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from reesmult.polyhedra import (
 from reesmult.rees import (
     EXTENDED_REES,
     _graded_newton,
+    _pair_box,
     _validate_slices,
     canonical_module,
     decomposition_rhs_S,
@@ -39,7 +41,7 @@ from reesmult.rees import (
     verify_theoremB_T,
 )
 
-from oracles import first_mismatch
+from oracles import first_mismatch, validate_slices_reference
 
 M_XY = minimalize([(1, 0), (0, 1)])
 M_XY2 = minimalize([(2, 0), (1, 1), (0, 2)])
@@ -131,6 +133,35 @@ class TestSliceOracle:
             bad = dataclasses.replace(alg, cone=ThresholdSystem(alg.ambient_rank, shifted))
             with pytest.raises(AssertionError, match="does not match a\\^"):
                 _validate_slices(bad)
+
+    def test_matches_reference_check(self):
+        # the run check and the former generator check agree on every cone
+        # and on every cone with one threshold shifted by +1
+        rng = random.Random(13)
+        checked = 0
+        while checked < 25:
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            a = minimalize(gens, n)
+            try:
+                algs = [extended_rees_cone(a), rees_cone(a)]
+            except DomainError:
+                continue
+            checked += 1
+            for alg in algs:
+                validate_slices_reference(alg)
+                rows = alg.cone.constraints
+                for i, (w, t) in enumerate(rows):
+                    shifted = rows[:i] + ((w, t + 1),) + rows[i + 1:]
+                    bad = dataclasses.replace(alg, cone=ThresholdSystem(alg.ambient_rank, shifted))
+                    verdicts = []
+                    for check in (_validate_slices, validate_slices_reference):
+                        try:
+                            check(bad)
+                            verdicts.append(None)
+                        except AssertionError as exc:
+                            verdicts.append(str(exc))
+                    assert verdicts[0] == verdicts[1], (a, alg.kind, i)
 
 
 class TestCaches:
@@ -363,6 +394,20 @@ class TestVerifyTheoremB:
     def test_three_variables(self):
         assert verify_theoremB_T(M_XYZ, Fraction(1, 2), (-2, 4)).overall
         assert verify_theoremB_S(M_XYZ, Fraction(1, 2), (0, 3)).overall
+
+
+class TestDefaultBoxes:
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
+    @pytest.mark.parametrize("hi", [-2, 0, 3])
+    def test_graded_boxes(self, lam, hi):
+        # the graded box formula: max_entry * (max(k_max, 0) + ceil(lam) + 2) + 2
+        def graded(k_max):
+            return cube(2, 0, 2 * (max(k_max, 0) + math.ceil(lam) + 2) + 2)
+
+        assert verify_theoremB_T(M_XY2, lam, (hi - 1, hi)).box == graded(hi)
+        if hi >= 0:
+            assert verify_theoremB_S(M_XY2, lam, (0, hi)).box == graded(hi + 1)
+        assert _pair_box(rees_cone(M_XY2), lam) == graded(6) + ((-3, 6),)
 
 
 class TestPairRationality:
