@@ -3,7 +3,7 @@
 Newton polyhedra, powers, integral closure and normality, multiplier
 ideals and multiplier modules (exact lattice conditions on the scaled
 Newton polyhedron's interior), log canonical threshold, and jumping
-numbers with their verification boxes.
+numbers decided exactly on the threshold systems.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
@@ -23,6 +23,7 @@ from .polyhedra import (
     lattice_points,
     lattice_runs,
     newton_from_points,
+    point_guard,
     scale,
     strict_interior_system,
 )
@@ -281,33 +282,9 @@ def default_box(a: MonomialIdeal, lam_max):
     return cube(a.nvars, 0, upper)
 
 
-def _coverage_upper(systems, nvars):
-    """Per-coordinate bound containing all minimal points of the systems.
-
-    Every system here has nonnegative normals, so its solution set is
-    upward closed and determined by its minimal points.
-    """
-    upper = [1] * nvars
-    for sys in systems:
-        for w, t in sys.constraints:
-            for i in range(nvars):
-                if w[i] > 0:
-                    slack = t - 1 - sum(w[j] for j in range(nvars) if j != i)
-                    bound = _pos_ceil(slack, w[i]) + 1
-                    if bound > upper[i]:
-                        upper[i] = bound
-    return upper
-
-
-def _pos_ceil(a, b):
-    if a <= 0:
-        return 0
-    return -((-a) // b)
-
-
 @dataclass(frozen=True)
 class JumpReport:
-    """Jumping numbers of a within (0, lam_max], with the box used."""
+    """Jumping numbers of a within (0, lam_max], with a box to reproduce them."""
 
     ideal: MonomialIdeal
     lam_max: Fraction
@@ -327,47 +304,51 @@ class JumpReport:
         }
 
 
-def jumping_numbers(a: MonomialIdeal, lam_max, box=None) -> JumpReport:
-    """Values where the multiplier module strictly shrinks.
+def jumping_numbers(a: MonomialIdeal, lam_max) -> JumpReport:
+    """Values in (0, lam_max] where the multiplier module strictly shrinks.
 
     Candidates are exactly t / c_j over the positive Newton facet
-    thresholds c_j: between consecutive candidates every floor
-    floor(lam * c_j) is constant, so the module is constant and the scan
-    is complete, not heuristic.  The module and ideal versions share the
-    same jumps (the diagonal shift is a bijection of lattice sets).
+    thresholds c_j: between consecutive candidates every floor(lam * c_j)
+    is constant.  Just below lam the module (the interior of lam Newt(a),
+    Howald 2001) is {<w, m> >= ceil(lam * c)}; at lam only the rows with
+    lam * c_j an integer rise by one.  So lam jumps iff, for one such row,
+    some m >= 1 of the module below has <w_j, m> <= lam * c_j.  There each
+    m_i with w_ji > 0 lies in [1, lam * c_j // w_ji], and every other m_i
+    can be fixed at the largest threshold, which meets each row it enters
+    (all normals are nonnegative): one run listing of that derived box
+    decides it on all of Z^n.  The guard is checked first, on the boxes at
+    lam_max (the largest) and on the candidate count.  The module and ideal
+    versions share the jumps (the diagonal shift is a bijection of lattice
+    sets).  The reported box, ``default_box(a, lam_max)``, only lets an
+    enumeration reproduce the result; ``warnings`` is always empty.
     """
     lam_max = as_fraction(lam_max)
     if lam_max <= 0:
         raise DomainError("lambda_max must be positive")
-    if box is None:
-        box = default_box(a, lam_max)
-    thresholds = sorted({c for _, c in newton_positive_facets(a)})
+    facets = newton_positive_facets(a)
+    thresholds = sorted({c for _, c in facets})
+    volume = max((math.prod(math.floor(lam_max * c) // e if e else 1 for e in w)
+                  for w, c in facets), default=0)
+    count, guard = sum(math.floor(lam_max * c) for c in thresholds), point_guard()
+    if volume > guard or count > guard:
+        raise ResourceLimitError(f"jump box volume {volume} or candidate count "
+                                 f"{count} exceeds enumeration guard {guard}")
     candidates = sorted(
-        {
-            Fraction(t, c)
-            for c in thresholds
-            for t in range(1, math.floor(lam_max * c) + 1)
-        }
+        {Fraction(t, c) for c in thresholds for t in range(1, math.floor(lam_max * c) + 1)}
     )
-    warnings = []
-    if not candidates:
-        return JumpReport(a, lam_max, (), (), box, ())
-    if len(candidates) > 1:
-        eps = min(b - c for b, c in zip(candidates[1:], candidates)) / 2
-    else:
-        eps = candidates[0] / 2
     jumps = []
-    for cand in candidates:
-        before = multiplier_module(a, cand - eps)
-        at = multiplier_module(a, cand)
-        need = _coverage_upper([before.system, at.system], a.nvars)
-        if any(need[i] > box[i][1] for i in range(a.nvars)):
-            warnings.append(
-                f"box may be too small to witness a jump at {frac_str(cand)}"
-            )
-        if lattice_runs(at.system, box) != lattice_runs(before.system, box):
-            jumps.append(cand)
-    return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), box, tuple(warnings))
+    for lam in candidates:
+        below = [(w, math.ceil(lam * c)) for w, c in facets]
+        top = max(t for _, t in below)
+        for w, c in facets:
+            bound = lam * c
+            if bound.denominator == 1 and bound >= sum(w):
+                rows = below + [(tuple(-e for e in w), -bound)]
+                box = tuple((1, bound // e) if e else (top, top) for e in w)
+                if lattice_runs(ThresholdSystem(a.nvars, rows), box):
+                    jumps.append(lam)
+                    break
+    return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), default_box(a, lam_max), ())
 
 
 def lct(a: MonomialIdeal) -> Fraction:

@@ -13,8 +13,8 @@ The second part is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.  The last
 part keeps former library routines verbatim as references for the ones
 that replaced them: the quadratic ``minimalize``, the point-by-point
-local verifier, the closure-based normality test and the generator-based
-cone slice check.
+local verifier, the closure-based normality test, the generator-based
+cone slice check and the box scan for jumping numbers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,15 @@ from reesmult.hypersurface import (
     regrade,
     snc_multiplier_section,
 )
-from reesmult.ideals import MonomialIdeal, integral_closure, power
+from reesmult.ideals import (
+    JumpReport,
+    MonomialIdeal,
+    default_box,
+    integral_closure,
+    multiplier_module,
+    newton_positive_facets,
+    power,
+)
 from reesmult.polyhedra import (
     Cone,
     HalfSpace,
@@ -50,6 +58,7 @@ from reesmult.polyhedra import (
     primitive,
 )
 from reesmult.rees import EXTENDED_REES, GradedToricAlgebra, PerLevel, VerificationReport
+from reesmult.serialize import frac_str
 
 
 def _pair_dominates(p, q, x) -> bool:
@@ -544,3 +553,70 @@ def validate_slices_reference(alg: GradedToricAlgebra):
                 f"internal: level-{k} slice of the {alg.kind} cone of "
                 f"{a.to_json()} does not match a^{k}"
             )
+
+
+def _coverage_upper(systems, nvars):
+    """Per-coordinate bound containing all minimal points of the systems.
+
+    Every system here has nonnegative normals, so its solution set is
+    upward closed and determined by its minimal points.
+    """
+    upper = [1] * nvars
+    for sys in systems:
+        for w, t in sys.constraints:
+            for i in range(nvars):
+                if w[i] > 0:
+                    slack = t - 1 - sum(w[j] for j in range(nvars) if j != i)
+                    bound = _pos_ceil(slack, w[i]) + 1
+                    if bound > upper[i]:
+                        upper[i] = bound
+    return upper
+
+
+def _pos_ceil(a, b):
+    if a <= 0:
+        return 0
+    return -((-a) // b)
+
+
+def jumping_numbers_by_box(a: MonomialIdeal, lam_max, box=None) -> JumpReport:
+    """Values where the multiplier module strictly shrinks.
+
+    Candidates are exactly t / c_j over the positive Newton facet
+    thresholds c_j: between consecutive candidates every floor
+    floor(lam * c_j) is constant, so the module is constant and the scan
+    is complete, not heuristic.  The module and ideal versions share the
+    same jumps (the diagonal shift is a bijection of lattice sets).
+    """
+    lam_max = as_fraction(lam_max)
+    if lam_max <= 0:
+        raise DomainError("lambda_max must be positive")
+    if box is None:
+        box = default_box(a, lam_max)
+    thresholds = sorted({c for _, c in newton_positive_facets(a)})
+    candidates = sorted(
+        {
+            Fraction(t, c)
+            for c in thresholds
+            for t in range(1, math.floor(lam_max * c) + 1)
+        }
+    )
+    warnings = []
+    if not candidates:
+        return JumpReport(a, lam_max, (), (), box, ())
+    if len(candidates) > 1:
+        eps = min(b - c for b, c in zip(candidates[1:], candidates)) / 2
+    else:
+        eps = candidates[0] / 2
+    jumps = []
+    for cand in candidates:
+        before = multiplier_module(a, cand - eps)
+        at = multiplier_module(a, cand)
+        need = _coverage_upper([before.system, at.system], a.nvars)
+        if any(need[i] > box[i][1] for i in range(a.nvars)):
+            warnings.append(
+                f"box may be too small to witness a jump at {frac_str(cand)}"
+            )
+        if lattice_runs(at.system, box) != lattice_runs(before.system, box):
+            jumps.append(cand)
+    return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), box, tuple(warnings))

@@ -123,6 +123,27 @@ class TestLctJumps:
         assert data["jumps"] == ["5/6", "7/6", "4/3", "3/2", "5/3", "11/6", "2"]
         assert "note" in data
 
+    def test_jumps_guard_before_candidates(self, capsys):
+        # 6 * 10^7 candidates, a 2 * 10^7 by 3 * 10^7 box at lam_max
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "jumps", "-i", X2Y3, "--max", "10000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert "enumeration guard" in err
+
+    def test_jumps_candidate_count_guard(self, capsys, monkeypatch):
+        # (y^2, xy, x^3) to 1: facet boxes 2 * 2 and 3 * 1, 2 + 3 candidates
+        ideal = '{"nvars":2,"generators":[[0,2],[1,1],[3,0]]}'
+        monkeypatch.setenv("REESMULT_MAX_POINTS", "4")
+        code, _, err = run_main(capsys, "jumps", "-i", ideal, "--max", "1")
+        assert code == 4
+        assert "box volume 4 or candidate count 5 exceeds enumeration guard 4" in err
+        monkeypatch.setenv("REESMULT_MAX_POINTS", "5")
+        code, out, _ = run_main(capsys, "jumps", "-i", ideal, "--max", "1")
+        assert code == 0
+        assert json.loads(out)["jumps"] == ["1"]
+
 
 class TestVerify:
     def test_b2_verified(self, capsys):

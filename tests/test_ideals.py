@@ -31,6 +31,7 @@ from reesmult.polyhedra import cube, scale
 from oracles import (
     first_non_closed_power_by_closure,
     in_hull_plus_orthant,
+    jumping_numbers_by_box,
     minimalize_reference,
     strict_interior_points,
 )
@@ -414,10 +415,55 @@ class TestJumpingNumbers:
         with pytest.raises(DomainError):
             jumping_numbers(M_XY, 0)
 
-    def test_small_box_warns(self):
-        report = jumping_numbers(M_X2Y3, 2, box=cube(2, 0, 2))
-        assert report.warnings
-        assert any("too small" in w for w in report.warnings)
+    def test_exact_where_box_scan_warned(self):
+        # the box scan warned "box may be too small" once on the first and
+        # 29 times on the second; a 3x box confirms the exact jumps
+        for gens, lam_max, warned in (
+            ([(1, 3), (4, 2)], Fraction(5, 2), 1),
+            ([(0, 3), (3, 2)], 6, 29),
+        ):
+            a = minimalize(gens)
+            report = jumping_numbers(a, lam_max)
+            assert report.warnings == ()
+            assert len(jumping_numbers_by_box(a, lam_max).warnings) == warned
+            wide = cube(2, 0, 3 * report.box[0][1])
+            assert report.jumps == jumping_numbers_by_box(a, lam_max, wide).jumps
+
+    def test_matches_box_scan(self):
+        # 320 random ideals of rank 1-4 against the scan on its default box;
+        # 32 of rank 1 and 2 also on a 3x box
+        rng = random.Random(2026)
+        lam_top = {1: 6, 2: 4, 3: 2, 4: 1}
+        warned = 0
+        for i in range(320):
+            n = 1 + i % 4
+            a = random_ideal(rng, n, max_entry=6 - n)
+            lam_max = Fraction(rng.randint(1, 2 * lam_top[n]), 2)
+            report = jumping_numbers(a, lam_max)
+            oracle = jumping_numbers_by_box(a, lam_max)
+            warned += bool(oracle.warnings)
+            assert report.warnings == ()
+            assert (report.jumps, report.candidates, report.box) == (
+                oracle.jumps, oracle.candidates, oracle.box
+            ), (a, lam_max)
+            if i % 20 < 2:
+                wide = cube(n, 0, 3 * report.box[0][1])
+                assert report.jumps == jumping_numbers_by_box(a, lam_max, wide).jumps
+        assert warned
+
+    def test_skoda_periodicity(self):
+        # for lam > n, lam is a jump iff lam - 1 is (Ein, Lazarsfeld, Smith
+        # and Varolin 2004); at lam = n it fails: for (x, y^2), 2 jumps, 1 not
+        report = jumping_numbers(minimalize([(1, 0), (0, 2)]), 2)
+        assert 1 in report.candidates and 1 not in report.jumps and 2 in report.jumps
+        rng = random.Random(29)
+        for i in range(300):
+            n = 1 + i % 4
+            a = random_ideal(rng, n, max_entry=3)
+            report = jumping_numbers(a, n + 1)
+            for lam in report.candidates:
+                if lam > n:
+                    assert (lam in report.jumps) == (lam - 1 in report.jumps), (a, lam)
 
 
 class TestLct:
