@@ -26,7 +26,7 @@ from .ideals import (
     multiplier_module,
     newton,
 )
-from .polyhedra import point_guard
+from .polyhedra import cube, point_guard
 from .rees import (
     canonical_module,
     extended_rees_cone,
@@ -225,6 +225,9 @@ def cmd_graded_piece(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for opt, takers in (("k", "B2 local"), ("n", "B1"), ("box", "B1 B2 A"), ("box_c", "local")):
+        if getattr(args, opt) is not None and args.theorem not in takers.split():
+            raise ParseError(f"verify {args.theorem} takes no --{opt.replace('_', '-')}")
     lam = parse_rational(args.lam)
     if args.theorem == "local":
         if not args.model:
@@ -249,9 +252,7 @@ def cmd_verify(args) -> int:
                 "notice: input replaced by its integral closure; the decomposition "
                 "statements concern the given ideal, not its closure\n"
             )
-        box = None
-        if args.box is not None:
-            box = tuple((0, args.box) for _ in range(a.nvars))
+        box = cube(a.nvars, 0, args.box) if args.box is not None else None
         try:
             if args.theorem == "B2":
                 k_range = _parse_range(args.k) if args.k is not None else (-3, 6)
@@ -351,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", dest="ideal", help="ideal JSON or file path")
     p.add_argument("-m", "--model", help="hypersurface model JSON or file path")
     p.add_argument("--lambda", dest="lam", default="0", help='exponent as "p/q"')
-    p.add_argument("--k", help="t-degree range LO..HI")
-    p.add_argument("--n", help="decomposition index range LO..HI")
-    p.add_argument("--box", type=int, help="per-coordinate upper bound override")
+    p.add_argument("--k", help="B2, local: t-degree range LO..HI")
+    p.add_argument("--n", help="B1: decomposition index range LO..HI")
+    p.add_argument("--box", type=int, help="B1, B2: per-coordinate upper bound; A: recorded only")
     p.add_argument("--box-deg", type=int, default=6, help="local: max x/y degree")
     p.add_argument("--box-c", type=int, default=None, help="local: max s exponent")
     p.add_argument(

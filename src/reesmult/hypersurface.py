@@ -7,8 +7,8 @@ conditions on the hypersurface side coincide, degree by degree, with
 the simple-normal-crossing multiplier conditions on the base.
 
 Normal form: the relation xy = f rewrites every monomial so that
-min(x-degree, y-degree) = 0; monomials of the ring are enumerated
-without double counting.
+min(x-degree, y-degree) = 0, which gives each monomial of the ring
+exactly one form.
 """
 
 from __future__ import annotations
@@ -165,11 +165,11 @@ def verify_local_decomposition(
     """Per t-degree, sections of the hypersurface twist regrade onto
     exactly the SNC multiplier monomials at exponent k + lam.
 
-    Monomials are enumerated in normal form with x, y degrees up to
-    box_deg and s-exponents up to box_c.  A compared c' is restricted
-    to those reachable from the box (recorded); degrees |k| > box_deg
-    have no monomials at all and are reported inconclusive rather than
-    silently passing.
+    The box holds the normal forms with x, y degrees up to box_deg and
+    s-exponents up to box_c; no monomial is listed one by one.  A
+    compared c' is restricted to those reachable from the box
+    (recorded); degrees |k| > box_deg have no monomials at all and are
+    reported inconclusive rather than silently passing.
 
     In regraded coordinates c' (injective on normal forms, so counts and
     witnesses carry over) every condition of is_section and

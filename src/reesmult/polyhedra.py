@@ -13,8 +13,9 @@ is tolerated anywhere.
 All values are immutable and every operation is a pure function of its
 inputs; concurrent use from multiple threads is safe.
 
-Every facet list and ray list comes from one exact integer double
-description routine, ``_dd``.
+One exact integer double description, ``_dd``, gives every ray and facet
+list.  Its zero sets decide which rows are facets and whether a cone is
+full-dimensional or pointed (``_facet_rows``); no rank is computed.
 """
 
 from __future__ import annotations
@@ -117,16 +118,8 @@ def _rref(rows):
     return m, pivots
 
 
-def matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_rref(rows)[1])
-
-
 def kernel_basis(rows, rank):
     """Primitive integer basis of {x : <r, x> = 0 for every row r}."""
-    if not rows:
-        return [_unit(rank, i) for i in range(rank)]
     m, pivots = _rref(rows)
     free = [c for c in range(rank) if c not in pivots]
     basis = []
@@ -168,6 +161,8 @@ def _dd(rows, rank):
     ones.  Adjacency is the combinatorial test on zero-set bitmasks over
     the rows so far: no third ray vanishes on every row both vanish on.
     Rays are primitive and unique modulo the (non-unique) lineality basis.
+    Returns the lineality basis, the rays and, per ray, the bitmask of the
+    rows that vanish on it.
     """
     lin = [_unit(rank, i) for i in range(rank)]
     rays = []  # (ray, bitmask of the rows added so far that vanish on it)
@@ -208,20 +203,22 @@ def _dd(rows, rank):
                 if len(kept) > MAX_DD_RAYS:
                     raise ResourceLimitError(f"double description exceeds {MAX_DD_RAYS} rays")
         rays = kept
-    return lin, [r for r, _ in rays]
+    return lin, [r for r, _ in rays], [z for _, z in rays]
 
 
-def _generators(rows, rank):
-    """Generators of {x : <a, x> >= 0 for a in rows}: lineality as +/- pairs, then rays."""
-    lin, rays = _dd(rows, rank)
-    return lin + [_neg(l) for l in lin] + rays
-
-
-def _is_facet(a, gens, rank) -> bool:
-    """Incidence test: for a row a of the full-dimensional cone generated by
-    gens, <a, x> >= 0 is a facet iff the generators it vanishes on have
-    rank rank - 1."""
-    return matrix_rank([g for g in gens if dot(a, g) == 0]) == rank - 1
+def _facet_rows(rows, rank):
+    """Indices of the facet rows of {x : <a, x> >= 0 for a in rows}, rows
+    nonzero, or None when that cone is not full-dimensional; read off the
+    zero sets of ``_dd``.  A face is the lineality plus the rays it holds.
+    A row vanishing on every ray vanishes on the cone; without one, the rays
+    off each row's hyperplane sum to an interior point.  The facets are then
+    the maximal proper faces, the rows whose ray set no row's strictly contains.
+    """
+    _, _, zeros = _dd(rows, rank)
+    faces = [sum(1 << j for j, z in enumerate(zeros) if z >> i & 1) for i in range(len(rows))]
+    if (1 << len(zeros)) - 1 in faces:
+        return None
+    return [i for i, f in enumerate(faces) if not any(f & g == f and f != g for g in faces)]
 
 
 def _homogenized(facets, rank):
@@ -308,7 +305,7 @@ class Cone:
     @property
     def strongly_convex(self) -> bool:
         """True iff the cone contains no line (equivalently its dual is full-dim)."""
-        return matrix_rank(_generators(self.rays, self.rank)) == self.rank
+        return _facet_rows(self.rays, self.rank) is not None
 
     def contains(self, point) -> bool:
         if self.facets is None:
@@ -330,16 +327,17 @@ def orthant(rank: int) -> Cone:
 def _prune_homogeneous_normals(normals, rank):
     """Minimal subset of {<v,x> >= 0} inequalities describing the same cone."""
     kept = sorted(normals)
-    gens = _generators(kept, rank)
-    if matrix_rank(gens) == rank:
-        # full-dimensional: the facets are unique, read them off by incidence
-        return [v for v in kept if _is_facet(v, gens, rank)]
+    facets = _facet_rows(kept, rank)
+    if facets is not None:
+        # full-dimensional: the facets are unique
+        return [kept[i] for i in facets]
     # lower-dimensional: the minimal list is not unique; sweep first to last,
     # dropping a row when the cone of the remaining rows already implies it
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
-        if all(dot(kept[i], g) >= 0 for g in _generators(others, rank)):
+        lin, rays, _ = _dd(others, rank)
+        if all(dot(kept[i], l) == 0 for l in lin) and all(dot(kept[i], r) >= 0 for r in rays):
             kept = others
         else:
             i += 1
@@ -355,7 +353,7 @@ def homogeneous_rays(normals, rank):
     """
     lineal = kernel_basis(normals, rank)
     pairs = lineal + [_neg(l) for l in lineal]
-    _, rays = _dd(list(normals) + pairs, rank)
+    _, rays, _ = _dd(list(normals) + pairs, rank)
     return tuple(sorted(set(pairs + rays)))
 
 
@@ -404,8 +402,7 @@ class Polyhedron:
 
     def full_dimensional(self) -> bool:
         """True iff a rational interior point exists (all facets strictly satisfiable)."""
-        gens = _generators(_homogenized(self.facets, self.rank), self.rank + 1)
-        return matrix_rank(gens) == self.rank + 1
+        return _facet_rows(_homogenized(self.facets, self.rank), self.rank + 1) is not None
 
     def to_json(self):
         data = {
@@ -426,11 +423,10 @@ def irredundant_facets(p: Polyhedron) -> Polyhedron:
     if p.irredundant:
         return p
     facets = _sorted_facets(set(p.facets))
-    rows = _homogenized(facets, p.rank)
-    gens = _generators(rows, p.rank + 1)
-    if matrix_rank(gens) != p.rank + 1:
+    rows = _facet_rows(_homogenized(facets, p.rank), p.rank + 1)
+    if rows is None:
         raise DomainError("interior undefined: not full-dimensional")
-    kept = tuple(h for h, a in zip(facets, rows) if _is_facet(a, gens, p.rank + 1))
+    kept = tuple(facets[i] for i in rows if i < len(facets))
     return Polyhedron(p.rank, kept, p.vertices, p.recession, irredundant=True)
 
 
@@ -447,7 +443,7 @@ def points_plus_cone(points, recession: Cone, rank: int) -> Polyhedron:
     if not pts:
         raise DomainError("no generating points")
     rows = [r + (0,) for r in recession.rays] + [p + (-1,) for p in pts]
-    lin, rays = _dd(rows, rank + 1)
+    lin, rays, _ = _dd(rows, rank + 1)
     if lin:
         raise DomainError("interior undefined: not full-dimensional")
     facets = tuple(HalfSpace(r[:-1], r[-1]) for r in rays if any(r[:-1]))

@@ -26,7 +26,6 @@ from .ideals import (
     MonomialModule,
     default_box,
     first_non_closed_power,
-    module_contains,
     multiplier_module,
     newton_positive_facets,
     omega_module,
@@ -400,14 +399,18 @@ def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
     """Pair-level rationality biconditional between the three models.
 
     The extended-Rees pair is rational iff the base pair and the Rees
-    pair both are; all three sides are computed independently.
+    pair both are; all three sides are computed independently.  The base
+    pair is rational iff its module, which is upward-closed, holds the
+    least point (1,..,1) of omega_R; ``box`` is only recorded.
     """
     lam = as_fraction(lam)
     ext = extended_rees_cone(a)
     rees = rees_cone(a)
     if box is None:
         box = default_box(a, lam if lam > 0 else 1)
-    rational_r = module_contains(multiplier_module(a, lam), omega_module(a.nvars), box)
+    elif any(lo > hi for lo, hi in box):
+        raise DomainError("box lower bound exceeds upper bound")
+    rational_r = multiplier_module(a, lam).system.satisfies((1,) * a.nvars)
     rational_t = is_pair_rational(ext, ext.t_inverse(), lam)
     s_module = multiplier_module_general(rees, rees_ideal_generators(a), lam)
     rational_s = systems_equal(

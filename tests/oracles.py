@@ -12,7 +12,8 @@ sets are listed point by point over the whole box.
 The second part is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.  The last
 part keeps former library routines verbatim as references for the ones
-that replaced them: the quadratic ``minimalize``, the point-by-point
+that replaced them: the ``Fraction`` rank test for facets and
+full-dimensionality, the quadratic ``minimalize``, the point-by-point
 local verifier, the closure-based normality test, the generator-based
 cone slice check and the box scan for jumping numbers.
 """
@@ -44,7 +45,9 @@ from reesmult.polyhedra import (
     Cone,
     HalfSpace,
     Polyhedron,
+    _dd,
     _neg,
+    _rref,
     _sorted_facets,
     _unit,
     as_fraction,
@@ -52,7 +55,6 @@ from reesmult.polyhedra import (
     dot,
     kernel_basis,
     lattice_runs,
-    matrix_rank,
     orthant,
     point_guard,
     primitive,
@@ -437,6 +439,25 @@ def fm_newton_from_points(points, rank: int) -> Polyhedron:
 # ---------------------------------------------------------------------------
 # Former library routines, kept verbatim as differential references.
 # ---------------------------------------------------------------------------
+
+
+def matrix_rank(rows) -> int:
+    if not rows:
+        return 0
+    return len(_rref(rows)[1])
+
+
+def facet_rows_by_rank(rows, rank):
+    """The rank test that ``polyhedra._facet_rows`` replaced: the cone
+    {x : <a, x> >= 0 for a in rows} is full-dimensional iff its generators
+    have full rank, and then a row is a facet iff the generators it vanishes
+    on have rank ``rank - 1``.  None when not full-dimensional."""
+    lin, rays, _ = _dd(rows, rank)
+    gens = lin + [_neg(l) for l in lin] + rays
+    if matrix_rank(gens) != rank:
+        return None
+    return [i for i, a in enumerate(rows)
+            if matrix_rank([g for g in gens if dot(a, g) == 0]) == rank - 1]
 
 
 def minimalize_reference(gens, nvars=None) -> MonomialIdeal:

@@ -181,6 +181,28 @@ class TestVerify:
         assert data["biconditional"] is True
         assert data["rationalT"] is False
 
+    @pytest.mark.parametrize("box", [0, 1])
+    def test_theorem_a_small_box(self, capsys, box):
+        # rationalR is decided at (1,1), whatever the box: --box 0 holds no
+        # point of omega, so listing omega in the box would answer true
+        ideal = '{"nvars":2,"generators":[[3,0],[1,1],[0,2]]}'
+        code, out, _ = run_main(capsys, "verify", "A", "-i", ideal, "--lambda", "1")
+        want = json.loads(out)
+        assert want["rationalR"] is False
+        got_code, out, _ = run_main(
+            capsys, "verify", "A", "-i", ideal, "--lambda", "1", "--box", str(box)
+        )
+        got = json.loads(out)
+        assert got.pop("box") == [[0, box], [0, box]]
+        want.pop("box")
+        assert (got_code, got) == (code, want)
+
+    def test_theorem_a_negative_box_exit3(self, capsys):
+        code, out, err = run_main(capsys, "verify", "A", "-i", XY2, "--box", "-1")
+        assert code == 3
+        assert out == ""
+        assert "box lower bound exceeds upper bound" in err
+
     def test_local(self, capsys):
         code, out, _ = run_main(
             capsys, "verify", "local", "-m", MODEL23, "--lambda", "5/6"
@@ -386,7 +408,8 @@ def _with_field(data, draw, keys):
 @st.composite
 def malformed_runs(draw):
     """(argv, env) of one CLI run whose only fault is one malformed input."""
-    kind = draw(st.sampled_from(("json", "ideal", "model", "rational", "range", "env")))
+    kind = draw(st.sampled_from(
+        ("json", "ideal", "model", "rational", "range", "option", "env")))
     command = draw(st.sampled_from(IDEAL_COMMANDS)) if kind in ("json", "ideal", "env") else None
     env = {}
     if kind == "json":
@@ -428,6 +451,15 @@ def malformed_runs(draw):
             ["verify", "B1", "-i", XY2, "--n", bad],
             ["verify", "local", "-m", MODEL23, "--k", bad],
         )))
+    elif kind == "option":
+        # a valid option that the theorem does not take
+        option, value, takers = draw(st.sampled_from((
+            ("--k", "0..2", ("B2", "local")), ("--n", "0..2", ("B1",)),
+            ("--box", "3", ("B1", "B2", "A")), ("--box-c", "2", ("local",)),
+        )))
+        theorem = draw(st.sampled_from([t for t in ("B1", "B2", "A", "local") if t not in takers]))
+        source = ["-m", MODEL23] if theorem == "local" else ["-i", XY2]
+        argv = ["verify", theorem, *source, option, value]
     else:
         env["REESMULT_MAX_POINTS"] = draw(st.one_of(
             st.integers(max_value=0).map(str),

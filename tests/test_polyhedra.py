@@ -26,7 +26,6 @@ from reesmult.polyhedra import (
     irredundant_facets,
     lattice_points,
     lattice_runs,
-    matrix_rank,
     newton_from_points,
     primitive,
     scale,
@@ -35,6 +34,7 @@ from reesmult.polyhedra import (
 
 from oracles import (
     brute_lattice_points,
+    facet_rows_by_rank,
     first_mismatch,
     fm_dual_cone,
     fm_full_dimensional,
@@ -42,6 +42,7 @@ from oracles import (
     fm_newton_from_points,
     fm_strongly_convex,
     in_hull_plus_orthant,
+    matrix_rank,
     strict_interior_points,
     subset_homogeneous_rays,
 )
@@ -736,3 +737,55 @@ class TestDoubleDescriptionAgainstFM:
         assert len(p.facets) == 31
         for h in p.facets:
             assert all(h.holds(pt) for pt in pts)
+
+
+def random_row_set(rng, rank):
+    """Nonzero integer rows from a random subspace, so that some cones
+    {x : <a, x> >= 0} have lineality, plus at times the negated sum of a
+    few rows, which confines the cone to a hyperplane."""
+    basis = []
+    for _ in range(rng.randint(1, rank)):
+        v = [rng.randint(-3, 3) for _ in range(rank)]
+        v[rng.randrange(rank)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        basis.append(v)
+    while True:
+        rows = []
+        for _ in range(rng.randint(1, rank + 3)):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            row = tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(rank))
+            if any(row):
+                rows.append(row)
+        if rows:
+            break
+    if rng.random() < 0.3:
+        picked = rng.sample(rows, rng.randint(1, len(rows)))
+        neg = tuple(-sum(col) for col in zip(*picked))
+        if any(neg):
+            rows.append(neg)
+    return rows
+
+
+class TestZeroSetFacets:
+    """``_facet_rows`` reads facets and full-dimensionality off the zero sets
+    of the double description; the reference is the rank test it replaced."""
+
+    def test_random_row_sets(self):
+        rng = random.Random(7700)
+        seen = {"lineality": 0, "not full-dimensional": 0, "facets": 0}
+        for _ in range(2000):
+            rank = rng.randint(1, 5)
+            rows = random_row_set(rng, rank)
+            got = polyhedra._facet_rows(rows, rank)
+            assert got == facet_rows_by_rank(rows, rank), (rank, rows)
+            seen["lineality"] += matrix_rank(rows) < rank
+            seen["not full-dimensional"] += got is None
+            seen["facets"] += bool(got)
+        assert min(seen.values()) >= 500, seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_against_rank_test(self, data):
+        rank = data.draw(st.integers(1, 5))
+        row = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+        rows = data.draw(st.lists(row, min_size=1, max_size=rank + 3))
+        assert polyhedra._facet_rows(rows, rank) == facet_rows_by_rank(rows, rank)
