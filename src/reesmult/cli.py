@@ -225,7 +225,9 @@ def cmd_graded_piece(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for opt, takers in (("k", "B2 local"), ("n", "B1"), ("box", "B1 B2 A"), ("box_c", "local")):
+    for opt, takers in (("k", "B2 local"), ("n", "B1"), ("box", "B1 B2 A"), ("box_c", "local"),
+                        ("box_deg", "local"), ("input", "B1 B2 A"), ("model", "local"),
+                        ("closure", "B1 B2 A")):
         if getattr(args, opt) is not None and args.theorem not in takers.split():
             raise ParseError(f"verify {args.theorem} takes no --{opt.replace('_', '-')}")
     lam = parse_rational(args.lam)
@@ -236,14 +238,14 @@ def cmd_verify(args) -> int:
         report = verify_local_decomposition(
             model,
             lam,
-            box_deg=args.box_deg,
+            box_deg=6 if args.box_deg is None else args.box_deg,
             box_c=args.box_c,
             k_range=_parse_range(args.k) if args.k is not None else (-4, 4),
         )
     else:
-        if not args.ideal:
+        if not args.input:
             raise ParseError(f"verify {args.theorem} needs -i IDEAL")
-        a = parse_ideal(args.ideal)
+        a = parse_ideal(args.input)
         closure_applied = False
         if args.closure and not is_normal(a):
             a = integral_closure(a)
@@ -349,19 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="machine-verify a decomposition statement", **sub_parents)
     p.add_argument("theorem", choices=("B1", "B2", "A", "local"))
-    p.add_argument("-i", "--input", dest="ideal", help="ideal JSON or file path")
+    p.add_argument("-i", "--input", help="ideal JSON or file path")
     p.add_argument("-m", "--model", help="hypersurface model JSON or file path")
     p.add_argument("--lambda", dest="lam", default="0", help='exponent as "p/q"')
     p.add_argument("--k", help="B2, local: t-degree range LO..HI")
     p.add_argument("--n", help="B1: decomposition index range LO..HI")
     p.add_argument("--box", type=int, help="B1, B2: per-coordinate upper bound; A: recorded only")
-    p.add_argument("--box-deg", type=int, default=6, help="local: max x/y degree")
+    p.add_argument("--box-deg", type=int, help="local: max x/y degree (default 6)")
     p.add_argument("--box-c", type=int, default=None, help="local: max s exponent")
-    p.add_argument(
-        "--closure",
-        action="store_true",
-        help="replace a non-normal ideal by its integral closure (with notice)",
-    )
+    p.add_argument("--closure", action="store_true", default=None,
+                   help="replace a non-normal ideal by its integral closure (with notice)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -27,10 +27,9 @@ from .ideals import (
     default_box,
     first_non_closed_power,
     multiplier_module,
+    newton,
     newton_positive_facets,
     omega_module,
-    power_runs,
-    systems_equal,
 )
 from .polyhedra import (
     Cone,
@@ -39,7 +38,6 @@ from .polyhedra import (
     ThresholdSystem,
     as_fraction,
     compare_runs,
-    cube,
     dot,
     irredundant_facets,
     lattice_runs,
@@ -147,12 +145,20 @@ class VerificationReport:
 
 
 def _validate_slices(alg: GradedToricAlgebra):
-    """Level-k lattice points must equal the exponents of a^k (k >= 1),
-    the whole orthant (the unit ideal) for k <= 0."""
-    a = alg.source
-    box = cube(a.nvars, 0, a.max_entry() * 3 + 2)
+    """Level k of the cone must cut out a^k on all of Z^n: for k >= 1 it is
+    the canonical system {<w, m> >= k c} over the Newton facets of a, whose
+    points ``_build_algebra`` compared with a^k; for k <= 0 the orthant."""
+    a, n = alg.source, alg.nvars
+    facets = [(h.normal, int(h.threshold)) for h in newton(a).facets]
+    units = {(tuple(int(i == j) for j in range(n)), 0) for i in range(n)}
     for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
-        if lattice_runs(alg.cone.substitute_last(k), box) != power_runs(a, k, box):
+        piece = alg.cone.substitute_last(k)
+        if k >= 1:
+            ok = piece == ThresholdSystem(n, tuple((w, k * c) for w, c in facets))
+        else:  # every row holds on the orthant, and each m_i >= 0 is a row
+            ok = not piece.infeasible and units <= set(piece.constraints) and all(
+                min(w) >= 0 >= t for w, t in piece.constraints)
+        if not ok:
             raise AssertionError(
                 f"internal: level-{k} slice of the {alg.kind} cone of "
                 f"{a.to_json()} does not match a^{k}"
@@ -170,7 +176,7 @@ def _cone_rows(a: MonomialIdeal, extra_k_row: bool):
 
 
 def _build_algebra(a: MonomialIdeal, kind: str) -> GradedToricAlgebra:
-    k = first_non_closed_power(a)
+    k = first_non_closed_power(a, max(a.nvars - 1, 3))  # and each power the slice check reads
     if k is not None:
         raise DomainError(
             "extended Rees algebra is not toric: ideal not normal "
@@ -376,32 +382,27 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     )
 
 
-def is_pair_rational(alg: GradedToricAlgebra, u, lam, box=None) -> bool:
+def is_pair_rational(alg: GradedToricAlgebra, u, lam) -> bool:
     """Multiplier module of the principal pair equals the canonical module.
 
-    Exact thresholdwise on the shared irredundant facet normals (they
-    coincide by construction); the box is only consulted if they ever
-    did not.
+    Both systems have the cone's facet normals (so does the Rees pair's,
+    as conv(gens) + C = (C & {k >= 1}) - e_k), so their sets agree on all
+    of Z^(n+1) iff the canonical systems do: if facet j has thresholds
+    t < t', then N p + u, with p in its relative interior and <w_j, u> = t,
+    lies in the first set only for large N.
     """
-    lam = as_fraction(lam)
-    module = multiplier_module_principal(alg, u, lam)
-    can = canonical_module(alg)
-    if box is None:
-        box = _pair_box(alg, lam)
-    return systems_equal(module.system, can.system, box)
-
-
-def _pair_box(alg: GradedToricAlgebra, lam, k_span=(-3, 6)):
-    return default_box(alg.source, lam + k_span[1]) + (k_span,)
+    module = multiplier_module_principal(alg, u, as_fraction(lam))
+    return module.system == canonical_module(alg).system
 
 
 def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
     """Pair-level rationality biconditional between the three models.
 
     The extended-Rees pair is rational iff the base pair and the Rees
-    pair both are; all three sides are computed independently.  The base
-    pair is rational iff its module, which is upward-closed, holds the
-    least point (1,..,1) of omega_R; ``box`` is only recorded.
+    pair both are; all three sides are computed independently, on the
+    whole lattice: the base pair by whether its upward-closed module holds
+    the least point (1,..,1) of omega_R, the graded pairs as in
+    ``is_pair_rational``.  ``box`` is only recorded.
     """
     lam = as_fraction(lam)
     ext = extended_rees_cone(a)
@@ -413,9 +414,7 @@ def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
     rational_r = multiplier_module(a, lam).system.satisfies((1,) * a.nvars)
     rational_t = is_pair_rational(ext, ext.t_inverse(), lam)
     s_module = multiplier_module_general(rees, rees_ideal_generators(a), lam)
-    rational_s = systems_equal(
-        s_module.system, canonical_module(rees).system, _pair_box(rees, lam)
-    )
+    rational_s = s_module.system == canonical_module(rees).system
     biconditional = rational_t == (rational_r and rational_s)
     return VerificationReport(
         theorem="A",

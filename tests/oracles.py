@@ -15,7 +15,8 @@ part keeps former library routines verbatim as references for the ones
 that replaced them: the ``Fraction`` rank test for facets and
 full-dimensionality, the quadratic ``minimalize``, the point-by-point
 local verifier, the closure-based normality test, the generator-based
-cone slice check and the box scan for jumping numbers.
+and the run-based cone slice checks, the box test of pair rationality and
+the box scan for jumping numbers.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from reesmult.ideals import (
     multiplier_module,
     newton_positive_facets,
     power,
+    power_runs,
+    systems_equal,
 )
 from reesmult.polyhedra import (
     Cone,
@@ -59,7 +62,18 @@ from reesmult.polyhedra import (
     point_guard,
     primitive,
 )
-from reesmult.rees import EXTENDED_REES, GradedToricAlgebra, PerLevel, VerificationReport
+from reesmult.rees import (
+    EXTENDED_REES,
+    GradedToricAlgebra,
+    PerLevel,
+    VerificationReport,
+    canonical_module,
+    extended_rees_cone,
+    multiplier_module_general,
+    multiplier_module_principal,
+    rees_cone,
+    rees_ideal_generators,
+)
 from reesmult.serialize import frac_str
 
 
@@ -574,6 +588,39 @@ def validate_slices_reference(alg: GradedToricAlgebra):
                 f"internal: level-{k} slice of the {alg.kind} cone of "
                 f"{a.to_json()} does not match a^{k}"
             )
+
+
+def validate_slices_by_runs(alg: GradedToricAlgebra):
+    """Level-k lattice points must equal the exponents of a^k (k >= 1),
+    the whole orthant (the unit ideal) for k <= 0."""
+    a = alg.source
+    box = cube(a.nvars, 0, a.max_entry() * 3 + 2)
+    for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
+        if lattice_runs(alg.cone.substitute_last(k), box) != power_runs(a, k, box):
+            raise AssertionError(
+                f"internal: level-{k} slice of the {alg.kind} cone of "
+                f"{a.to_json()} does not match a^{k}"
+            )
+
+
+def _pair_box(alg: GradedToricAlgebra, lam, k_span=(-3, 6)):
+    return default_box(alg.source, lam + k_span[1]) + (k_span,)
+
+
+def pair_rational_by_box(a: MonomialIdeal, lam):
+    """(rationalT, rationalS) of ``verify_theoremA`` by the box test: each
+    multiplier module is compared with the canonical module by runs over
+    the pair box, unless the canonical systems coincide."""
+    lam = as_fraction(lam)
+    ext = extended_rees_cone(a)
+    rees = rees_cone(a)
+    module = multiplier_module_principal(ext, ext.t_inverse(), lam)
+    rational_t = systems_equal(module.system, canonical_module(ext).system, _pair_box(ext, lam))
+    s_module = multiplier_module_general(rees, rees_ideal_generators(a), lam)
+    rational_s = systems_equal(
+        s_module.system, canonical_module(rees).system, _pair_box(rees, lam)
+    )
+    return rational_t, rational_s
 
 
 def _coverage_upper(systems, nvars):

@@ -453,13 +453,16 @@ def malformed_runs(draw):
         )))
     elif kind == "option":
         # a valid option that the theorem does not take
-        option, value, takers = draw(st.sampled_from((
-            ("--k", "0..2", ("B2", "local")), ("--n", "0..2", ("B1",)),
-            ("--box", "3", ("B1", "B2", "A")), ("--box-c", "2", ("local",)),
+        option, takers = draw(st.sampled_from((
+            (["--k", "0..2"], ("B2", "local")), (["--n", "0..2"], ("B1",)),
+            (["--box", "3"], ("B1", "B2", "A")), (["--box-c", "2"], ("local",)),
+            (["--box-deg", "4"], ("local",)), (["-i", XY2], ("B1", "B2", "A")),
+            (["-m", MODEL23], ("local",)), (["-m", "garbage"], ("local",)),
+            (["--closure"], ("B1", "B2", "A")),
         )))
         theorem = draw(st.sampled_from([t for t in ("B1", "B2", "A", "local") if t not in takers]))
         source = ["-m", MODEL23] if theorem == "local" else ["-i", XY2]
-        argv = ["verify", theorem, *source, option, value]
+        argv = ["verify", theorem, *source, *option]
     else:
         env["REESMULT_MAX_POINTS"] = draw(st.one_of(
             st.integers(max_value=0).map(str),

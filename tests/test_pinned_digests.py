@@ -1,0 +1,47 @@
+"""Byte identity of reports: the first seed-0 jobs of the benchmark's
+``verify`` and ``cli`` workloads, replayed in-process through
+``perfbench/jobs.py``, must give the exit codes and the output digests
+pinned in ``perfbench/digests``.  Nothing under ``perfbench`` is written."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import reesmult
+from reesmult import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+# no bytecode cache is written under perfbench
+write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+import jobs  # noqa: E402
+
+sys.dont_write_bytecode = write_bytecode
+
+REPLAYED = 200  # of the 800 pinned jobs of each workload
+
+
+def test_verify_jobs_match_pins():
+    pins = jobs.pinned_digests("verify", jobs.PINNED_SEED)
+    for i in range(REPLAYED):
+        job = jobs.job("verify", jobs.PINNED_SEED, i)
+        text, report = jobs.run(reesmult, "verify", job)
+        assert jobs.check("verify", job, report) is None, (i, job)
+        assert jobs.digest(text) == pins[i], (i, job)
+
+
+def test_cli_jobs_match_pins(monkeypatch):
+    # the benchmark runs every cli job without the guard override
+    monkeypatch.delenv("REESMULT_MAX_POINTS", raising=False)
+    pins = jobs.pinned_digests("cli", jobs.PINNED_SEED)
+    for i in range(REPLAYED):
+        job = jobs.job("cli", jobs.PINNED_SEED, i)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(job[0]))
+        assert jobs.check_cli(job, code, out.getvalue()) is None, (i, job)
+        assert jobs.digest(out.getvalue()) == pins[i], (i, job)

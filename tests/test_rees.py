@@ -23,7 +23,6 @@ from reesmult.polyhedra import (
 from reesmult.rees import (
     EXTENDED_REES,
     _graded_newton,
-    _pair_box,
     _validate_slices,
     canonical_module,
     decomposition_rhs_S,
@@ -41,7 +40,12 @@ from reesmult.rees import (
     verify_theoremB_T,
 )
 
-from oracles import first_mismatch, validate_slices_reference
+from oracles import (
+    first_mismatch,
+    pair_rational_by_box,
+    validate_slices_by_runs,
+    validate_slices_reference,
+)
 
 M_XY = minimalize([(1, 0), (0, 1)])
 M_XY2 = minimalize([(2, 0), (1, 1), (0, 2)])
@@ -128,15 +132,25 @@ class TestSliceOracle:
         alg = build(ideal)
         _validate_slices(alg)
         rows = alg.cone.constraints
-        for i, (w, t) in enumerate(rows):
-            shifted = rows[:i] + ((w, t + 1),) + rows[i + 1:]
+        n = ideal.nvars
+        # every row raised by 1, and each row m_i >= 0 lowered to m_i >= -1,
+        # which the points of a box starting at 0 cannot show: in the cones
+        # of (x, y)^2 it admits the level-1 point (-1, 3)
+        units = {tuple(int(i == j) for j in range(n + 1)) for i in range(n)}
+        coordinate = [i for i, (w, _) in enumerate(rows) if w in units]
+        assert len(coordinate) == n
+        shifts = [(i, 1) for i in range(len(rows))] + [(i, -1) for i in coordinate]
+        for i, step in shifts:
+            w, t = rows[i]
+            shifted = rows[:i] + ((w, t + step),) + rows[i + 1:]
             bad = dataclasses.replace(alg, cone=ThresholdSystem(alg.ambient_rank, shifted))
             with pytest.raises(AssertionError, match="does not match a\\^"):
                 _validate_slices(bad)
 
     def test_matches_reference_check(self):
-        # the run check and the former generator check agree on every cone
-        # and on every cone with one threshold shifted by +1
+        # the symbolic check, the former run check and the generator check
+        # agree on every cone and on every cone with one threshold raised by
+        # 1; lowered by 1, the symbolic check raises wherever the run check does
         rng = random.Random(13)
         checked = 0
         while checked < 25:
@@ -150,18 +164,23 @@ class TestSliceOracle:
             checked += 1
             for alg in algs:
                 validate_slices_reference(alg)
+                validate_slices_by_runs(alg)
                 rows = alg.cone.constraints
-                for i, (w, t) in enumerate(rows):
-                    shifted = rows[:i] + ((w, t + 1),) + rows[i + 1:]
+                for (i, (w, t)), step in itertools.product(enumerate(rows), (1, -1)):
+                    shifted = rows[:i] + ((w, t + step),) + rows[i + 1:]
                     bad = dataclasses.replace(alg, cone=ThresholdSystem(alg.ambient_rank, shifted))
+                    checks = (_validate_slices, validate_slices_by_runs, validate_slices_reference)
                     verdicts = []
-                    for check in (_validate_slices, validate_slices_reference):
+                    for check in checks if step == 1 else checks[:2]:
                         try:
                             check(bad)
                             verdicts.append(None)
                         except AssertionError as exc:
                             verdicts.append(str(exc))
-                    assert verdicts[0] == verdicts[1], (a, alg.kind, i)
+                    if step == 1:
+                        assert verdicts[0] == verdicts[1] == verdicts[2], (a, alg.kind, i)
+                    else:
+                        assert verdicts[0] is not None or verdicts[1] is None, (a, alg.kind, i)
 
 
 class TestCaches:
@@ -407,7 +426,6 @@ class TestDefaultBoxes:
         assert verify_theoremB_T(M_XY2, lam, (hi - 1, hi)).box == graded(hi)
         if hi >= 0:
             assert verify_theoremB_S(M_XY2, lam, (0, hi)).box == graded(hi + 1)
-        assert _pair_box(rees_cone(M_XY2), lam) == graded(6) + ((-3, 6),)
 
 
 class TestPairRationality:
@@ -453,6 +471,61 @@ class TestVerifyTheoremA:
         d = report.details
         assert d["rationalR"] and not d["rationalS"] and not d["rationalT"]
         assert report.overall
+
+
+def _random_normal_ideals(seed, count, ranks, top):
+    """``count`` random normal ideals with ranks from ``ranks`` and
+    exponents up to ``top(n)``, as the cone builds accept them."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.choice(ranks)
+        gens = [tuple(rng.randint(0, top(n)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        a = minimalize(gens, n)
+        try:
+            extended_rees_cone(a)
+        except DomainError:
+            continue
+        found.append(a)
+    return found
+
+
+class TestPairRationalityAgainstBox:
+    def test_matches_box_test(self):
+        # rank-3 boxes are kept small: the reference lists every pair box
+        ideals = _random_normal_ideals(21, 300, (1, 2, 3), lambda n: 3 if n < 3 else 1)
+        assert {a.nvars for a in ideals} == {1, 2, 3}
+        for a in ideals:
+            for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2)):
+                d = verify_theoremA(a, lam).details
+                assert (d["rationalT"], d["rationalS"]) == pair_rational_by_box(a, lam), (a, lam)
+
+    def test_module_normals_are_cone_normals(self):
+        # the premise of deciding rationality on the systems
+        for a in _random_normal_ideals(22, 500, (1, 2, 3, 4), lambda n: 2):
+            ext, rees = extended_rees_cone(a), rees_cone(a)
+            for lam in (0, Fraction(1, 2), Fraction(5, 3)):
+                principal = multiplier_module_principal(ext, ext.t_inverse(), lam)
+                general = multiplier_module_general(rees, rees_ideal_generators(a), lam)
+                assert principal.system.normals() == ext.cone.normals(), (a, lam)
+                assert general.system.normals() == rees.cone.normals(), (a, lam)
+
+
+def test_decisions_list_no_runs(monkeypatch):
+    # theorem A and the cone builds (with their slice check) answer from
+    # the threshold systems alone
+    def listing(*args, **kwargs):
+        raise AssertionError("lattice_runs called")
+
+    monkeypatch.setattr("reesmult.rees.lattice_runs", listing)
+    for a in (M_XY, M_XY2, M_XYZ, minimalize([(3, 0), (1, 1), (0, 2)])):
+        for build in (extended_rees_cone, rees_cone):
+            build.cache_clear()
+            _validate_slices(build(a))
+        for lam in (0, Fraction(1, 2), 1, Fraction(5, 2)):
+            assert verify_theoremA(a, lam).overall
+            alg = extended_rees_cone(a)
+            is_pair_rational(alg, alg.t_inverse(), lam)
 
 
 class TestSymbolicThresholdIdentity:
