@@ -390,8 +390,10 @@ class Polyhedron:
         if self.vertices is not None:
             verts = tuple(tuple(as_fraction(e) for e in v) for v in self.vertices)
             for v in verts:
+                d = math.lcm(*(e.denominator for e in v))
+                num = [e.numerator * (d // e.denominator) for e in v]
                 for h in facets:
-                    if not h.holds(v):
+                    if dot(h.normal, num) * h.threshold.denominator < h.threshold.numerator * d:
                         raise DomainError("declared vertex violates a facet")
             object.__setattr__(self, "vertices", verts)
         if self.recession is not None:
@@ -540,6 +542,16 @@ class ThresholdSystem:
 
     def normals(self):
         return tuple(w for w, _ in self.constraints)
+
+    def reduced(self) -> "ThresholdSystem":
+        """The same lattice set without each row <w, m> >= t implied by the unit
+        rows m_i >= u_i (w >= 0 not a unit, u_i present where w_i > 0, t <= sum
+        w_i u_i).  Equal reduced systems cut out equal sets; unequal prove nothing."""
+        units = {w.index(1): t for w, t in self.constraints if min(w) >= 0 and sum(w) == 1}
+        kept = [(w, t) for w, t in self.constraints if min(w) < 0 or sum(w) == 1
+                or any(e and i not in units for i, e in enumerate(w))
+                or t > sum(e * units[i] for i, e in enumerate(w) if e)]
+        return ThresholdSystem(self.rank, tuple(kept), self.infeasible)
 
     def to_json(self):
         data = {

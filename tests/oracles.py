@@ -15,8 +15,9 @@ part keeps former library routines verbatim as references for the ones
 that replaced them: the ``Fraction`` rank test for facets and
 full-dimensionality, the quadratic ``minimalize``, the point-by-point
 local verifier, the closure-based normality test, the generator-based
-and the run-based cone slice checks, the box test of pair rationality and
-the box scan for jumping numbers.
+and the run-based cone slice checks, the box test of pair rationality,
+the box scan for jumping numbers and the two-listing B.1 and B.2
+verifiers.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from reesmult.polyhedra import (
     _sorted_facets,
     _unit,
     as_fraction,
+    compare_runs,
     cube,
     dot,
     kernel_basis,
@@ -68,7 +70,10 @@ from reesmult.rees import (
     PerLevel,
     VerificationReport,
     canonical_module,
+    decomposition_rhs_S,
+    decomposition_rhs_T,
     extended_rees_cone,
+    graded_piece,
     multiplier_module_general,
     multiplier_module_principal,
     rees_cone,
@@ -688,3 +693,87 @@ def jumping_numbers_by_box(a: MonomialIdeal, lam_max, box=None) -> JumpReport:
         if lattice_runs(at.system, box) != lattice_runs(before.system, box):
             jumps.append(cand)
     return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), box, tuple(warnings))
+
+
+def verify_theoremB_T_by_runs(
+    a: MonomialIdeal, lam, k_range=(-3, 6), box=None
+) -> VerificationReport:
+    """``verify_theoremB_T`` with both sides listed at every level.
+
+    Graded decomposition of the extended-Rees multiplier module.
+
+    LHS: level-k piece of the cone-model multiplier module of t^-1.
+    RHS: the base-ring multiplier module at exponent k + lam.  The two
+    routes share no code past the Newton facets, and the integer
+    threshold identity c*k + floor(lam*c) + 1 = floor((k+lam)*c) + 1 is
+    additionally checked symbolically per facet.
+    """
+    lam = as_fraction(lam)
+    alg = extended_rees_cone(a)
+    module = multiplier_module_principal(alg, alg.t_inverse(), lam)
+    lo, hi = k_range
+    if box is None:
+        box = default_box(a, lam + max(hi, 0))
+    per_k = []
+    thresholds_identical = True
+    for k in range(lo, hi + 1):
+        lhs = graded_piece(module, k)
+        rhs = decomposition_rhs_T(a, lam, k)
+        runs = lattice_runs(lhs.system, box), lattice_runs(rhs.system, box)
+        count_l, count_r, witness = compare_runs(*runs)
+        per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
+        lhs_t = dict(lhs.system.constraints)
+        rhs_t = dict(rhs.system.constraints)
+        for w in set(lhs_t) & set(rhs_t):
+            if lhs_t[w] != rhs_t[w]:
+                thresholds_identical = False
+    overall = all(p.equal for p in per_k)
+    return VerificationReport(
+        theorem="B.2",
+        subject={"ideal": a.to_json()},
+        lam=lam,
+        k_range=(lo, hi),
+        box=box,
+        per_k=tuple(per_k),
+        overall=overall,
+        details={"thresholdsIdentical": thresholds_identical},
+    )
+
+
+def verify_theoremB_S_by_runs(
+    a: MonomialIdeal, lam, n_range=(0, 5), box=None
+) -> VerificationReport:
+    """``verify_theoremB_S`` with both sides listed at every level.
+
+    Graded decomposition of the Rees multiplier module.
+
+    Also asserts the t-degree-0 piece is empty: the decomposition starts
+    at t^1.
+    """
+    lam = as_fraction(lam)
+    alg = rees_cone(a)
+    module = multiplier_module_general(alg, rees_ideal_generators(a), lam)
+    lo, hi = n_range
+    if lo < 0:
+        raise DomainError("decomposition index must be nonnegative")
+    if box is None:
+        box = default_box(a, lam + max(hi + 1, 0))
+    per_k = []
+    for n in range(lo, hi + 1):
+        lhs = graded_piece(module, n + 1)
+        rhs = decomposition_rhs_S(a, lam, n)
+        runs = lattice_runs(lhs.system, box), lattice_runs(rhs.system, box)
+        count_l, count_r, witness = compare_runs(*runs)
+        per_k.append(PerLevel(n + 1, count_l, count_r, witness is None, witness))
+    degree_zero_empty = not lattice_runs(graded_piece(module, 0).system, box)
+    overall = all(p.equal for p in per_k) and degree_zero_empty
+    return VerificationReport(
+        theorem="B.1",
+        subject={"ideal": a.to_json()},
+        lam=lam,
+        k_range=(lo, hi),
+        box=box,
+        per_k=tuple(per_k),
+        overall=overall,
+        details={"degreeZeroEmpty": degree_zero_empty},
+    )

@@ -19,8 +19,10 @@ from reesmult.polyhedra import (
     HalfSpace,
     Polyhedron,
     ThresholdSystem,
+    _unit,
     compare_runs,
     cube,
+    dot,
     dual_cone,
     homogeneous_rays,
     irredundant_facets,
@@ -552,6 +554,102 @@ class TestThresholdSystem:
         sys = ThresholdSystem(2, (((0, 1), 1),))
         piece = sys.substitute_last(0)
         assert piece.infeasible
+
+
+def _unit_heavy_system(rng, rank):
+    """A system whose rows are often unit rows, nonnegative rows near the
+    bound the unit rows give, or rows with a negative entry."""
+    rows = [(tuple(int(i == j) for j in range(rank)), rng.randint(-2, 2))
+            for i in range(rank) if rng.random() < 0.8]
+    for _ in range(rng.randint(0, 4)):
+        w = [rng.randint(0, 2) for _ in range(rank)]
+        if rng.random() < 0.4:
+            w[rng.randrange(rank)] = rng.randint(-2, -1)
+        if any(w):
+            rows.append((tuple(w), rng.randint(-4, 4)))
+    return ThresholdSystem(rank, tuple(rows))
+
+
+class TestReduced:
+    """``ThresholdSystem.reduced`` drops only rows its unit rows imply, so
+    equal reduced systems are equal sets of the whole lattice."""
+
+    def test_drops_rows_at_the_unit_bound(self):
+        omega = ThresholdSystem(2, (((1, 0), 1), ((0, 1), 1)))
+        assert ThresholdSystem(2, omega.constraints + (((1, 1), 2),)).reduced() == omega
+        assert ThresholdSystem(2, omega.constraints + (((1, 2), 3),)).reduced() == omega
+        above = ThresholdSystem(2, omega.constraints + (((1, 1), 3),))
+        assert above.reduced() == above
+
+    def test_keeps_rows_the_units_do_not_imply(self):
+        for rows in (
+            (((1, 0), 0), ((0, 1), 0), ((1, -1), -5)),  # a negative entry
+            (((1, 0), 0), ((1, 1), 0)),  # no unit row for m_2
+            (((1, 0), 0), ((0, 1), 0)),  # the unit rows themselves
+        ):
+            system = ThresholdSystem(2, rows)
+            assert system.reduced() == system
+        infeasible = ThresholdSystem(1, (((1,), 0), ((0,), 1)))
+        assert infeasible.reduced().infeasible
+
+    def test_same_points_as_original(self):
+        rng = random.Random(4100)
+        dropped = 0
+        for _ in range(400):
+            rank = rng.randint(1, 3)
+            system = _unit_heavy_system(rng, rank)
+            reduced = system.reduced()
+            dropped += len(system.constraints) - len(reduced.constraints)
+            box = cube(rank, -3, 4)
+            assert brute_lattice_points(reduced, box) == brute_lattice_points(system, box), system
+        assert dropped >= 50
+
+    def test_differing_systems_never_certified(self):
+        # the second system is the first with one row more, often one a
+        # flawed reduction would drop, or with thresholds moved by one
+        rng = random.Random(4200)
+        certified = 0
+        for _ in range(600):
+            rank = rng.randint(1, 3)
+            s1 = _unit_heavy_system(rng, rank)
+            extra = _unit_heavy_system(rng, rank).constraints[-1:]
+            s2 = ThresholdSystem(rank, s1.constraints + extra)
+            for s2 in (s2, _shifted(rng, s1)):
+                if s1.reduced() == s2.reduced():
+                    certified += s1 != s2
+                    box = cube(rank, -3, 4)
+                    assert brute_lattice_points(s1, box) == brute_lattice_points(s2, box), (s1, s2)
+        assert certified >= 50
+
+
+class TestVertexCheck:
+    """The integer vertex test of ``Polyhedron`` against ``HalfSpace.holds``,
+    on vertices exactly on a facet and 1/q inside or outside it."""
+
+    def test_against_holds(self):
+        rng = random.Random(4300)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            rank = rng.randint(1, 4)
+            w = [rng.randint(-3, 3) for _ in range(rank)]
+            j = rng.randrange(rank)
+            w[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+            t = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+            h = HalfSpace(w, t)
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rank)]
+            q = rng.randint(1, 7)
+            for offset in (Fraction(0), Fraction(1, q), Fraction(-1, q)):
+                # <w, v> = t + offset
+                v[j] = (t + offset - dot(w, v[:j] + [0] + v[j + 1:])) / w[j]
+                other = HalfSpace(_unit(rank, j), v[j] - rng.randint(0, 1))
+                ok = h.holds(v)
+                seen[ok] += 1
+                try:
+                    Polyhedron(rank, (other, h), vertices=(tuple(v),))
+                    assert ok, (h, v)
+                except DomainError:
+                    assert not ok, (h, v)
+        assert min(seen.values()) >= 300, seen
 
 
 class TestFacetRemovalStrictness:

@@ -22,6 +22,7 @@ from reesmult.polyhedra import (
 )
 from reesmult.rees import (
     EXTENDED_REES,
+    _compare_level,
     _graded_newton,
     _validate_slices,
     canonical_module,
@@ -45,7 +46,10 @@ from oracles import (
     pair_rational_by_box,
     validate_slices_by_runs,
     validate_slices_reference,
+    verify_theoremB_S_by_runs,
+    verify_theoremB_T_by_runs,
 )
+from test_acceptance import GRID, LAMBDAS_B
 
 M_XY = minimalize([(1, 0), (0, 1)])
 M_XY2 = minimalize([(2, 0), (1, 1), (0, 2)])
@@ -526,6 +530,82 @@ def test_decisions_list_no_runs(monkeypatch):
             assert verify_theoremA(a, lam).overall
             alg = extended_rees_cone(a)
             is_pair_rational(alg, alg.t_inverse(), lam)
+
+
+def _count_listings(monkeypatch):
+    """Patch the verifiers' ``lattice_runs`` to record each system it lists."""
+    listed = []
+
+    def counting(system, box, max_points=None):
+        listed.append(system)
+        return lattice_runs(system, box, max_points)
+
+    monkeypatch.setattr("reesmult.rees.lattice_runs", counting)
+    return listed
+
+
+class TestCompareLevel:
+    BOX = cube(2, -1, 6)
+    OMEGA = ThresholdSystem(2, (((1, 0), 1), ((0, 1), 1)))
+
+    def test_certified_level_lists_once(self, monkeypatch):
+        implied = ThresholdSystem(2, self.OMEGA.constraints + (((1, 1), 2),))
+        want = compare_runs(lattice_runs(implied, self.BOX), lattice_runs(self.OMEGA, self.BOX))
+        listed = _count_listings(monkeypatch)
+        assert _compare_level(implied, self.OMEGA, self.BOX) == want == (36, 36, None)
+        assert listed == [implied]
+
+    def test_same_set_not_certified_lists_both(self, monkeypatch):
+        # both are the orthant without 0, but the unit rows m_i >= 0 imply
+        # none of the rows with threshold 1, so the reduction proves nothing
+        units = (((1, 0), 0), ((0, 1), 0))
+        s1 = ThresholdSystem(2, units + (((1, 1), 1),))
+        s2 = ThresholdSystem(2, units + (((2, 1), 1), ((1, 2), 1)))
+        assert s1.reduced() != s2.reduced()
+        want = compare_runs(lattice_runs(s1, self.BOX), lattice_runs(s2, self.BOX))
+        listed = _count_listings(monkeypatch)
+        assert _compare_level(s1, s2, self.BOX) == want == (48, 48, None)
+        assert listed == [s1, s2]
+
+    def test_differing_levels_keep_counts_and_witness(self):
+        rng = random.Random(25)
+        differ = 0
+        for _ in range(200):
+            s1 = ThresholdSystem(2, tuple(
+                ((rng.randint(-1, 2), rng.randint(-1, 2)), rng.randint(-2, 3)) for _ in range(3)))
+            s2 = ThresholdSystem(2, s1.constraints[1:] + (((1, 1), rng.randint(0, 4)),))
+            box = cube(2, -2, 5)
+            pts1, pts2 = lattice_points(s1, box), lattice_points(s2, box)
+            got = _compare_level(s1, s2, box)
+            assert got == (len(pts1), len(pts2), first_mismatch(pts1, pts2)), (s1, s2)
+            differ += got[2] is not None
+        assert differ >= 100
+
+
+class TestTheoremBAgainstTwoListings:
+    def test_reports_match(self):
+        # k + lam <= 0 on the lowest B.2 levels for every lam in the grid
+        grid = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 3))
+        rng = random.Random(26)
+        ideals = _random_normal_ideals(27, 500, (1, 2, 3, 4), lambda n: 2 if n < 4 else 1)
+        assert {a.nvars for a in ideals} == {1, 2, 3, 4}
+        for a in ideals:
+            lam = rng.choice(grid)
+            got, want = verify_theoremB_T(a, lam, (-2, 2)), verify_theoremB_T_by_runs(a, lam, (-2, 2))
+            assert got.to_json() == want.to_json(), (a, lam)
+            got, want = verify_theoremB_S(a, lam, (0, 2)), verify_theoremB_S_by_runs(a, lam, (0, 2))
+            assert got.to_json() == want.to_json(), (a, lam)
+
+    def test_acceptance_cases_list_once_per_level(self, monkeypatch):
+        # every level of acceptance criteria 2 and 3 is certified
+        listed = _count_listings(monkeypatch)
+        for a in GRID:
+            for lam in LAMBDAS_B:
+                listed.clear()
+                assert len(verify_theoremB_T(a, lam, (-3, 6)).per_k) == len(listed) == 10
+                listed.clear()
+                # and one listing for degreeZeroEmpty
+                assert len(verify_theoremB_S(a, lam, (0, 5)).per_k) + 1 == len(listed) == 7
 
 
 class TestSymbolicThresholdIdentity:
