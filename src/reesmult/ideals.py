@@ -2,8 +2,8 @@
 
 Newton polyhedra, powers, integral closure and normality, multiplier
 ideals and multiplier modules (exact lattice conditions on the scaled
-Newton polyhedron's interior), log canonical threshold, and jumping
-numbers decided exactly on the threshold systems.
+Newton polyhedron's interior, read off its facets), log canonical
+threshold, and jumping numbers decided exactly on the threshold systems.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .polyhedra import (
     lattice_runs,
     newton_from_points,
     point_guard,
-    scale,
-    strict_interior_system,
 )
 from .serialize import frac_str
 
@@ -233,13 +231,19 @@ def omega_module(nvars: int) -> MonomialModule:
 def multiplier_module(a: MonomialIdeal, lam) -> MonomialModule:
     """Monomials in the interior of lam * Newt(a); a submodule of omega_R.
 
-    Concretely {m_i >= 1 for facet directions} together with
-    <w_j, m> >= floor(lam * c_j) + 1 per Newton facet (w_j, c_j).
+    For lam > 0, <w, m> >= floor(lam * c) + 1 per Newton facet (w, c):
+    scaling by lam keeps the facets irredundant.  For lam = 0 the scaled
+    polyhedron is the orthant, so the module is omega_R.
     """
     lam = as_fraction(lam)
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
-    return MonomialModule(a.nvars, strict_interior_system(scale(newton(a), lam)), OMEGA)
+    if lam == 0:
+        return omega_module(a.nvars)
+    constraints = tuple(
+        (h.normal, math.floor(lam * h.threshold) + 1) for h in newton(a).facets
+    )
+    return MonomialModule(a.nvars, ThresholdSystem(a.nvars, constraints), OMEGA)
 
 
 def multiplier_ideal(a: MonomialIdeal, lam) -> MonomialModule:

@@ -5,17 +5,19 @@ cone``, irredundant facet systems, strict-interior threshold systems
 over the integer lattice, and their points inside a box, listed as one
 interval per line and compared in that form.
 
-Everything runs on unbounded integers and :class:`fractions.Fraction`;
-floats are rejected at the boundary.  Strictness of interior conditions
-is the whole content of the formulas computed downstream, so no rounding
-is tolerated anywhere.
+Everything runs on unbounded integers; :class:`fractions.Fraction`
+remains only in halfspace thresholds and polyhedron vertices.  Floats are
+rejected at the boundary.  Strictness of interior conditions is the whole
+content of the formulas computed downstream, so no rounding is tolerated
+anywhere.
 
 All values are immutable and every operation is a pure function of its
 inputs; concurrent use from multiple threads is safe.
 
 One exact integer double description, ``_dd``, gives every ray and facet
-list.  Its zero sets decide which rows are facets and whether a cone is
-full-dimensional or pointed (``_facet_rows``); no rank is computed.
+list, and every lineality basis.  Its zero sets decide which rows are
+facets and whether a cone is full-dimensional or pointed (``_facet_rows``);
+no rank is computed and no row is reduced over the rationals.
 """
 
 from __future__ import annotations
@@ -81,63 +83,6 @@ def _neg(v):
 def _ceil_div(a: int, b: int) -> int:
     # b > 0
     return -((-a) // b)
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra (row reduction over Fraction).
-# ---------------------------------------------------------------------------
-
-
-def _rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [[Fraction(e) for e in row] for row in rows]
-    if not m:
-        return m, []
-    width = len(m[0])
-    pivots = []
-    r = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col]
-        m[r] = [e / inv for e in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def kernel_basis(rows, rank):
-    """Primitive integer basis of {x : <r, x> = 0 for every row r}."""
-    m, pivots = _rref(rows)
-    free = [c for c in range(rank) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * rank
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -m[i][f]
-        scale = math.lcm(*(e.denominator for e in vec))
-        ints = [int(e * scale) for e in vec]
-        prim = primitive(ints)
-        for e in prim:
-            if e != 0:
-                if e < 0:
-                    prim = _neg(prim)
-                break
-        basis.append(prim)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +289,44 @@ def _prune_homogeneous_normals(normals, rank):
     return kept
 
 
+def _lineality_basis(lin):
+    """The canonical basis of the span of ``lin``, a ``_dd`` lineality basis.
+
+    Per free column f, a last nonzero position in the span, the primitive
+    vector of the span that is 0 on every other free column, first nonzero
+    entry positive; ordered by f.  For the lineality space of a cone given
+    by rows, these are the kernel vectors a reduced row echelon form of the
+    rows yields.  Elimination runs right to left in integers: every step is
+    a primitive combination of two rows.
+    """
+    rows = list(lin)
+    for r in range(len(rows)):
+        # the rows below r vanish right of the free column that r takes
+        col, k = max((max(j for j, e in enumerate(row) if e), i)
+                     for i, row in enumerate(rows) if i >= r)
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r]
+        rows = [_combine(p[col], row, -row[col], p) if i != r and row[col] else row
+                for i, row in enumerate(rows)]
+    rows = [row if next(e for e in row if e) > 0 else _neg(row) for row in rows]
+    return rows[::-1]
+
+
 def homogeneous_rays(normals, rank):
     """Generators of {x : <a, x> >= 0 for a in normals}.
 
-    Lineality directions are the ``kernel_basis`` vectors as +/- pairs;
-    the pointed part's extreme rays are those of the cone cut down to the
-    orthogonal complement of the lineality space.
+    The extreme rays of one ``_dd`` when the cone is pointed.  Otherwise
+    the lineality directions are the ``_lineality_basis`` vectors as +/-
+    pairs, and the pointed part's extreme rays are those of the cone cut
+    down to the orthogonal complement of the lineality space.
     """
-    lineal = kernel_basis(normals, rank)
-    pairs = lineal + [_neg(l) for l in lineal]
-    _, rays, _ = _dd(list(normals) + pairs, rank)
-    return tuple(sorted(set(pairs + rays)))
+    lin, rays, _ = _dd(normals, rank)
+    if lin:
+        basis = _lineality_basis(lin)
+        pairs = basis + [_neg(l) for l in basis]
+        _, rays, _ = _dd(list(normals) + pairs, rank)
+        rays = pairs + rays
+    return tuple(sorted(set(rays)))
 
 
 def dual_cone(c: Cone) -> Cone:

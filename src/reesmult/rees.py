@@ -42,8 +42,6 @@ from .polyhedra import (
     irredundant_facets,
     lattice_runs,
     points_plus_cone,
-    scale,
-    strict_interior_system,
     homogeneous_rays,
 )
 from .serialize import frac_str
@@ -255,7 +253,9 @@ def _graded_newton(alg: GradedToricAlgebra, gens) -> Polyhedron:
 
 def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModuleSpec:
     """Multiplier module of the pair cut out by monomials ``gens`` on the
-    cone model: strict interior of lam * (conv(gens) + cone)."""
+    cone model: strict interior of lam * (conv(gens) + cone), that is
+    floor(lam * c) + 1 per facet (w, c) for lam > 0 and the canonical
+    module's system, the cone's strict interior, for lam = 0."""
     lam = as_fraction(lam)
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
@@ -265,8 +265,13 @@ def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModul
             raise DomainError("generator length does not match ambient rank")
         if not alg.cone.satisfies(g):
             raise DomainError("generator outside cone")
+    # built at lam = 0 too: it rejects an empty generator list
     newt = _graded_newton(alg, gens)
-    system = strict_interior_system(scale(newt, lam))
+    if lam == 0:
+        system = canonical_module(alg).system
+    else:
+        system = ThresholdSystem(alg.ambient_rank, tuple(
+            (h.normal, math.floor(lam * h.threshold) + 1) for h in newt.facets))
     tail = "T" if alg.kind == EXTENDED_REES else "S"
     return GradedModuleSpec(alg.ambient_rank, system, f"MULT_{tail}({frac_str(lam)})")
 

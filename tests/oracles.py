@@ -12,7 +12,8 @@ sets are listed point by point over the whole box.
 The second part is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.  The last
 part keeps former library routines verbatim as references for the ones
-that replaced them: the ``Fraction`` rank test for facets and
+that replaced them: the ``Fraction`` row reduction with its kernel basis
+and the ray listing built on it, the ``Fraction`` rank test for facets and
 full-dimensionality, the quadratic ``minimalize``, the point-by-point
 local verifier, the closure-based normality test, the generator-based
 and the run-based cone slice checks, the box test of pair rationality,
@@ -51,14 +52,12 @@ from reesmult.polyhedra import (
     Polyhedron,
     _dd,
     _neg,
-    _rref,
     _sorted_facets,
     _unit,
     as_fraction,
     compare_runs,
     cube,
     dot,
-    kernel_basis,
     lattice_runs,
     orthant,
     point_guard,
@@ -458,6 +457,71 @@ def fm_newton_from_points(points, rank: int) -> Polyhedron:
 # ---------------------------------------------------------------------------
 # Former library routines, kept verbatim as differential references.
 # ---------------------------------------------------------------------------
+
+
+def _rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    if not m:
+        return m, []
+    width = len(m[0])
+    pivots = []
+    r = 0
+    for col in range(width):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][col]
+        m[r] = [e / inv for e in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def kernel_basis(rows, rank):
+    """Primitive integer basis of {x : <r, x> = 0 for every row r}."""
+    m, pivots = _rref(rows)
+    free = [c for c in range(rank) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * rank
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -m[i][f]
+        scale = math.lcm(*(e.denominator for e in vec))
+        ints = [int(e * scale) for e in vec]
+        prim = primitive(ints)
+        for e in prim:
+            if e != 0:
+                if e < 0:
+                    prim = _neg(prim)
+                break
+        basis.append(prim)
+    return basis
+
+
+def homogeneous_rays_by_kernel_basis(normals, rank):
+    """Generators of {x : <a, x> >= 0 for a in normals}.
+
+    Lineality directions are the ``kernel_basis`` vectors as +/- pairs;
+    the pointed part's extreme rays are those of the cone cut down to the
+    orthogonal complement of the lineality space.
+    """
+    lineal = kernel_basis(normals, rank)
+    pairs = lineal + [_neg(l) for l in lineal]
+    _, rays, _ = _dd(list(normals) + pairs, rank)
+    return tuple(sorted(set(pairs + rays)))
 
 
 def matrix_rank(rows) -> int:

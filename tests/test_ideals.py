@@ -26,7 +26,7 @@ from reesmult.ideals import (
     power,
     power_runs,
 )
-from reesmult.polyhedra import cube, scale
+from reesmult.polyhedra import cube, scale, strict_interior_system
 
 from oracles import (
     first_non_closed_power_by_closure,
@@ -255,6 +255,23 @@ class TestMultiplierModule:
             lam = Fraction(rng.randint(0, 12), rng.randint(1, 6))
             for m in multiplier_module(a, lam).points(box):
                 assert all(e >= 1 for e in m)
+
+
+class TestMultiplierModuleAgainstScaledNewton:
+    """The thresholds read off the Newton facets against the strict interior
+    of the scaled polyhedron, which checks irredundancy afresh."""
+
+    GRID = (0, Fraction(1, 7), Fraction(1, 2), Fraction(5, 6), 1, Fraction(7, 3), 4)
+
+    def test_random_ideals(self):
+        rng = random.Random(8300)
+        ideals = [minimalize([(1, 1)]), minimalize([(1, 0)])]
+        ideals += [random_ideal(rng, rng.randint(1, 4)) for _ in range(520)]
+        assert {a.nvars for a in ideals} == {1, 2, 3, 4}
+        for a in ideals:
+            for lam in self.GRID:
+                want = strict_interior_system(scale(newton(a), lam))
+                assert multiplier_module(a, lam).system == want, (a, lam)
 
 
 class TestMultiplierIdeal:

@@ -1,5 +1,5 @@
 """Byte identity of reports: the first seed-0 jobs of the benchmark's
-``verify`` and ``cli`` workloads, replayed in-process through
+``facets``, ``verify`` and ``cli`` workloads, replayed in-process through
 ``perfbench/jobs.py``, must give the exit codes and the output digests
 pinned in ``perfbench/digests``.  Nothing under ``perfbench`` is written."""
 
@@ -22,7 +22,17 @@ import jobs  # noqa: E402
 
 sys.dont_write_bytecode = write_bytecode
 
-REPLAYED = 200  # of the 800 pinned jobs of each workload
+REPLAYED = 200  # of the 800 pinned jobs of the verify and cli workloads
+FACETS_REPLAYED = 800  # of the 16000 pinned facets jobs: 100 per class
+
+
+def test_facets_jobs_match_pins():
+    pins = jobs.pinned_digests("facets", jobs.PINNED_SEED)
+    for i in range(FACETS_REPLAYED):
+        job = jobs.job("facets", jobs.PINNED_SEED, i)
+        text, out = jobs.run(reesmult, "facets", job)
+        assert jobs.check("facets", job, out) is None, (i, job)
+        assert jobs.digest(text) == pins[i], (i, job)
 
 
 def test_verify_jobs_match_pins():

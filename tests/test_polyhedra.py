@@ -43,7 +43,9 @@ from oracles import (
     fm_irredundant_facets,
     fm_newton_from_points,
     fm_strongly_convex,
+    homogeneous_rays_by_kernel_basis,
     in_hull_plus_orthant,
+    kernel_basis,
     matrix_rank,
     strict_interior_points,
     subset_homogeneous_rays,
@@ -887,3 +889,150 @@ class TestZeroSetFacets:
         row = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
         rows = data.draw(st.lists(row, min_size=1, max_size=rank + 3))
         assert polyhedra._facet_rows(rows, rank) == facet_rows_by_rank(rows, rank)
+
+
+def lineality_basis(rows, rank):
+    return polyhedra._lineality_basis(polyhedra._dd(rows, rank)[0])
+
+
+class TestLinealityBasis:
+    """The integer basis read off the ``_dd`` lineality against the
+    ``Fraction`` row reduction it replaced, vector for vector."""
+
+    def test_random_matrices(self):
+        rng = random.Random(8800)
+        seen = {r: 0 for r in range(1, 7)}
+        for _ in range(2400):
+            rank = rng.randint(1, 6)
+            want_rank = rng.randint(1, rank)
+            while True:
+                base = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(want_rank)]
+                if matrix_rank(base) == want_rank:
+                    break
+            # duplicates and integer combinations of the rows keep the rank
+            rows = list(base)
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.4:
+                    rows.append(rng.choice(rows))
+                else:
+                    u, v = rng.choice(base), rng.choice(base)
+                    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                    rows.append(tuple(a * x + b * y for x, y in zip(u, v)))
+            rng.shuffle(rows)
+            assert lineality_basis(rows, rank) == kernel_basis(rows, rank), (rank, rows)
+            seen[want_rank] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_any_basis_of_the_span(self):
+        # the basis depends on the span alone, not on the vectors ``_dd`` gave
+        rng = random.Random(8850)
+        for _ in range(600):
+            rank = rng.randint(1, 6)
+            rows = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                    for _ in range(rng.randint(0, rank - 1))]
+            want = kernel_basis(rows, rank)
+            while True:
+                mix = [[rng.randint(-2, 2) for _ in want] for _ in want]
+                if matrix_rank(mix) == len(want):
+                    break
+            lin = [primitive([sum(c * v[j] for c, v in zip(m, want)) for j in range(rank)])
+                   for m in mix]
+            assert polyhedra._lineality_basis(lin) == want, (rank, lin)
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_empty_and_zero_rows_give_units(self, rank):
+        units = [_unit(rank, i) for i in range(rank)]
+        assert lineality_basis([], rank) == kernel_basis([], rank) == units
+        zero = (0,) * rank
+        assert lineality_basis([zero, zero], rank) == kernel_basis([zero, zero], rank) == units
+
+    def test_free_columns_are_last_nonzero_positions(self):
+        # free columns 1 and 2; each vector's first nonzero entry is positive
+        assert lineality_basis([(1, 1, 1)], 3) == [(1, -1, 0), (1, 0, -1)]
+        assert lineality_basis([(2, 0, -3), (2, 0, -3)], 3) == [(0, 1, 0), (3, 0, 2)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_against_kernel_basis(self, data):
+        rank = data.draw(st.integers(1, 6))
+        row = st.tuples(*[st.integers(-4, 4)] * rank)
+        rows = data.draw(st.lists(row, max_size=rank + 2))
+        assert lineality_basis(rows, rank) == kernel_basis(rows, rank)
+
+
+def facet_normals(c):
+    return [h.normal for h in c.facets]
+
+
+@pytest.fixture
+def dd_calls_per_ray_listing(monkeypatch):
+    """The ``_dd`` calls each ``homogeneous_rays`` call makes, in order."""
+    calls, per_listing = [0], []
+    dd, listing = polyhedra._dd, polyhedra.homogeneous_rays
+
+    def counting_dd(*args):
+        calls[0] += 1
+        return dd(*args)
+
+    def counting_listing(*args):
+        before = calls[0]
+        out = listing(*args)
+        per_listing.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(polyhedra, "_dd", counting_dd)
+    monkeypatch.setattr(polyhedra, "homogeneous_rays", counting_listing)
+    return per_listing
+
+
+class TestOneDoubleDescription:
+    """``homogeneous_rays`` runs ``_dd`` once on a pointed cone, and a second
+    time only to cut a nonzero lineality space off."""
+
+    @pytest.mark.parametrize("rank", (3, 4, 5))
+    def test_double_dual_of_pointed_cone(self, rank, dd_calls_per_ray_listing):
+        rng = random.Random(8900 + rank)
+        for _ in range(15):
+            c = random_pointed_cone(rng, rank)
+            d1 = dual_cone(c)
+            d2 = dual_cone(d1)
+            assert dd_calls_per_ray_listing == [1, 1]
+            dd_calls_per_ray_listing.clear()
+            assert d1.rays == homogeneous_rays_by_kernel_basis(facet_normals(d1), rank)
+            assert d2.rays == homogeneous_rays_by_kernel_basis(facet_normals(d2), rank)
+
+    def test_lineality_takes_a_second_run(self, dd_calls_per_ray_listing):
+        rng = random.Random(8950)
+        checked = 0
+        while checked < 100:
+            rank = rng.randint(1, 4)
+            rows = random_row_set(rng, rank)
+            if matrix_rank(rows) == rank:
+                continue
+            got = polyhedra.homogeneous_rays(rows, rank)
+            assert dd_calls_per_ray_listing == [2], rows
+            dd_calls_per_ray_listing.clear()
+            assert got == subset_homogeneous_rays(rows, rank), rows
+            checked += 1
+        assert polyhedra.homogeneous_rays([], 3) == subset_homogeneous_rays([], 3)
+        assert dd_calls_per_ray_listing == [2]
+
+    @pytest.mark.parametrize("limit", (2, 4, 8))
+    def test_ray_guard_where_it_was_raised(self, limit, monkeypatch):
+        # the first run is a prefix of the second: no listing stops sooner
+        monkeypatch.setattr(polyhedra, "MAX_DD_RAYS", limit)
+        rng = random.Random(9000 + limit)
+        outcomes = set()
+        for _ in range(300):
+            rank = rng.randint(2, 5)
+            rows = random_row_set(rng, rank) if rng.random() < 0.5 else [
+                tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank + 3)]
+            results = []
+            for listing in (homogeneous_rays, homogeneous_rays_by_kernel_basis):
+                try:
+                    results.append(listing(rows, rank))
+                except ResourceLimitError:
+                    results.append("guard")
+            assert results[0] == results[1], rows
+            outcomes.add(results[0] == "guard")
+        assert outcomes == {True, False}

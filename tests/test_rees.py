@@ -19,6 +19,8 @@ from reesmult.polyhedra import (
     dot,
     lattice_points,
     lattice_runs,
+    scale,
+    strict_interior_system,
 )
 from reesmult.rees import (
     EXTENDED_REES,
@@ -513,6 +515,24 @@ class TestPairRationalityAgainstBox:
                 general = multiplier_module_general(rees, rees_ideal_generators(a), lam)
                 assert principal.system.normals() == ext.cone.normals(), (a, lam)
                 assert general.system.normals() == rees.cone.normals(), (a, lam)
+
+
+class TestMultiplierModuleGeneralAgainstScaledNewton:
+    def test_random_normal_ideals(self):
+        # the thresholds read off the facets, and the canonical module at 0,
+        # against the strict interior of the scaled polyhedron
+        ideals = _random_normal_ideals(23, 300, (1, 2, 3, 4), lambda n: 2)
+        for a in ideals:
+            degree_one = tuple(g + (1,) for g in a.generators)
+            for alg in (extended_rees_cone(a), rees_cone(a)):
+                gen_sets = [rees_ideal_generators(a), degree_one]
+                if alg.kind == EXTENDED_REES:
+                    gen_sets.append((alg.t_inverse(),))
+                for gens in gen_sets:
+                    for lam in (0, Fraction(1, 3), 1, Fraction(5, 2)):
+                        want = strict_interior_system(scale(_graded_newton(alg, gens), lam))
+                        got = multiplier_module_general(alg, gens, lam).system
+                        assert got == want, (a, alg.kind, gens, lam)
 
 
 def test_decisions_list_no_runs(monkeypatch):
