@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .polyhedra import ThresholdSystem, as_fraction, compare_runs, lattice_runs
+from .polyhedra import ThresholdSystem, as_fraction, compare_systems
 from .rees import PerLevel, VerificationReport
 
 
@@ -176,8 +176,9 @@ def verify_local_decomposition(
     snc_multiplier_section bounds one coordinate: sections are
     c'_i >= max(1, 1 + floor(lam * a_i) + k * a_i), the SNC side is
     c'_i >= 1 + floor(mu * a_i) for mu = k + lam > 0 (else 1), and both
-    need c'_i >= 1 past m.  The two sides are compared as runs over the
-    reachable box.
+    need c'_i >= 1 past m.  The two sides are compared over the reachable
+    box by ``compare_systems``; they are the same system at every level,
+    so each level is counted and nothing is listed.
     """
     lam = as_fraction(lam)
     if lam < 0:
@@ -199,11 +200,8 @@ def verify_local_decomposition(
         reach = [(a * e, a * e + box_c) for e in model.exps] + [(0, box_c)] * len(rest)
         lhs = [max(1, 1 + math.floor(lam * e) + k * e) for e in model.exps] + rest
         rhs = [1 + math.floor(mu * e) if mu > 0 else 1 for e in model.exps] + rest
-        runs = [
-            lattice_runs(ThresholdSystem(model.n, tuple(zip(units, need))), reach)
-            for need in (lhs, rhs)
-        ]
-        count_l, count_r, witness = compare_runs(*runs)
+        sides = [ThresholdSystem(model.n, tuple(zip(units, need))) for need in (lhs, rhs)]
+        count_l, count_r, witness = compare_systems(*sides, reach)
         per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
     overall = all(p.equal for p in per_k)
     return VerificationReport(

@@ -2,8 +2,8 @@
 
 Cones, dual cones, polyhedra of the shape ``conv(points) + recession
 cone``, irredundant facet systems, strict-interior threshold systems
-over the integer lattice, and their points inside a box, listed as one
-interval per line and compared in that form.
+over the integer lattice, and their points inside a box, counted, or
+listed as one interval per line and compared in that form.
 
 Everything runs on unbounded integers; :class:`fractions.Fraction`
 remains only in halfspace thresholds and polyhedron vertices.  Floats are
@@ -151,15 +151,17 @@ def _dd(rows, rank):
     return lin, [r for r, _ in rays], [z for _, z in rays]
 
 
-def _facet_rows(rows, rank):
+def _facet_rows(rows, rank, zeros=None):
     """Indices of the facet rows of {x : <a, x> >= 0 for a in rows}, rows
     nonzero, or None when that cone is not full-dimensional; read off the
-    zero sets of ``_dd``.  A face is the lineality plus the rays it holds.
-    A row vanishing on every ray vanishes on the cone; without one, the rays
-    off each row's hyperplane sum to an interior point.  The facets are then
-    the maximal proper faces, the rows whose ray set no row's strictly contains.
+    zero sets of ``_dd`` (given as ``zeros``, or run here).  A face is the
+    lineality plus the rays it holds.  A row vanishing on every ray vanishes
+    on the cone; without one, the rays off each row's hyperplane sum to an
+    interior point.  The facets are then the maximal proper faces, the rows
+    whose ray set no row's strictly contains.
     """
-    _, _, zeros = _dd(rows, rank)
+    if zeros is None:
+        _, _, zeros = _dd(rows, rank)
     faces = [sum(1 << j for j, z in enumerate(zeros) if z >> i & 1) for i in range(len(rows))]
     if (1 << len(zeros)) - 1 in faces:
         return None
@@ -269,26 +271,6 @@ def orthant(rank: int) -> Cone:
     return Cone(rank, tuple(units), tuple(HalfSpace(u, Fraction(0)) for u in units))
 
 
-def _prune_homogeneous_normals(normals, rank):
-    """Minimal subset of {<v,x> >= 0} inequalities describing the same cone."""
-    kept = sorted(normals)
-    facets = _facet_rows(kept, rank)
-    if facets is not None:
-        # full-dimensional: the facets are unique
-        return [kept[i] for i in facets]
-    # lower-dimensional: the minimal list is not unique; sweep first to last,
-    # dropping a row when the cone of the remaining rows already implies it
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        lin, rays, _ = _dd(others, rank)
-        if all(dot(kept[i], l) == 0 for l in lin) and all(dot(kept[i], r) >= 0 for r in rays):
-            kept = others
-        else:
-            i += 1
-    return kept
-
-
 def _lineality_basis(lin):
     """The canonical basis of the span of ``lin``, a ``_dd`` lineality basis.
 
@@ -330,14 +312,29 @@ def homogeneous_rays(normals, rank):
 
 
 def dual_cone(c: Cone) -> Cone:
-    """Dual cone {m : <m, v> >= 0 for all v in c}, with rays and irredundant facets."""
+    """Dual cone {m : <m, v> >= 0 for all v in c}, with rays and irredundant
+    facets; one ``_dd`` of c's rays gives both unless the dual has lineality."""
     if c.rank > MAX_DUAL_RANK:
         raise ResourceLimitError(f"rank {c.rank} exceeds dualization guard {MAX_DUAL_RANK}")
-    normals = sorted({primitive(r) for r in c.rays})
-    kept = _prune_homogeneous_normals(normals, c.rank)
-    rays = homogeneous_rays(kept, c.rank)
-    facets = tuple(HalfSpace(n, Fraction(0)) for n in kept)
-    return Cone(c.rank, rays, facets)
+    kept = sorted({primitive(r) for r in c.rays})
+    lin, rays, zeros = _dd(kept, c.rank)
+    facets = _facet_rows(kept, c.rank, zeros)
+    if facets is not None:
+        # full-dimensional: the facets are unique
+        kept = [kept[i] for i in facets]
+    else:
+        # lower-dimensional: the minimal list is not unique; sweep first to last,
+        # dropping a row when the cone of the remaining rows already implies it
+        i = 0
+        while i < len(kept):
+            row, others = kept[i], kept[:i] + kept[i + 1:]
+            ls, rs, _ = _dd(others, c.rank)
+            if all(dot(row, l) == 0 for l in ls) and all(dot(row, r) >= 0 for r in rs):
+                kept = others
+            else:
+                i += 1
+    rays = homogeneous_rays(kept, c.rank) if lin else rays
+    return Cone(c.rank, rays, tuple(HalfSpace(n, Fraction(0)) for n in kept))
 
 
 @dataclass(frozen=True)
@@ -579,17 +576,8 @@ def _narrow(lo, hi, a, r):
     return (lo, hi) if r <= 0 else (hi + 1, hi)
 
 
-def lattice_runs(system: ThresholdSystem, box, max_points=None):
-    """Integer points of the system inside the box as runs ``(prefix, lo, hi)``,
-    the points ``prefix + (v,)`` with lo <= v <= hi, one per line along the
-    last coordinate that meets the set, in lex order of ``prefix``.
-
-    A constraint bounds v from one side, or tests the prefix alone when its
-    last entry is 0, so each line meets the set in one interval, whatever the
-    system.  ``box`` is one (lo, hi) pair per coordinate.  The box volume
-    guard (default 10**8, override via REESMULT_MAX_POINTS or ``max_points``)
-    bounds the search space, not the output.
-    """
+def _walk(system: ThresholdSystem, box, max_points, count: bool):
+    """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``."""
     bounds = tuple((int(lo), int(hi)) for lo, hi in box)
     if len(bounds) != system.rank:
         raise DomainError("box length does not match system rank")
@@ -601,11 +589,12 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
     if volume > guard:
         raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:
-        return []
+        return 0 if count else []
     if system.rank == 1:
         # the one line has an empty prefix: search a box with a dummy first axis
         lifted = ThresholdSystem(2, tuple(((0,) + w, t) for w, t in system.constraints))
-        return [((), lo, hi) for _, lo, hi in lattice_runs(lifted, ((0, 0),) + bounds, volume)]
+        found = _walk(lifted, ((0, 0),) + bounds, volume, count)
+        return found if count else [((), lo, hi) for _, lo, hi in found]
     last = system.rank - 1
     last_lo, last_hi = bounds[last]
     ws = [w for w, _ in system.constraints]
@@ -613,7 +602,7 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
     # smax[ci][d]: the most that coordinates d.. can add to constraint ci
     most = [[max(e * lo, e * hi) for e, (lo, hi) in zip(w, bounds)] for w in ws]
     smax = [[sum(m[d:]) for d in range(last + 1)] for m in most]
-    out = []
+    out = []  # the runs, or the point count of each block of lines
 
     def rec(depth, prefix, partials):
         vlo, vhi = bounds[depth]
@@ -645,10 +634,33 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
                 los = [max(lo, _ceil_div(r - wd * v, wl)) for lo, v in zip(los, vs)]
             else:
                 his = [min(hi, (r - wd * v) // wl) for hi, v in zip(his, vs)]
-        out.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
+        if count:
+            out.append(sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi))
+        else:
+            out.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
 
     rec(0, (), [0] * len(ws))
-    return out
+    return sum(out) if count else out
+
+
+def lattice_runs(system: ThresholdSystem, box, max_points=None):
+    """Integer points of the system inside the box as runs ``(prefix, lo, hi)``,
+    the points ``prefix + (v,)`` with lo <= v <= hi, one per line along the
+    last coordinate that meets the set, in lex order of ``prefix``.
+
+    A constraint bounds v from one side, or tests the prefix alone when its
+    last entry is 0, so each line meets the set in one interval, whatever the
+    system.  ``box`` is one (lo, hi) pair per coordinate.  The box volume
+    guard (default 10**8, override via REESMULT_MAX_POINTS or ``max_points``)
+    bounds the search space, not the output.
+    """
+    return _walk(system, box, max_points, count=False)
+
+
+def lattice_count(system: ThresholdSystem, box, max_points=None):
+    """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box, max_points))``
+    from the same walk, checks and guard, with no run built."""
+    return _walk(system, box, max_points, count=True)
 
 
 def lattice_points(system: ThresholdSystem, box, max_points=None):
@@ -675,6 +687,15 @@ def compare_runs(runs1, runs2):
         return (*counts, prefix + (lo,))
     (prefix, lo1, hi1), (_, lo2, hi2) = first
     return (*counts, prefix + (min(lo1, lo2) if lo1 != lo2 else min(hi1, hi2) + 1,))
+
+
+def compare_systems(lhs: ThresholdSystem, rhs: ThresholdSystem, box):
+    """``compare_runs`` of the two systems' runs in the box.  Equal reduced
+    systems cut out equal sets: then ``lhs`` is only counted, nothing listed."""
+    if lhs.reduced() == rhs.reduced():
+        count = lattice_count(lhs, box)
+        return count, count, None
+    return compare_runs(lattice_runs(lhs, box), lattice_runs(rhs, box))
 
 
 def cube(rank: int, lo: int, hi: int):

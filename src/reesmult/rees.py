@@ -37,7 +37,7 @@ from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
     as_fraction,
-    compare_runs,
+    compare_systems,
     dot,
     irredundant_facets,
     lattice_runs,
@@ -300,22 +300,16 @@ def decomposition_rhs_S(a: MonomialIdeal, lam, n: int) -> MonomialModule:
     return multiplier_module(a, n + 1 + lam)
 
 
-def _compare_level(lhs: ThresholdSystem, rhs: ThresholdSystem, box):
-    """``compare_runs`` of the two systems' runs in the box.  Only ``lhs``
-    is listed when the reduced systems coincide: the sets are then equal."""
-    runs = lattice_runs(lhs, box)
-    return compare_runs(runs, runs if lhs.reduced() == rhs.reduced() else lattice_runs(rhs, box))
-
-
 def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> VerificationReport:
     """Graded decomposition of the extended-Rees multiplier module.
 
     LHS: level-k piece of the cone-model multiplier module of t^-1.
     RHS: the base-ring multiplier module at exponent k + lam.  The two
-    routes share no code past the Newton facets.  Equal reduced systems
-    decide a level on all of Z^n, and one listing gives its counts
-    (``_compare_level``); the threshold identity c*k + floor(lam*c) + 1
-    = floor((k+lam)*c) + 1 is checked per facet as thresholdsIdentical.
+    routes share no code past the Newton facets.  Each level is decided
+    by ``compare_systems``: equal reduced systems decide it on all of Z^n
+    and one count of the left side gives both counts, with nothing listed.
+    The threshold identity c*k + floor(lam*c) + 1 = floor((k+lam)*c) + 1
+    is checked per facet as thresholdsIdentical.
     """
     lam = as_fraction(lam)
     alg = extended_rees_cone(a)
@@ -328,7 +322,7 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     for k in range(lo, hi + 1):
         lhs = graded_piece(module, k)
         rhs = decomposition_rhs_T(a, lam, k)
-        count_l, count_r, witness = _compare_level(lhs.system, rhs.system, box)
+        count_l, count_r, witness = compare_systems(lhs.system, rhs.system, box)
         per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
         lhs_t = dict(lhs.system.constraints)
         rhs_t = dict(rhs.system.constraints)
@@ -357,8 +351,9 @@ def rees_ideal_generators(a: MonomialIdeal):
 def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> VerificationReport:
     """Graded decomposition of the Rees multiplier module.
 
-    Levels are decided as in ``verify_theoremB_T``.  Also asserts the
-    t-degree-0 piece is empty: the decomposition starts at t^1.
+    Levels are decided by ``compare_systems``, as in ``verify_theoremB_T``.
+    Also asserts, by listing it, that the t-degree-0 piece is empty in the
+    box: the decomposition starts at t^1.
     """
     lam = as_fraction(lam)
     alg = rees_cone(a)
@@ -372,7 +367,7 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     for n in range(lo, hi + 1):
         lhs = graded_piece(module, n + 1)
         rhs = decomposition_rhs_S(a, lam, n)
-        count_l, count_r, witness = _compare_level(lhs.system, rhs.system, box)
+        count_l, count_r, witness = compare_systems(lhs.system, rhs.system, box)
         per_k.append(PerLevel(n + 1, count_l, count_r, witness is None, witness))
     degree_zero_empty = not lattice_runs(graded_piece(module, 0).system, box)
     overall = all(p.equal for p in per_k) and degree_zero_empty

@@ -17,8 +17,8 @@ and the ray listing built on it, the ``Fraction`` rank test for facets and
 full-dimensionality, the quadratic ``minimalize``, the point-by-point
 local verifier, the closure-based normality test, the generator-based
 and the run-based cone slice checks, the box test of pair rationality,
-the box scan for jumping numbers and the two-listing B.1 and B.2
-verifiers.
+the box scan for jumping numbers, the two-listing B.1, B.2 and local
+verifiers, and the dual cone with a second double description for its rays.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ from reesmult.ideals import (
     systems_equal,
 )
 from reesmult.polyhedra import (
+    MAX_DUAL_RANK,
     Cone,
     HalfSpace,
     Polyhedron,
+    ThresholdSystem,
     _dd,
+    _facet_rows,
     _neg,
     _sorted_facets,
     _unit,
@@ -58,6 +61,7 @@ from reesmult.polyhedra import (
     compare_runs,
     cube,
     dot,
+    homogeneous_rays,
     lattice_runs,
     orthant,
     point_guard,
@@ -524,6 +528,38 @@ def homogeneous_rays_by_kernel_basis(normals, rank):
     return tuple(sorted(set(pairs + rays)))
 
 
+def _prune_homogeneous_normals_by_dd(normals, rank):
+    """Minimal subset of {<v,x> >= 0} inequalities describing the same cone."""
+    kept = sorted(normals)
+    facets = _facet_rows(kept, rank)
+    if facets is not None:
+        # full-dimensional: the facets are unique
+        return [kept[i] for i in facets]
+    # lower-dimensional: the minimal list is not unique; sweep first to last,
+    # dropping a row when the cone of the remaining rows already implies it
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        lin, rays, _ = _dd(others, rank)
+        if all(dot(kept[i], l) == 0 for l in lin) and all(dot(kept[i], r) >= 0 for r in rays):
+            kept = others
+        else:
+            i += 1
+    return kept
+
+
+def dual_cone_by_two_runs(c: Cone) -> Cone:
+    """``dual_cone`` with one ``_dd`` for the facets and another, of the
+    facets, for the rays."""
+    if c.rank > MAX_DUAL_RANK:
+        raise ResourceLimitError(f"rank {c.rank} exceeds dualization guard {MAX_DUAL_RANK}")
+    normals = sorted({primitive(r) for r in c.rays})
+    kept = _prune_homogeneous_normals_by_dd(normals, c.rank)
+    rays = homogeneous_rays(kept, c.rank)
+    facets = tuple(HalfSpace(n, Fraction(0)) for n in kept)
+    return Cone(c.rank, rays, facets)
+
+
 def matrix_rank(rows) -> int:
     if not rows:
         return 0
@@ -840,4 +876,69 @@ def verify_theoremB_S_by_runs(
         per_k=tuple(per_k),
         overall=overall,
         details={"degreeZeroEmpty": degree_zero_empty},
+    )
+
+
+def verify_local_decomposition_by_runs(
+    model: LocalHypersurfaceModel,
+    lam,
+    box_deg: int = 6,
+    box_c: int | None = None,
+    k_range=(-4, 4),
+) -> VerificationReport:
+    """``verify_local_decomposition`` with both sides listed at every level.
+
+    Per t-degree, sections of the hypersurface twist regrade onto
+    exactly the SNC multiplier monomials at exponent k + lam.
+
+    The box holds the normal forms with x, y degrees up to box_deg and
+    s-exponents up to box_c; no monomial is listed one by one.  A
+    compared c' is restricted to those reachable from the box
+    (recorded); degrees |k| > box_deg have no monomials at all and are
+    reported inconclusive rather than silently passing.
+
+    In regraded coordinates c' (injective on normal forms, so counts and
+    witnesses carry over) every condition of is_section and
+    snc_multiplier_section bounds one coordinate: sections are
+    c'_i >= max(1, 1 + floor(lam * a_i) + k * a_i), the SNC side is
+    c'_i >= 1 + floor(mu * a_i) for mu = k + lam > 0 (else 1), and both
+    need c'_i >= 1 past m.  The two sides are compared as runs over the
+    reachable box.
+    """
+    lam = as_fraction(lam)
+    if lam < 0:
+        raise DomainError("lambda must be nonnegative")
+    if box_deg < 0 or (box_c is not None and box_c < 0):
+        raise DomainError("box_deg and box_c must be nonnegative")
+    if box_c is None:
+        box_c = max(model.exps) * box_deg + 2
+    lo, hi = k_range
+    units = [tuple(int(i == j) for j in range(model.n)) for i in range(model.n)]
+    rest = [1] * (model.n - model.m)
+    per_k = []
+    inconclusive = []
+    for k in range(lo, hi + 1):
+        if abs(k) > box_deg:
+            inconclusive.append(k)
+            continue
+        a, mu = max(k, 0), k + lam
+        reach = [(a * e, a * e + box_c) for e in model.exps] + [(0, box_c)] * len(rest)
+        lhs = [max(1, 1 + math.floor(lam * e) + k * e) for e in model.exps] + rest
+        rhs = [1 + math.floor(mu * e) if mu > 0 else 1 for e in model.exps] + rest
+        runs = [
+            lattice_runs(ThresholdSystem(model.n, tuple(zip(units, need))), reach)
+            for need in (lhs, rhs)
+        ]
+        count_l, count_r, witness = compare_runs(*runs)
+        per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
+    overall = all(p.equal for p in per_k)
+    return VerificationReport(
+        theorem="local",
+        subject={"model": model.to_json()},
+        lam=lam,
+        k_range=(lo, hi),
+        box=((0, box_deg), (0, box_c)),
+        per_k=tuple(per_k),
+        overall=overall,
+        details={"inconclusive": inconclusive, "boxDeg": box_deg, "boxC": box_c},
     )

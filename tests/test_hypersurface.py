@@ -27,7 +27,7 @@ from reesmult.polyhedra import dot
 from reesmult.rees import extended_rees_cone
 from reesmult.serialize import dumps_canonical
 
-from oracles import local_decomposition_by_points
+from oracles import local_decomposition_by_points, verify_local_decomposition_by_runs
 
 M23 = LocalHypersurfaceModel(2, 2, (2, 3))
 M11 = LocalHypersurfaceModel(1, 1, (1,))
@@ -242,3 +242,27 @@ class TestVerifyLocalAgainstPoints:
         lo = data.draw(st.integers(-5, 0))
         k_range = (lo, lo + data.draw(st.integers(0, 8)))
         _same_report(LocalHypersurfaceModel(n, m, exps), lam, box_deg, box_c, k_range)
+
+
+class TestVerifyLocalAgainstRuns:
+    """Reports of the counting verifier against the former two-listing
+    verifier in ``oracles``, byte for byte; the verifier lists nothing."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_grid(self, n, monkeypatch):
+        def listing(*args, **kwargs):
+            raise AssertionError("lattice_runs called")
+
+        # the oracle keeps its own binding of lattice_runs
+        monkeypatch.setattr("reesmult.polyhedra.lattice_runs", listing)
+        rng = random.Random(7400 + n)
+        for m in range(1, n + 1):
+            model = LocalHypersurfaceModel(n, m, tuple(rng.randint(1, 4) for _ in range(m)))
+            for box_deg in range(5):
+                box_c = rng.choice((0, 2, 5, None))
+                for lam in (0, Fraction(1, 3), 1, Fraction(7, 4), 3):
+                    # |k| > box_deg: inconclusive degrees on both sides
+                    args = (model, lam, box_deg, box_c, (-5, 5))
+                    got = dumps_canonical(verify_local_decomposition(*args).to_json())
+                    want = dumps_canonical(verify_local_decomposition_by_runs(*args).to_json())
+                    assert got == want, args

@@ -1,7 +1,8 @@
-"""Byte identity of reports: the first seed-0 jobs of the benchmark's
-``facets``, ``verify`` and ``cli`` workloads, replayed in-process through
-``perfbench/jobs.py``, must give the exit codes and the output digests
-pinned in ``perfbench/digests``.  Nothing under ``perfbench`` is written."""
+"""Byte identity of reports: the seed-0 jobs of the benchmark's ``facets``,
+``verify`` and ``cli`` workloads (all pinned ``verify`` jobs, the first
+ones of the others), replayed in-process through ``perfbench/jobs.py``,
+must give the exit codes and the output digests pinned in
+``perfbench/digests``.  Nothing under ``perfbench`` is written."""
 
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import jobs  # noqa: E402
 
 sys.dont_write_bytecode = write_bytecode
 
-REPLAYED = 200  # of the 800 pinned jobs of the verify and cli workloads
+VERIFY_REPLAYED = 800  # every pinned verify job
+CLI_REPLAYED = 200  # of the 800 pinned cli jobs
 FACETS_REPLAYED = 800  # of the 16000 pinned facets jobs: 100 per class
 
 
@@ -37,7 +39,7 @@ def test_facets_jobs_match_pins():
 
 def test_verify_jobs_match_pins():
     pins = jobs.pinned_digests("verify", jobs.PINNED_SEED)
-    for i in range(REPLAYED):
+    for i in range(VERIFY_REPLAYED):
         job = jobs.job("verify", jobs.PINNED_SEED, i)
         text, report = jobs.run(reesmult, "verify", job)
         assert jobs.check("verify", job, report) is None, (i, job)
@@ -48,7 +50,7 @@ def test_cli_jobs_match_pins(monkeypatch):
     # the benchmark runs every cli job without the guard override
     monkeypatch.delenv("REESMULT_MAX_POINTS", raising=False)
     pins = jobs.pinned_digests("cli", jobs.PINNED_SEED)
-    for i in range(REPLAYED):
+    for i in range(CLI_REPLAYED):
         job = jobs.job("cli", jobs.PINNED_SEED, i)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

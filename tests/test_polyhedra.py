@@ -26,6 +26,7 @@ from reesmult.polyhedra import (
     dual_cone,
     homogeneous_rays,
     irredundant_facets,
+    lattice_count,
     lattice_points,
     lattice_runs,
     newton_from_points,
@@ -34,8 +35,10 @@ from reesmult.polyhedra import (
     strict_interior_system,
 )
 
+import oracles
 from oracles import (
     brute_lattice_points,
+    dual_cone_by_two_runs,
     facet_rows_by_rank,
     first_mismatch,
     fm_dual_cone,
@@ -537,6 +540,92 @@ class TestLatticeRuns:
         _check_against_oracle(s1, s2, box)
 
 
+def _check_count(system, box):
+    """``lattice_count`` is the run sum and the brute-force point count."""
+    runs = lattice_runs(system, box)
+    count = lattice_count(system, box)
+    assert count == sum(hi - lo + 1 for _, lo, hi in runs)
+    assert count == len(brute_lattice_points(system, box))
+    return count
+
+
+class TestLatticeCount:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_against_oracle(self, seed):
+        # negative normals, rank 1 and rows with a zero last entry all occur
+        rng = random.Random(8600 + seed)
+        for _ in range(150):
+            rank = rng.randint(1, 4)
+            system = _random_system(rng, rank)
+            box = tuple(
+                (lo, lo + rng.randint(0, 4)) for lo in (rng.randint(-3, 2) for _ in range(rank))
+            )
+            _check_count(system, box)
+            _check_count(_shifted(rng, system), box)
+
+    @pytest.mark.parametrize("system, box, want", [
+        # rank 1, bounded from both sides
+        (ThresholdSystem(1, (((1,), -1), ((-1,), -2))), ((-4, 4),), 4),
+        (ThresholdSystem(1, (((1,), 9),)), ((0, 3),), 0),
+        # zero last entries only test the prefix
+        (ThresholdSystem(3, (((1, 1, 0), 3), ((0, -1, 0), -1))), cube(3, 0, 2), 3),
+        (ThresholdSystem(2, (((-2, 0), -3),)), cube(2, -1, 2), 12),
+        # infeasible, and boxes where no line survives
+        (ThresholdSystem(2, (((0, 0), 5),)), cube(2, 0, 3), 0),
+        (ThresholdSystem(2, (((1, 1), 9),)), cube(2, 0, 3), 0),
+        (ThresholdSystem(3, (((0, 0, 1), 7),)), cube(3, 0, 3), 0),
+        (ThresholdSystem(3, (((2, -1, 3), 40),)), cube(3, -2, 2), 0),
+    ], ids=("rank_1", "rank_1_none", "prefix_only", "line_index_only", "infeasible",
+            "no_line_meets", "empty_on_every_line", "out_of_reach"))
+    def test_cases(self, system, box, want):
+        assert _check_count(system, box) == want
+
+    def test_bad_box_same_error(self):
+        for system, box in ((ThresholdSystem(1, ()), ((2, 1),)),
+                            (ThresholdSystem(2, (((1, 1), 1),)), ((0, 1), (3, 2))),
+                            (ThresholdSystem(2, ()), ((0, 1),))):
+            messages = set()
+            for walk in (lattice_runs, lattice_count):
+                with pytest.raises(DomainError) as exc:
+                    walk(system, box)
+                messages.add(str(exc.value))
+            assert len(messages) == 1, (system, box, messages)
+
+    @pytest.mark.parametrize("system", (
+        ThresholdSystem(2, ()),
+        ThresholdSystem(2, (((0, 0), 5),)),
+        ThresholdSystem(1, (((1,), 0),)),
+    ), ids=("empty", "infeasible", "rank_1"))
+    def test_volume_guard_same_as_runs(self, system, monkeypatch):
+        box = cube(system.rank, 0, 10)
+        volume = 11 ** system.rank
+        message = f"box volume {volume} exceeds enumeration guard {volume - 1}"
+        for walk in (lattice_runs, lattice_count):
+            with pytest.raises(ResourceLimitError) as exc:
+                walk(system, box, max_points=volume - 1)
+            assert str(exc.value) == message
+            monkeypatch.setenv("REESMULT_MAX_POINTS", str(volume - 1))
+            with pytest.raises(ResourceLimitError) as exc:
+                walk(system, box)
+            assert str(exc.value) == message
+            monkeypatch.setenv("REESMULT_MAX_POINTS", str(volume))
+            walk(system, box)
+            monkeypatch.delenv("REESMULT_MAX_POINTS")
+            walk(system, box, max_points=volume)
+        assert lattice_count(system, box) == len(brute_lattice_points(system, box))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_against_oracle(self, data):
+        rank = data.draw(st.integers(1, 4))
+        normal = st.tuples(*[st.integers(-3, 3)] * rank)
+        cons = data.draw(st.lists(st.tuples(normal, st.integers(-6, 8)), max_size=4))
+        box = data.draw(st.lists(
+            st.tuples(st.integers(-3, 2), st.integers(0, 4)), min_size=rank, max_size=rank
+        ))
+        _check_count(ThresholdSystem(rank, tuple(cons)), tuple((lo, lo + d) for lo, d in box))
+
+
 class TestThresholdSystem:
     def test_canonicalization_ceiling(self):
         # <(2,0), m> >= 5 over integers is <(1,0), m> >= 3
@@ -965,41 +1054,82 @@ def facet_normals(c):
 
 
 @pytest.fixture
-def dd_calls_per_ray_listing(monkeypatch):
-    """The ``_dd`` calls each ``homogeneous_rays`` call makes, in order."""
-    calls, per_listing = [0], []
-    dd, listing = polyhedra._dd, polyhedra.homogeneous_rays
+def dd_calls(monkeypatch):
+    """The number of ``_dd`` runs made so far, by the library or an oracle,
+    as a one-element list."""
+    calls, dd = [0], polyhedra._dd
 
     def counting_dd(*args):
         calls[0] += 1
         return dd(*args)
 
+    monkeypatch.setattr(polyhedra, "_dd", counting_dd)
+    monkeypatch.setattr(oracles, "_dd", counting_dd)
+    return calls
+
+
+@pytest.fixture
+def dd_calls_per_ray_listing(monkeypatch, dd_calls):
+    """The ``_dd`` calls each ``homogeneous_rays`` call makes, in order."""
+    per_listing, listing = [], polyhedra.homogeneous_rays
+
     def counting_listing(*args):
-        before = calls[0]
+        before = dd_calls[0]
         out = listing(*args)
-        per_listing.append(calls[0] - before)
+        per_listing.append(dd_calls[0] - before)
         return out
 
-    monkeypatch.setattr(polyhedra, "_dd", counting_dd)
     monkeypatch.setattr(polyhedra, "homogeneous_rays", counting_listing)
     return per_listing
 
 
+def _cones_with_and_without_lineality(rng, count):
+    """Cones whose rays span or do not span (a dual with lineality), pointed
+    or not (a lower-dimensional dual)."""
+    for _ in range(count):
+        rank = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            yield Cone(rank, tuple(random_row_set(rng, rank)))
+        else:
+            yield random_cone(rng, rank, pointed=rng.random() < 0.5)
+
+
 class TestOneDoubleDescription:
-    """``homogeneous_rays`` runs ``_dd`` once on a pointed cone, and a second
+    """``dual_cone`` runs ``_dd`` once on a pointed full-dimensional cone and
+    takes its dual's rays from that run whenever the dual is pointed;
+    ``homogeneous_rays`` runs ``_dd`` once on a pointed cone, and a second
     time only to cut a nonzero lineality space off."""
 
     @pytest.mark.parametrize("rank", (3, 4, 5))
-    def test_double_dual_of_pointed_cone(self, rank, dd_calls_per_ray_listing):
+    def test_double_dual_of_pointed_cone(self, rank, dd_calls, dd_calls_per_ray_listing):
         rng = random.Random(8900 + rank)
         for _ in range(15):
             c = random_pointed_cone(rng, rank)
+            before = dd_calls[0]
             d1 = dual_cone(c)
+            assert dd_calls[0] - before == 1
             d2 = dual_cone(d1)
-            assert dd_calls_per_ray_listing == [1, 1]
-            dd_calls_per_ray_listing.clear()
+            assert dd_calls[0] - before == 2
+            assert dd_calls_per_ray_listing == []
+            assert d1 == dual_cone_by_two_runs(c)
+            assert d2 == dual_cone_by_two_runs(d1)
             assert d1.rays == homogeneous_rays_by_kernel_basis(facet_normals(d1), rank)
             assert d2.rays == homogeneous_rays_by_kernel_basis(facet_normals(d2), rank)
+
+    def test_dual_cone_as_with_two_runs(self, dd_calls):
+        # one run fewer exactly when the dual is pointed (c's rays span)
+        rng = random.Random(8920)
+        seen = set()
+        for c in _cones_with_and_without_lineality(rng, 300):
+            before = dd_calls[0]
+            got = dual_cone(c)
+            runs, before = dd_calls[0] - before, dd_calls[0]
+            want = dual_cone_by_two_runs(c)
+            pointed_dual = matrix_rank(c.rays) == c.rank
+            assert runs == dd_calls[0] - before - pointed_dual, c
+            assert got == want, c
+            seen.add((pointed_dual, c.strongly_convex))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_lineality_takes_a_second_run(self, dd_calls_per_ray_listing):
         rng = random.Random(8950)
@@ -1016,6 +1146,22 @@ class TestOneDoubleDescription:
             checked += 1
         assert polyhedra.homogeneous_rays([], 3) == subset_homogeneous_rays([], 3)
         assert dd_calls_per_ray_listing == [2]
+
+    @pytest.mark.parametrize("limit", (2, 4, 8))
+    def test_dual_cone_guard_where_it_was_raised(self, limit, monkeypatch):
+        cones = list(_cones_with_and_without_lineality(random.Random(9100 + limit), 300))
+        monkeypatch.setattr(polyhedra, "MAX_DD_RAYS", limit)
+        outcomes = set()
+        for c in cones:
+            results = []
+            for dual in (dual_cone, dual_cone_by_two_runs):
+                try:
+                    results.append(dual(c))
+                except ResourceLimitError:
+                    results.append("guard")
+            assert results[0] == results[1], c
+            outcomes.add(results[0] == "guard")
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("limit", (2, 4, 8))
     def test_ray_guard_where_it_was_raised(self, limit, monkeypatch):

@@ -15,8 +15,10 @@ from reesmult.ideals import minimalize, newton, omega_module, power
 from reesmult.polyhedra import (
     ThresholdSystem,
     compare_runs,
+    compare_systems,
     cube,
     dot,
+    lattice_count,
     lattice_points,
     lattice_runs,
     scale,
@@ -24,7 +26,6 @@ from reesmult.polyhedra import (
 )
 from reesmult.rees import (
     EXTENDED_REES,
-    _compare_level,
     _graded_newton,
     _validate_slices,
     canonical_module,
@@ -552,28 +553,36 @@ def test_decisions_list_no_runs(monkeypatch):
             is_pair_rational(alg, alg.t_inverse(), lam)
 
 
-def _count_listings(monkeypatch):
-    """Patch the verifiers' ``lattice_runs`` to record each system it lists."""
-    listed = []
+def _record_walks(monkeypatch):
+    """Patch ``lattice_runs``, where the verifiers and ``compare_systems`` call
+    it, and ``lattice_count`` to record the systems they list and count."""
+    listed, counted = [], []
 
-    def counting(system, box, max_points=None):
+    def listing(system, box, max_points=None):
         listed.append(system)
         return lattice_runs(system, box, max_points)
 
-    monkeypatch.setattr("reesmult.rees.lattice_runs", counting)
-    return listed
+    def counting(system, box, max_points=None):
+        counted.append(system)
+        return lattice_count(system, box, max_points)
+
+    monkeypatch.setattr("reesmult.rees.lattice_runs", listing)
+    monkeypatch.setattr("reesmult.polyhedra.lattice_runs", listing)
+    monkeypatch.setattr("reesmult.polyhedra.lattice_count", counting)
+    return listed, counted
 
 
 class TestCompareLevel:
     BOX = cube(2, -1, 6)
     OMEGA = ThresholdSystem(2, (((1, 0), 1), ((0, 1), 1)))
 
-    def test_certified_level_lists_once(self, monkeypatch):
+    def test_certified_level_counts_once(self, monkeypatch):
         implied = ThresholdSystem(2, self.OMEGA.constraints + (((1, 1), 2),))
         want = compare_runs(lattice_runs(implied, self.BOX), lattice_runs(self.OMEGA, self.BOX))
-        listed = _count_listings(monkeypatch)
-        assert _compare_level(implied, self.OMEGA, self.BOX) == want == (36, 36, None)
-        assert listed == [implied]
+        listed, counted = _record_walks(monkeypatch)
+        assert compare_systems(implied, self.OMEGA, self.BOX) == want == (36, 36, None)
+        assert listed == []
+        assert counted == [implied]
 
     def test_same_set_not_certified_lists_both(self, monkeypatch):
         # both are the orthant without 0, but the unit rows m_i >= 0 imply
@@ -583,9 +592,10 @@ class TestCompareLevel:
         s2 = ThresholdSystem(2, units + (((2, 1), 1), ((1, 2), 1)))
         assert s1.reduced() != s2.reduced()
         want = compare_runs(lattice_runs(s1, self.BOX), lattice_runs(s2, self.BOX))
-        listed = _count_listings(monkeypatch)
-        assert _compare_level(s1, s2, self.BOX) == want == (48, 48, None)
+        listed, counted = _record_walks(monkeypatch)
+        assert compare_systems(s1, s2, self.BOX) == want == (48, 48, None)
         assert listed == [s1, s2]
+        assert counted == []
 
     def test_differing_levels_keep_counts_and_witness(self):
         rng = random.Random(25)
@@ -596,7 +606,7 @@ class TestCompareLevel:
             s2 = ThresholdSystem(2, s1.constraints[1:] + (((1, 1), rng.randint(0, 4)),))
             box = cube(2, -2, 5)
             pts1, pts2 = lattice_points(s1, box), lattice_points(s2, box)
-            got = _compare_level(s1, s2, box)
+            got = compare_systems(s1, s2, box)
             assert got == (len(pts1), len(pts2), first_mismatch(pts1, pts2)), (s1, s2)
             differ += got[2] is not None
         assert differ >= 100
@@ -616,16 +626,25 @@ class TestTheoremBAgainstTwoListings:
             got, want = verify_theoremB_S(a, lam, (0, 2)), verify_theoremB_S_by_runs(a, lam, (0, 2))
             assert got.to_json() == want.to_json(), (a, lam)
 
-    def test_acceptance_cases_list_once_per_level(self, monkeypatch):
-        # every level of acceptance criteria 2 and 3 is certified
-        listed = _count_listings(monkeypatch)
+    def test_acceptance_cases_count_once_per_level(self, monkeypatch):
+        # every level of acceptance criteria 2 and 3 is certified: its left
+        # side is counted once, and only B.1's degree-zero check lists
+        listed, counted = _record_walks(monkeypatch)
         for a in GRID:
             for lam in LAMBDAS_B:
+                alg = extended_rees_cone(a)
+                ext = multiplier_module_principal(alg, alg.t_inverse(), lam)
+                rees = multiplier_module_general(rees_cone(a), rees_ideal_generators(a), lam)
                 listed.clear()
-                assert len(verify_theoremB_T(a, lam, (-3, 6)).per_k) == len(listed) == 10
+                counted.clear()
+                assert len(verify_theoremB_T(a, lam, (-3, 6)).per_k) == 10
+                assert listed == []
+                assert counted == [graded_piece(ext, k).system for k in range(-3, 7)]
                 listed.clear()
-                # and one listing for degreeZeroEmpty
-                assert len(verify_theoremB_S(a, lam, (0, 5)).per_k) + 1 == len(listed) == 7
+                counted.clear()
+                assert len(verify_theoremB_S(a, lam, (0, 5)).per_k) == 6
+                assert listed == [graded_piece(rees, 0).system]
+                assert counted == [graded_piece(rees, k).system for k in range(1, 7)]
 
 
 class TestSymbolicThresholdIdentity:
