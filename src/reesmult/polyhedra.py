@@ -577,7 +577,14 @@ def _narrow(lo, hi, a, r):
 
 
 def _walk(system: ThresholdSystem, box, max_points, count: bool):
-    """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``."""
+    """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``.
+
+    The walk fixes coordinates in order; ``rs[ci]`` is what row ci still needs
+    from the free coordinates.  A subtree's count depends only on its depth
+    and ``rs``, not on the prefix, so count mode memoises it for this call.  A
+    residual at most ``smin``, the least the free coordinates can add to its
+    row in the box, means the row holds on the whole subtree: every such
+    residual gives the same count, and the key holds None for it."""
     bounds = tuple((int(lo), int(hi)) for lo, hi in box)
     if len(bounds) != system.rank:
         raise DomainError("box length does not match system rank")
@@ -598,49 +605,56 @@ def _walk(system: ThresholdSystem, box, max_points, count: bool):
     last = system.rank - 1
     last_lo, last_hi = bounds[last]
     ws = [w for w, _ in system.constraints]
-    ts = [t for _, t in system.constraints]
-    # smax[ci][d]: the most that coordinates d.. can add to constraint ci
-    most = [[max(e * lo, e * hi) for e, (lo, hi) in zip(w, bounds)] for w in ws]
-    smax = [[sum(m[d:]) for d in range(last + 1)] for m in most]
-    out = []  # the runs, or the point count of each block of lines
+    # smax[ci][d], smin[ci][d]: the most and least coordinates d.. can add to row ci
+    ends = [[sorted((e * lo, e * hi)) for e, (lo, hi) in zip(w, bounds)] for w in ws]
+    smax = [[sum(hi for _, hi in m[d:]) for d in range(last + 1)] for m in ends]
+    smin = [[sum(lo for lo, _ in m[d:]) for d in range(last + 1)] for m in ends]
+    runs, memo = [], {}
 
-    def rec(depth, prefix, partials):
+    def rec(depth, prefix, rs):
+        if count:
+            key = (depth, *[r if r > s[depth] else None for r, s in zip(rs, smin)])
+            if key in memo:
+                return memo[key]
         vlo, vhi = bounds[depth]
         if depth < last - 1:
             # the values of this coordinate whose subtree can meet the set
-            for w, t, p, s in zip(ws, ts, partials, smax):
-                vlo, vhi = _narrow(vlo, vhi, w[depth], t - p - s[depth + 1])
+            for w, r, s in zip(ws, rs, smax):
+                vlo, vhi = _narrow(vlo, vhi, w[depth], r - s[depth + 1])
+            found = 0
             for v in range(vlo, vhi + 1):
-                rec(depth + 1, prefix + (v,), [p + w[depth] * v for p, w in zip(partials, ws)])
-            return
-        # the lines prefix + (v,): a constraint without the last coordinate
-        # narrows v, one without this coordinate bounds every line alike, and
-        # only the rest bound each line on its own
-        lo, hi, rows = last_lo, last_hi, []
-        for w, t, p in zip(ws, ts, partials):
-            wd, wl = w[depth], w[last]
-            if wl == 0:
-                vlo, vhi = _narrow(vlo, vhi, wd, t - p)
-            elif wd == 0:
-                lo, hi = _narrow(lo, hi, wl, t - p)
-            else:
-                rows.append((wd, wl, t - p))
-        if lo > hi:
-            return
-        vs = range(vlo, vhi + 1)
-        los, his = [lo] * len(vs), [hi] * len(vs)
-        for wd, wl, r in rows:
-            if wl > 0:
-                los = [max(lo, _ceil_div(r - wd * v, wl)) for lo, v in zip(los, vs)]
-            else:
-                his = [min(hi, (r - wd * v) // wl) for hi, v in zip(his, vs)]
-        if count:
-            out.append(sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi))
+                found += rec(depth + 1, prefix + (v,), [r - w[depth] * v for r, w in zip(rs, ws)])
         else:
-            out.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
+            # the lines prefix + (v,): a constraint without the last coordinate
+            # narrows v, one without this coordinate bounds every line alike,
+            # and only the rest bound each line on its own
+            lo, hi, rows = last_lo, last_hi, []
+            for w, r in zip(ws, rs):
+                wd, wl = w[depth], w[last]
+                if wl == 0:
+                    vlo, vhi = _narrow(vlo, vhi, wd, r)
+                elif wd == 0:
+                    lo, hi = _narrow(lo, hi, wl, r)
+                else:
+                    rows.append((wd, wl, r))
+            vs = range(vlo, vhi + 1) if lo <= hi else range(0)
+            los, his = [lo] * len(vs), [hi] * len(vs)
+            for wd, wl, r in rows:
+                if wl > 0:
+                    los = [max(lo, _ceil_div(r - wd * v, wl)) for lo, v in zip(los, vs)]
+                else:
+                    his = [min(hi, (r - wd * v) // wl) for hi, v in zip(his, vs)]
+            if count:
+                found = sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi)
+            else:
+                found = 0
+                runs.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
+        if count:
+            memo[key] = found
+        return found
 
-    rec(0, (), [0] * len(ws))
-    return sum(out) if count else out
+    found = rec(0, (), [t for _, t in system.constraints])
+    return found if count else runs
 
 
 def lattice_runs(system: ThresholdSystem, box, max_points=None):
@@ -659,7 +673,8 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
 
 def lattice_count(system: ThresholdSystem, box, max_points=None):
     """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box, max_points))``
-    from the same walk, checks and guard, with no run built."""
+    from the same walk, checks and guard, with no run built, and a subtree
+    counted once per distinct residual of its rows (see ``_walk``)."""
     return _walk(system, box, max_points, count=True)
 
 

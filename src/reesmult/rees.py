@@ -40,7 +40,7 @@ from .polyhedra import (
     compare_systems,
     dot,
     irredundant_facets,
-    lattice_runs,
+    lattice_count,
     points_plus_cone,
     homogeneous_rays,
 )
@@ -352,7 +352,7 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     """Graded decomposition of the Rees multiplier module.
 
     Levels are decided by ``compare_systems``, as in ``verify_theoremB_T``.
-    Also asserts, by listing it, that the t-degree-0 piece is empty in the
+    Also asserts, by counting it, that the t-degree-0 piece is empty in the
     box: the decomposition starts at t^1.
     """
     lam = as_fraction(lam)
@@ -369,7 +369,7 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
         rhs = decomposition_rhs_S(a, lam, n)
         count_l, count_r, witness = compare_systems(lhs.system, rhs.system, box)
         per_k.append(PerLevel(n + 1, count_l, count_r, witness is None, witness))
-    degree_zero_empty = not lattice_runs(graded_piece(module, 0).system, box)
+    degree_zero_empty = lattice_count(graded_piece(module, 0).system, box) == 0
     overall = all(p.equal for p in per_k) and degree_zero_empty
     return VerificationReport(
         theorem="B.1",

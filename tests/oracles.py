@@ -7,7 +7,8 @@ rank points of the generating set is componentwise below it, obtained
 by pushing any dominated point down to a boundary face), with exact
 one- and two-parameter interval elimination.  Interior membership is a
 strict rational comparison with no floor arithmetic anywhere.  Lattice
-sets are listed point by point over the whole box.
+sets are listed point by point over the whole box; one coordinate-sum
+row over a cube is counted by inclusion-exclusion instead.
 
 The second part is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.  The last
@@ -192,6 +193,16 @@ def brute_lattice_points(system, box):
         m for m in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
         if system.satisfies(m)
     ]
+
+
+def cube_count_at_least(n, upper, s):
+    """The number of points of [0, upper]^n with coordinate sum >= s, by
+    inclusion-exclusion over the coordinates forced above ``upper``: no walk."""
+    below = sum(
+        (-1) ** j * math.comb(n, j) * math.comb(s - 1 - j * (upper + 1) + n, n)
+        for j in range(n + 1) if s - 1 - j * (upper + 1) >= 0
+    )
+    return (upper + 1) ** n - below
 
 
 def first_mismatch(pts1, pts2):

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from reesmult import polyhedra
 from reesmult.errors import DomainError, ResourceLimitError
-from reesmult.ideals import OMEGA, MonomialModule, module_contains, systems_equal
+from reesmult.ideals import (
+    OMEGA,
+    MonomialModule,
+    default_box,
+    minimalize,
+    module_contains,
+    systems_equal,
+)
 from reesmult.polyhedra import (
     Cone,
     HalfSpace,
@@ -34,10 +41,12 @@ from reesmult.polyhedra import (
     scale,
     strict_interior_system,
 )
+from reesmult.rees import extended_rees_cone, graded_piece, multiplier_module_principal
 
 import oracles
 from oracles import (
     brute_lattice_points,
+    cube_count_at_least,
     dual_cone_by_two_runs,
     facet_rows_by_rank,
     first_mismatch,
@@ -562,6 +571,20 @@ class TestLatticeCount:
             )
             _check_count(system, box)
             _check_count(_shifted(rng, system), box)
+        # ranks 5 and 6, where the count memo keys subtrees on residuals;
+        # rows of 0/1 entries make many prefixes leave the same residuals
+        for _ in range(40):
+            rank = rng.randint(5, 6)
+            system = _random_system(rng, rank)
+            if rng.random() < 0.5:
+                sign = rng.choice((-1, 1))
+                row = tuple(sign * rng.randint(0, 1) for _ in range(rank))
+                system = ThresholdSystem(rank, system.constraints + ((row, rng.randint(-4, 4)),))
+            box = tuple(
+                (lo, lo + rng.randint(0, 2)) for lo in (rng.randint(-2, 1) for _ in range(rank))
+            )
+            _check_count(system, box)
+            _check_count(_shifted(rng, system), box)
 
     @pytest.mark.parametrize("system, box, want", [
         # rank 1, bounded from both sides
@@ -575,8 +598,21 @@ class TestLatticeCount:
         (ThresholdSystem(2, (((1, 1), 9),)), cube(2, 0, 3), 0),
         (ThresholdSystem(3, (((0, 0, 1), 7),)), cube(3, 0, 3), 0),
         (ThresholdSystem(3, (((2, -1, 3), 40),)), cube(3, -2, 2), 0),
+        # residuals on the memo clamp: after m1 = 2 the row needs exactly the
+        # least the rest can add (0), after m1 = 3 less; after m1 = 1 one more
+        (ThresholdSystem(4, (((1, 1, 1, 1), 2),)), cube(4, 0, 3), 251),
+        # a negative normal: the least the rest can add is -9 after m1, and
+        # m1 = 0 and m1 = 1 leave -10 and -9
+        (ThresholdSystem(4, (((-1, -1, -1, -1), -10),)), cube(4, 0, 3), 251),
+        (ThresholdSystem(5, (((1, 1, 1, 1, 1), 3), ((-1, -1, -1, -1, -1), -5))),
+         cube(5, 0, 2), 126),
+        # mixed signs over boxes below 0, where the least a coordinate can
+        # add differs from one coordinate to the next
+        (ThresholdSystem(5, (((-1, 2, -1, 1, 1), -1), ((1, 0, -2, 1, 0), -3))),
+         ((-2, 1), (-1, 1), (-1, 2), (0, 2), (-2, 0)), 270),
     ], ids=("rank_1", "rank_1_none", "prefix_only", "line_index_only", "infeasible",
-            "no_line_meets", "empty_on_every_line", "out_of_reach"))
+            "no_line_meets", "empty_on_every_line", "out_of_reach", "clamp_at_least",
+            "clamp_negative_normal", "clamp_two_sides", "clamp_mixed_signs"))
     def test_cases(self, system, box, want):
         assert _check_count(system, box) == want
 
@@ -617,13 +653,68 @@ class TestLatticeCount:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_property_against_oracle(self, data):
-        rank = data.draw(st.integers(1, 4))
+        rank = data.draw(st.integers(1, 6))
         normal = st.tuples(*[st.integers(-3, 3)] * rank)
         cons = data.draw(st.lists(st.tuples(normal, st.integers(-6, 8)), max_size=4))
+        span = 4 if rank <= 4 else 2  # at most 3**6 points for the brute-force count
         box = data.draw(st.lists(
-            st.tuples(st.integers(-3, 2), st.integers(0, 4)), min_size=rank, max_size=rank
+            st.tuples(st.integers(-3, 2), st.integers(0, span)), min_size=rank, max_size=rank
         ))
         _check_count(ThresholdSystem(rank, tuple(cons)), tuple((lo, lo + d) for lo, d in box))
+
+    @pytest.mark.parametrize("s", (-5, 0, 1, 7, 60, 61, 119, 120, 121))
+    def test_sum_rows_against_inclusion_exclusion(self, s, monkeypatch):
+        # [0, 20]^6 holds 85.8 M points, under the default guard and out of
+        # reach of a listing; the memo walks each residual of the row once
+        monkeypatch.delenv("REESMULT_MAX_POINTS", raising=False)
+        box = cube(6, 0, 20)
+        assert 21 ** 6 <= polyhedra.DEFAULT_POINT_GUARD
+        want = cube_count_at_least(6, 20, s)
+        assert lattice_count(ThresholdSystem(6, (((1,) * 6, s),)), box) == want
+        # the negated row: coordinate sums <= 120 - s, the mirror image
+        flipped = ThresholdSystem(6, (((-1,) * 6, s - 120),))
+        assert lattice_count(flipped, box) == want
+
+    def test_guard_on_a_countable_box(self, monkeypatch):
+        # the memo makes these boxes cheap to count; the guard still bounds
+        # their volume, with the message lattice_runs raises
+        monkeypatch.delenv("REESMULT_MAX_POINTS", raising=False)
+        row = ThresholdSystem(6, (((1,) * 6, 60),))
+        volume = 21 ** 6
+        for walk in (lattice_runs, lattice_count):
+            with pytest.raises(ResourceLimitError) as exc:
+                walk(row, cube(6, 0, 20), max_points=volume - 1)
+            assert str(exc.value) == f"box volume {volume} exceeds enumeration guard {volume - 1}"
+            with pytest.raises(ResourceLimitError) as exc:
+                walk(row, cube(6, 0, 21))
+            assert str(exc.value) == f"box volume {22 ** 6} exceeds enumeration guard {10 ** 8}"
+        assert lattice_count(row, cube(6, 0, 20), max_points=volume) == cube_count_at_least(6, 20, 60)
+
+    def test_count_narrows_far_less_than_listing(self, monkeypatch):
+        # the work the memo saves, as a count that does not depend on the
+        # host: the B.2 level systems of (x1..x4)^2 on their default box
+        a = minimalize([tuple(int(i == j) + int(i == k) for i in range(4))
+                        for j in range(4) for k in range(j, 4)], 4)
+        alg = extended_rees_cone(a)
+        calls = []
+        narrow = polyhedra._narrow
+
+        def counting(*args):
+            calls.append(None)
+            return narrow(*args)
+
+        monkeypatch.setattr(polyhedra, "_narrow", counting)
+        for lam in (Fraction(0), Fraction(1, 2), Fraction(5, 3)):
+            module = multiplier_module_principal(alg, alg.t_inverse(), lam)
+            box = default_box(a, lam + 6)
+            systems = [graded_piece(module, k).system for k in range(-3, 7)]
+            made = []
+            for walk in (lattice_runs, lattice_count):
+                calls.clear()
+                for system in systems:
+                    walk(system, box)
+                made.append(len(calls))
+            assert 5 * made[1] <= made[0], (lam, made)
 
 
 class TestThresholdSystem:

@@ -542,7 +542,9 @@ def test_decisions_list_no_runs(monkeypatch):
     def listing(*args, **kwargs):
         raise AssertionError("lattice_runs called")
 
-    monkeypatch.setattr("reesmult.rees.lattice_runs", listing)
+    # rees.py imports no lattice_runs now; patch it in case it comes back
+    monkeypatch.setattr("reesmult.rees.lattice_runs", listing, raising=False)
+    monkeypatch.setattr("reesmult.polyhedra.lattice_runs", listing)
     for a in (M_XY, M_XY2, M_XYZ, minimalize([(3, 0), (1, 1), (0, 2)])):
         for build in (extended_rees_cone, rees_cone):
             build.cache_clear()
@@ -554,8 +556,9 @@ def test_decisions_list_no_runs(monkeypatch):
 
 
 def _record_walks(monkeypatch):
-    """Patch ``lattice_runs``, where the verifiers and ``compare_systems`` call
-    it, and ``lattice_count`` to record the systems they list and count."""
+    """Patch ``lattice_runs``, where ``compare_systems`` calls it, and
+    ``lattice_count``, where the verifiers and ``compare_systems`` call it,
+    to record the systems they list and count."""
     listed, counted = [], []
 
     def listing(system, box, max_points=None):
@@ -566,9 +569,9 @@ def _record_walks(monkeypatch):
         counted.append(system)
         return lattice_count(system, box, max_points)
 
-    monkeypatch.setattr("reesmult.rees.lattice_runs", listing)
     monkeypatch.setattr("reesmult.polyhedra.lattice_runs", listing)
     monkeypatch.setattr("reesmult.polyhedra.lattice_count", counting)
+    monkeypatch.setattr("reesmult.rees.lattice_count", counting)
     return listed, counted
 
 
@@ -628,7 +631,8 @@ class TestTheoremBAgainstTwoListings:
 
     def test_acceptance_cases_count_once_per_level(self, monkeypatch):
         # every level of acceptance criteria 2 and 3 is certified: its left
-        # side is counted once, and only B.1's degree-zero check lists
+        # side is counted once, B.1's degree-zero piece is counted, and
+        # nothing is listed
         listed, counted = _record_walks(monkeypatch)
         for a in GRID:
             for lam in LAMBDAS_B:
@@ -643,8 +647,9 @@ class TestTheoremBAgainstTwoListings:
                 listed.clear()
                 counted.clear()
                 assert len(verify_theoremB_S(a, lam, (0, 5)).per_k) == 6
-                assert listed == [graded_piece(rees, 0).system]
-                assert counted == [graded_piece(rees, k).system for k in range(1, 7)]
+                assert listed == []
+                assert counted == [graded_piece(rees, k).system for k in range(1, 7)] + [
+                    graded_piece(rees, 0).system]
 
 
 class TestSymbolicThresholdIdentity:
