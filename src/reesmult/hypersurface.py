@@ -14,47 +14,45 @@ exactly one form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .polyhedra import ThresholdSystem, as_fraction, compare_systems
 from .rees import PerLevel, VerificationReport
+from .serialize import Record
 
 
-@dataclass(frozen=True)
-class LocalHypersurfaceModel:
+class LocalHypersurfaceModel(Record):
     """The ring k[x, y, s_1..s_n]/(xy - s_1^{a_1}...s_m^{a_m})."""
 
-    n: int
-    m: int
-    exps: tuple
+    __slots__ = ("n", "m", "exps")
 
-    def __post_init__(self):
-        if not (1 <= self.m <= self.n):
+    def __init__(self, n: int, m: int, exps):
+        if not (1 <= m <= n):
             raise DomainError("need 1 <= m <= n")
-        exps = tuple(int(e) for e in self.exps)
-        if len(exps) != self.m or any(e < 1 for e in exps):
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != m or any(e < 1 for e in exps):
             raise DomainError("need m positive exponents")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "exps", exps)
 
     def to_json(self):
         return {"n": self.n, "m": self.m, "exps": list(self.exps)}
 
 
-@dataclass(frozen=True)
-class LocalMonomial:
+class LocalMonomial(Record):
     """x^a y^b s^c in normal form (min(a, b) = 0, all exponents >= 0)."""
 
-    a: int
-    b: int
-    c: tuple
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0 or min(self.a, self.b) != 0:
+    def __init__(self, a: int, b: int, c):
+        if a < 0 or b < 0 or min(a, b) != 0:
             raise DomainError("monomial not in normal form: need min(a, b) = 0")
-        c = tuple(int(e) for e in self.c)
+        c = tuple(int(e) for e in c)
         if any(e < 0 for e in c):
             raise DomainError("negative s-exponent")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
 
@@ -67,14 +65,16 @@ def normal_form(model: LocalHypersurfaceModel, a: int, b: int, c) -> LocalMonomi
     return LocalMonomial(a - t, b - t, tuple(c))
 
 
-@dataclass(frozen=True)
-class DivisorData:
+class DivisorData(Record):
     """Rays/divisors of the model with canonical and x, y divisor coefficients."""
 
-    labels: tuple
-    canonical: tuple
-    div_x: tuple
-    div_y: tuple
+    __slots__ = ("labels", "canonical", "div_x", "div_y")
+
+    def __init__(self, labels, canonical, div_x, div_y):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "div_x", div_x)
+        object.__setattr__(self, "div_y", div_y)
 
 
 def divisor_data(model: LocalHypersurfaceModel) -> DivisorData:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,7 +24,7 @@ from .polyhedra import (
     newton_from_points,
     point_guard,
 )
-from .serialize import frac_str
+from .serialize import Record, frac_str
 
 OMEGA = "OMEGA"
 RING = "RING"
@@ -35,8 +34,7 @@ RING = "RING"
 CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Finitely many minimal monomial generators, identified by exponents.
 
     Generators are divisibility-minimal and sorted; the zero ideal is
@@ -45,17 +43,16 @@ class MonomialIdeal:
     check :attr:`is_unit`.
     """
 
-    nvars: int
-    generators: tuple
+    __slots__ = ("nvars", "generators")
 
-    def __post_init__(self):
-        if self.nvars < 1:
+    def __init__(self, nvars: int, generators):
+        if nvars < 1:
             raise DomainError("need at least one variable")
-        gens = tuple(sorted({tuple(int(e) for e in g) for g in self.generators}))
+        gens = tuple(sorted({tuple(int(e) for e in g) for g in generators}))
         if not gens:
             raise DomainError("zero ideal")
         for g in gens:
-            if len(g) != self.nvars:
+            if len(g) != nvars:
                 raise DomainError("generator length does not match nvars")
             if any(e < 0 for e in g):
                 raise DomainError("generator exponents must be nonnegative")
@@ -63,6 +60,7 @@ class MonomialIdeal:
             for h in gens:
                 if g != h and all(a <= b for a, b in zip(g, h)):
                     raise DomainError("generators not minimal; use minimalize()")
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -186,20 +184,20 @@ def is_normal(a: MonomialIdeal, bound=None) -> bool:
     return first_non_closed_power(a, bound) is None
 
 
-@dataclass(frozen=True)
-class MonomialModule:
+class MonomialModule(Record):
     """Monomial submodule of omega_R (all exponents >= 1) or of R (>= 0),
     cut out by a threshold system over the exponent lattice."""
 
-    nvars: int
-    system: ThresholdSystem
-    ambient: str
+    __slots__ = ("nvars", "system", "ambient")
 
-    def __post_init__(self):
-        if self.ambient not in (OMEGA, RING):
-            raise DomainError(f"unknown ambient {self.ambient!r}")
-        if self.system.rank != self.nvars:
+    def __init__(self, nvars: int, system: ThresholdSystem, ambient: str):
+        if ambient not in (OMEGA, RING):
+            raise DomainError(f"unknown ambient {ambient!r}")
+        if system.rank != nvars:
             raise DomainError("system rank does not match nvars")
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "ambient", ambient)
 
     def points(self, box):
         return lattice_points(self.system, box)
@@ -286,16 +284,18 @@ def default_box(a: MonomialIdeal, lam_max):
     return cube(a.nvars, 0, upper)
 
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(Record):
     """Jumping numbers of a within (0, lam_max], with a box to reproduce them."""
 
-    ideal: MonomialIdeal
-    lam_max: Fraction
-    jumps: tuple
-    candidates: tuple
-    box: tuple
-    warnings: tuple
+    __slots__ = ("ideal", "lam_max", "jumps", "candidates", "box", "warnings")
+
+    def __init__(self, ideal: MonomialIdeal, lam_max: Fraction, jumps, candidates, box, warnings):
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "lam_max", lam_max)
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "warnings", warnings)
 
     def to_json(self):
         return {

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, ParseError, ResourceLimitError
-from .serialize import frac_str, parse_rational
+from .serialize import Record, frac_str, parse_rational
 
 IntVec = tuple
 
@@ -184,16 +184,14 @@ def _homogenized(facets, rank):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Record):
     """Closed halfspace {x : <normal, x> >= threshold}, primitive integer normal."""
 
-    normal: IntVec
-    threshold: Fraction
+    __slots__ = ("normal", "threshold")
 
-    def __post_init__(self):
-        normal = tuple(int(e) for e in self.normal)
-        threshold = as_fraction(self.threshold)
+    def __init__(self, normal: IntVec, threshold: Fraction):
+        normal = tuple(int(e) for e in normal)
+        threshold = as_fraction(threshold)
         g = math.gcd(*(abs(e) for e in normal)) if normal else 0
         if g == 0:
             raise DomainError("zero vector has no primitive form")
@@ -218,8 +216,7 @@ def _sorted_facets(facets):
     return tuple(sorted(facets, key=lambda h: (h.normal, h.threshold)))
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Rational polyhedral cone: generating rays, optional facet halfspaces.
 
     ``rays`` is a generating set; for non-pointed cones it contains both
@@ -227,27 +224,26 @@ class Cone:
     are an H-representation when present.
     """
 
-    rank: int
-    rays: tuple = ()
-    facets: tuple = None
+    __slots__ = ("rank", "rays", "facets")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, rays=(), facets=None):
+        if rank < 1:
             raise DomainError("rank must be positive")
-        rays = tuple(sorted({primitive(r) for r in self.rays}))
+        rays = tuple(sorted({primitive(r) for r in rays}))
         for r in rays:
-            if len(r) != self.rank:
+            if len(r) != rank:
                 raise DomainError("ray length does not match rank")
-        object.__setattr__(self, "rays", rays)
-        if self.facets is not None:
-            facets = _sorted_facets(self.facets)
+        if facets is not None:
+            facets = _sorted_facets(facets)
             for h in facets:
                 if h.threshold != 0:
                     raise DomainError("cone facets must have threshold 0")
                 for r in rays:
                     if dot(h.normal, r) < 0:
                         raise DomainError("cone ray violates a declared facet")
-            object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "facets", facets)
 
     @property
     def strongly_convex(self) -> bool:
@@ -266,6 +262,7 @@ class Cone:
         return data
 
 
+@lru_cache(maxsize=None)
 def orthant(rank: int) -> Cone:
     units = [_unit(rank, i) for i in range(rank)]
     return Cone(rank, tuple(units), tuple(HalfSpace(u, Fraction(0)) for u in units))
@@ -337,39 +334,38 @@ def dual_cone(c: Cone) -> Cone:
     return Cone(c.rank, rays, tuple(HalfSpace(n, Fraction(0)) for n in kept))
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(Record):
     """Rational polyhedron conv(vertices) + recession cone, in facet form.
 
     ``irredundant`` is set only by constructors that certify the facet
     list minimal (and the polyhedron full-dimensional).
     """
 
-    rank: int
-    facets: tuple
-    vertices: tuple = None
-    recession: Cone = None
-    irredundant: bool = False
+    __slots__ = ("rank", "facets", "vertices", "recession", "irredundant")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, facets, vertices=None, recession: Cone = None,
+                 irredundant: bool = False):
+        if rank < 1:
             raise DomainError("rank must be positive")
-        facets = _sorted_facets(self.facets)
-        object.__setattr__(self, "facets", facets)
-        if self.vertices is not None:
-            verts = tuple(tuple(as_fraction(e) for e in v) for v in self.vertices)
-            for v in verts:
+        facets = _sorted_facets(facets)
+        if vertices is not None:
+            vertices = tuple(tuple(as_fraction(e) for e in v) for v in vertices)
+            for v in vertices:
                 d = math.lcm(*(e.denominator for e in v))
                 num = [e.numerator * (d // e.denominator) for e in v]
                 for h in facets:
                     if dot(h.normal, num) * h.threshold.denominator < h.threshold.numerator * d:
                         raise DomainError("declared vertex violates a facet")
-            object.__setattr__(self, "vertices", verts)
-        if self.recession is not None:
-            for r in self.recession.rays:
+        if recession is not None:
+            for r in recession.rays:
                 for h in facets:
                     if dot(h.normal, r) < 0:
                         raise DomainError("recession ray violates a facet direction")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "recession", recession)
+        object.__setattr__(self, "irredundant", irredundant)
 
     def full_dimensional(self) -> bool:
         """True iff a rational interior point exists (all facets strictly satisfiable)."""
@@ -460,8 +456,7 @@ def scale(p: Polyhedron, lam) -> Polyhedron:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdSystem:
+class ThresholdSystem(Record):
     """Finite conjunction of <normal, m> >= t with integer t, over Z^rank.
 
     Constraints are canonicalized: primitive normals (thresholds adjusted
@@ -470,18 +465,16 @@ class ThresholdSystem:
     and positive threshold marks the whole system infeasible.
     """
 
-    rank: int
-    constraints: tuple = ()
-    infeasible: bool = False
+    __slots__ = ("rank", "constraints", "infeasible")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, constraints=(), infeasible: bool = False):
+        if rank < 1:
             raise DomainError("rank must be positive")
         canon = {}
-        infeasible = bool(self.infeasible)
-        for normal, t in self.constraints:
+        infeasible = bool(infeasible)
+        for normal, t in constraints:
             normal = tuple(int(e) for e in normal)
-            if len(normal) != self.rank:
+            if len(normal) != rank:
                 raise DomainError("constraint length does not match rank")
             t = int(t)
             g = math.gcd(*(abs(e) for e in normal)) if normal else 0
@@ -494,6 +487,7 @@ class ThresholdSystem:
                 t = _ceil_div(t, g)
             if normal not in canon or t > canon[normal]:
                 canon[normal] = t
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "constraints", tuple(sorted(canon.items())))
         object.__setattr__(self, "infeasible", infeasible)
 
@@ -520,7 +514,11 @@ class ThresholdSystem:
         kept = [(w, t) for w, t in self.constraints if min(w) < 0 or sum(w) == 1
                 or any(e and i not in units for i, e in enumerate(w))
                 or t > sum(e * units[i] for i, e in enumerate(w) if e)]
-        return ThresholdSystem(self.rank, tuple(kept), self.infeasible)
+        out = object.__new__(ThresholdSystem)  # a subset of canonical rows is canonical
+        object.__setattr__(out, "rank", self.rank)
+        object.__setattr__(out, "constraints", tuple(kept))
+        object.__setattr__(out, "infeasible", self.infeasible)
+        return out
 
     def to_json(self):
         data = {

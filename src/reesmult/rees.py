@@ -14,7 +14,6 @@ level by level against the base-ring Newton computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,14 +43,13 @@ from .polyhedra import (
     points_plus_cone,
     homogeneous_rays,
 )
-from .serialize import frac_str
+from .serialize import Record, frac_str
 
 REES = "REES"
 EXTENDED_REES = "EXTENDED_REES"
 
 
-@dataclass(frozen=True)
-class GradedToricAlgebra:
+class GradedToricAlgebra(Record):
     """Cone model of a Rees-type algebra, graded by the last coordinate.
 
     ``cone`` is the H-representation of the dual cone (all thresholds 0,
@@ -59,11 +57,14 @@ class GradedToricAlgebra:
     cone, i.e. exactly the facet normals, in matching order.
     """
 
-    nvars: int
-    kind: str
-    cone: ThresholdSystem
-    rays: tuple
-    source: MonomialIdeal
+    __slots__ = ("nvars", "kind", "cone", "rays", "source")
+
+    def __init__(self, nvars: int, kind: str, cone: ThresholdSystem, rays, source: MonomialIdeal):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "source", source)
 
     @property
     def ambient_rank(self) -> int:
@@ -80,13 +81,15 @@ class GradedToricAlgebra:
         return data
 
 
-@dataclass(frozen=True)
-class GradedModuleSpec:
+class GradedModuleSpec(Record):
     """Graded monomial submodule over a Rees-type algebra."""
 
-    ambient_rank: int
-    system: ThresholdSystem
-    description: str
+    __slots__ = ("ambient_rank", "system", "description")
+
+    def __init__(self, ambient_rank: int, system: ThresholdSystem, description: str):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "description", description)
 
     def to_json(self):
         data = self.system.to_json()
@@ -94,13 +97,15 @@ class GradedModuleSpec:
         return data
 
 
-@dataclass(frozen=True)
-class PerLevel:
-    k: int
-    lhs_count: int
-    rhs_count: int
-    equal: bool
-    witness: tuple | None
+class PerLevel(Record):
+    __slots__ = ("k", "lhs_count", "rhs_count", "equal", "witness")
+
+    def __init__(self, k: int, lhs_count: int, rhs_count: int, equal: bool, witness):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lhs_count", lhs_count)
+        object.__setattr__(self, "rhs_count", rhs_count)
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self):
         return {
@@ -112,18 +117,21 @@ class PerLevel:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Per-level comparison of two independently computed graded modules."""
 
-    theorem: str
-    subject: dict
-    lam: Fraction
-    k_range: tuple
-    box: tuple
-    per_k: tuple
-    overall: bool
-    details: dict
+    __slots__ = ("theorem", "subject", "lam", "k_range", "box", "per_k", "overall", "details")
+
+    def __init__(self, theorem: str, subject: dict, lam: Fraction, k_range, box, per_k,
+                 overall: bool, details: dict):
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "k_range", k_range)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "per_k", per_k)
+        object.__setattr__(self, "overall", overall)
+        object.__setattr__(self, "details", details)
 
     def to_json(self):
         data = {

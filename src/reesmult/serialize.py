@@ -1,4 +1,5 @@
-"""Rationals as "p/q" strings and deterministic JSON output.
+"""Rationals as "p/q" strings, deterministic JSON output, and ``Record``,
+the base of the immutable value classes.
 
 No floats cross any I/O boundary: every rational is a string "p/q"
 (or just "p" when the denominator is 1), and JSON is emitted with
@@ -10,10 +11,41 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+class Record:
+    """Immutable value over the fields ``__slots__``, compared, hashed and shown
+    field-wise; subclasses set each field once in ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def frac_str(value) -> str:

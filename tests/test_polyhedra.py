@@ -199,6 +199,15 @@ class TestIrredundantFacets:
 
 
 class TestNewtonFromPoints:
+    def test_orthant_built_once_per_rank(self):
+        for rank in range(1, 6):
+            units = [_unit(rank, i) for i in range(rank)]
+            fresh = Cone(rank, tuple(units), tuple(HalfSpace(u, Fraction(0)) for u in units))
+            assert polyhedra.orthant(rank) is polyhedra.orthant(rank)
+            assert polyhedra.orthant(rank) == fresh
+        with pytest.raises(DomainError):
+            polyhedra.orthant(0)
+
     def test_x2_y3(self):
         p = newton_from_points([(2, 0), (0, 3)], 2)
         assert facet_pairs(p) == [
@@ -785,6 +794,20 @@ class TestReduced:
             box = cube(rank, -3, 4)
             assert brute_lattice_points(reduced, box) == brute_lattice_points(system, box), system
         assert dropped >= 50
+
+    def test_equals_the_constructed_system(self):
+        # reduced() sets its rows without the constructor; on the same 400
+        # systems, and on an infeasible one, it builds the constructor's value
+        rng = random.Random(4100)
+        systems = [_unit_heavy_system(rng, rng.randint(1, 3)) for _ in range(400)]
+        systems.append(ThresholdSystem(2, (((1, 0), 0), ((0, 1), 1), ((0, 0), 1))))
+        for system in systems:
+            reduced = system.reduced()
+            built = ThresholdSystem(system.rank, reduced.constraints, system.infeasible)
+            assert type(reduced) is ThresholdSystem
+            assert (reduced.rank, reduced.constraints, reduced.infeasible) == (
+                built.rank, built.constraints, built.infeasible), system
+            assert reduced == built and hash(reduced) == hash(built)
 
     def test_differing_systems_never_certified(self):
         # the second system is the first with one row more, often one a

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -26,6 +25,7 @@ from reesmult.polyhedra import (
 )
 from reesmult.rees import (
     EXTENDED_REES,
+    GradedToricAlgebra,
     _graded_newton,
     _validate_slices,
     canonical_module,
@@ -150,7 +150,8 @@ class TestSliceOracle:
         for i, step in shifts:
             w, t = rows[i]
             shifted = rows[:i] + ((w, t + step),) + rows[i + 1:]
-            bad = dataclasses.replace(alg, cone=ThresholdSystem(alg.ambient_rank, shifted))
+            bad = GradedToricAlgebra(alg.nvars, alg.kind, ThresholdSystem(alg.ambient_rank, shifted),
+                                     alg.rays, alg.source)
             with pytest.raises(AssertionError, match="does not match a\\^"):
                 _validate_slices(bad)
 
@@ -175,7 +176,9 @@ class TestSliceOracle:
                 rows = alg.cone.constraints
                 for (i, (w, t)), step in itertools.product(enumerate(rows), (1, -1)):
                     shifted = rows[:i] + ((w, t + step),) + rows[i + 1:]
-                    bad = dataclasses.replace(alg, cone=ThresholdSystem(alg.ambient_rank, shifted))
+                    bad = GradedToricAlgebra(alg.nvars, alg.kind,
+                                             ThresholdSystem(alg.ambient_rank, shifted),
+                                             alg.rays, alg.source)
                     checks = (_validate_slices, validate_slices_by_runs, validate_slices_reference)
                     verdicts = []
                     for check in checks if step == 1 else checks[:2]:
