@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .polyhedra import ThresholdSystem, as_fraction, compare_systems
+from .polyhedra import ThresholdSystem, as_fraction, as_ints, compare_systems
 from .rees import PerLevel, VerificationReport
 from .serialize import Record
 
@@ -29,7 +29,7 @@ class LocalHypersurfaceModel(Record):
     def __init__(self, n: int, m: int, exps):
         if not (1 <= m <= n):
             raise DomainError("need 1 <= m <= n")
-        exps = tuple(int(e) for e in exps)
+        exps = as_ints(exps)
         if len(exps) != m or any(e < 1 for e in exps):
             raise DomainError("need m positive exponents")
         object.__setattr__(self, "n", n)
@@ -48,7 +48,7 @@ class LocalMonomial(Record):
     def __init__(self, a: int, b: int, c):
         if a < 0 or b < 0 or min(a, b) != 0:
             raise DomainError("monomial not in normal form: need min(a, b) = 0")
-        c = tuple(int(e) for e in c)
+        c = as_ints(c)
         if any(e < 0 for e in c):
             raise DomainError("negative s-exponent")
         object.__setattr__(self, "a", a)
@@ -59,7 +59,7 @@ class LocalMonomial(Record):
 def normal_form(model: LocalHypersurfaceModel, a: int, b: int, c) -> LocalMonomial:
     """Rewrite xy -> f until one of the x/y exponents vanishes."""
     t = min(a, b)
-    c = list(int(e) for e in c)
+    c = list(as_ints(c))
     for i in range(model.m):
         c[i] += t * model.exps[i]
     return LocalMonomial(a - t, b - t, tuple(c))
@@ -143,7 +143,7 @@ def snc_multiplier_section(model: LocalHypersurfaceModel, cprime, mu) -> bool:
     exponent mu: c'_i >= 1 + floor(mu * a_i) for i <= m and c'_i >= 1
     past m; for mu <= 0 only the canonical-module condition c' >= 1."""
     mu = as_fraction(mu)
-    cprime = tuple(int(e) for e in cprime)
+    cprime = as_ints(cprime)
     if any(e < 0 for e in cprime):
         raise DomainError("negative exponent")
     if mu <= 0:

@@ -18,6 +18,7 @@ from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
     as_fraction,
+    as_ints,
     cube,
     lattice_points,
     lattice_runs,
@@ -48,7 +49,7 @@ class MonomialIdeal(Record):
     def __init__(self, nvars: int, generators):
         if nvars < 1:
             raise DomainError("need at least one variable")
-        gens = tuple(sorted({tuple(int(e) for e in g) for g in generators}))
+        gens = tuple(sorted({as_ints(g) for g in generators}))
         if not gens:
             raise DomainError("zero ideal")
         for g in gens:
@@ -79,7 +80,7 @@ class MonomialIdeal(Record):
 
 def minimalize(gens, nvars=None) -> MonomialIdeal:
     """Drop divisible generators and build the ideal; idempotent."""
-    gens = [tuple(int(e) for e in g) for g in gens]
+    gens = [as_ints(g) for g in gens]
     if not gens:
         raise DomainError("zero ideal")
     if nvars is None:
@@ -347,7 +348,7 @@ def jumping_numbers(a: MonomialIdeal, lam_max) -> JumpReport:
         for w, c in facets:
             bound = lam * c
             if bound.denominator == 1 and bound >= sum(w):
-                rows = below + [(tuple(-e for e in w), -bound)]
+                rows = below + [(tuple(-e for e in w), -bound.numerator)]
                 box = tuple((1, bound // e) if e else (top, top) for e in w)
                 if lattice_runs(ThresholdSystem(a.nvars, rows), box):
                     jumps.append(lam)

@@ -23,6 +23,7 @@ no rank is computed and no row is reduced over the rationals.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -58,18 +59,24 @@ def as_fraction(value) -> Fraction:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
+
+
+def as_ints(v) -> IntVec:
+    """The ints of ``v`` as a tuple; floats and fractions are refused, never truncated."""
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise DomainError(f"not a vector of integers: {v!r}") from None
 
 
 def primitive(v) -> IntVec:
     """Divide an integer vector by the gcd of its entries, keeping direction."""
-    vec = tuple(int(e) for e in v)
-    g = math.gcd(*(abs(e) for e in vec)) if vec else 0
+    vec = as_ints(v)
+    g = math.gcd(*vec)
     if g == 0:
         raise DomainError("zero vector has no primitive form")
-    if g == 1:
-        return vec
-    return tuple(e // g for e in vec)
+    return vec if g == 1 else tuple([e // g for e in vec])
 
 
 def _unit(rank, i):
@@ -92,7 +99,11 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _combine(a, u, b, v):
     """Primitive form of the nonzero integer vector a*u + b*v."""
-    return primitive([a * x + b * y for x, y in zip(u, v)])
+    w = [a * x + b * y for x, y in zip(u, v)]
+    g = math.gcd(*w)
+    if g == 0:
+        raise DomainError("zero vector has no primitive form")
+    return tuple(w) if g == 1 else tuple([e // g for e in w])
 
 
 def _dd(rows, rank):
@@ -190,13 +201,13 @@ class HalfSpace(Record):
     __slots__ = ("normal", "threshold")
 
     def __init__(self, normal: IntVec, threshold: Fraction):
-        normal = tuple(int(e) for e in normal)
+        normal = as_ints(normal)
         threshold = as_fraction(threshold)
-        g = math.gcd(*(abs(e) for e in normal)) if normal else 0
+        g = math.gcd(*normal)
         if g == 0:
             raise DomainError("zero vector has no primitive form")
         if g > 1:
-            normal = tuple(e // g for e in normal)
+            normal = tuple([e // g for e in normal])
             threshold = threshold / g
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "threshold", threshold)
@@ -313,7 +324,7 @@ def dual_cone(c: Cone) -> Cone:
     facets; one ``_dd`` of c's rays gives both unless the dual has lineality."""
     if c.rank > MAX_DUAL_RANK:
         raise ResourceLimitError(f"rank {c.rank} exceeds dualization guard {MAX_DUAL_RANK}")
-    kept = sorted({primitive(r) for r in c.rays})
+    kept = c.rays  # sorted, unique and primitive since Cone.__init__
     lin, rays, zeros = _dd(kept, c.rank)
     facets = _facet_rows(kept, c.rank, zeros)
     if facets is not None:
@@ -406,7 +417,7 @@ def points_plus_cone(points, recession: Cone, rank: int) -> Polyhedron:
     full-dimensional.  Points are integer vectors; all thresholds come
     out integral because every facet contains a generating point.
     """
-    pts = sorted({tuple(int(e) for e in p) for p in points})
+    pts = sorted({as_ints(p) for p in points})
     if not pts:
         raise DomainError("no generating points")
     rows = [r + (0,) for r in recession.rays] + [p + (-1,) for p in pts]
@@ -473,17 +484,16 @@ class ThresholdSystem(Record):
         canon = {}
         infeasible = bool(infeasible)
         for normal, t in constraints:
-            normal = tuple(int(e) for e in normal)
+            normal, (t,) = as_ints(normal), as_ints((t,))
             if len(normal) != rank:
                 raise DomainError("constraint length does not match rank")
-            t = int(t)
-            g = math.gcd(*(abs(e) for e in normal)) if normal else 0
+            g = math.gcd(*normal)
             if g == 0:
                 if t > 0:
                     infeasible = True
                 continue
             if g > 1:
-                normal = tuple(e // g for e in normal)
+                normal = tuple([e // g for e in normal])
                 t = _ceil_div(t, g)
             if normal not in canon or t > canon[normal]:
                 canon[normal] = t

@@ -36,6 +36,7 @@ from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
     as_fraction,
+    as_ints,
     compare_systems,
     dot,
     irredundant_facets,
@@ -219,7 +220,7 @@ def canonical_module(alg: GradedToricAlgebra) -> GradedModuleSpec:
 
 def principal_divisor_pairings(alg: GradedToricAlgebra, u) -> list:
     """Pairings <u, v_i> over the rays v_i; the divisor of the monomial x^u."""
-    u = tuple(int(e) for e in u)
+    u = as_ints(u)
     if len(u) != alg.ambient_rank:
         raise DomainError("exponent length does not match ambient rank")
     pairings = [dot(u, v) for v in alg.rays]
@@ -267,7 +268,7 @@ def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModul
     lam = as_fraction(lam)
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
-    gens = tuple(sorted({tuple(int(e) for e in g) for g in gens}))
+    gens = tuple(sorted({as_ints(g) for g in gens}))
     for g in gens:
         if len(g) != alg.ambient_rank:
             raise DomainError("generator length does not match ambient rank")

@@ -50,7 +50,7 @@ class Record:
 
 def frac_str(value) -> str:
     """Format an exact rational as "p/q" ("p" when q = 1)."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -13,13 +13,15 @@ row over a cube is counted by inclusion-exclusion instead.
 The second part is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.  The last
 part keeps former library routines verbatim as references for the ones
-that replaced them: the ``Fraction`` row reduction with its kernel basis
-and the ray listing built on it, the ``Fraction`` rank test for facets and
-full-dimensionality, the quadratic ``minimalize``, the point-by-point
-local verifier, the closure-based normality test, the generator-based
-and the run-based cone slice checks, the box test of pair rationality,
-the box scan for jumping numbers, the two-listing B.1, B.2 and local
-verifiers, and the dual cone with a second double description for its rays.
+that replaced them: the generator-based integer helpers ``dot``,
+``primitive``, ``_combine`` and ``frac_str``, the ``Fraction`` row
+reduction with its kernel basis and the ray listing built on it, the
+``Fraction`` rank test for facets and full-dimensionality, the quadratic
+``minimalize``, the point-by-point local verifier, the closure-based
+normality test, the generator-based and the run-based cone slice checks,
+the box test of pair rationality, the box scan for jumping numbers, the
+two-listing B.1, B.2 and local verifiers, and the dual cone with a
+second double description for its rays.
 """
 
 from __future__ import annotations
@@ -472,6 +474,34 @@ def fm_newton_from_points(points, rank: int) -> Polyhedron:
 # ---------------------------------------------------------------------------
 # Former library routines, kept verbatim as differential references.
 # ---------------------------------------------------------------------------
+
+
+def dot_reference(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def primitive_reference(v):
+    """Divide an integer vector by the gcd of its entries, keeping direction."""
+    vec = tuple(int(e) for e in v)
+    g = math.gcd(*(abs(e) for e in vec)) if vec else 0
+    if g == 0:
+        raise DomainError("zero vector has no primitive form")
+    if g == 1:
+        return vec
+    return tuple(e // g for e in vec)
+
+
+def combine_reference(a, u, b, v):
+    """Primitive form of the nonzero integer vector a*u + b*v."""
+    return primitive_reference([a * x + b * y for x, y in zip(u, v)])
+
+
+def frac_str_reference(value) -> str:
+    """Format an exact rational as "p/q" ("p" when q = 1)."""
+    f = Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
 
 
 def _rref(rows):

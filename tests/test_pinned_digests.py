@@ -25,7 +25,7 @@ sys.dont_write_bytecode = write_bytecode
 
 VERIFY_REPLAYED = 800  # every pinned verify job
 CLI_REPLAYED = 200  # of the 800 pinned cli jobs
-FACETS_REPLAYED = 800  # of the 16000 pinned facets jobs: 100 per class
+FACETS_REPLAYED = 3200  # of the 16000 pinned facets jobs: 400 per class
 
 
 def test_facets_jobs_match_pins():

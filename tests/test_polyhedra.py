@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from reesmult import polyhedra
 from reesmult.errors import DomainError, ResourceLimitError
+from reesmult.hypersurface import LocalHypersurfaceModel
 from reesmult.ideals import (
     OMEGA,
+    MonomialIdeal,
     MonomialModule,
     default_box,
     minimalize,
@@ -42,6 +44,7 @@ from reesmult.polyhedra import (
     strict_interior_system,
 )
 from reesmult.rees import extended_rees_cone, graded_piece, multiplier_module_principal
+from reesmult.serialize import frac_str
 
 import oracles
 from oracles import (
@@ -92,6 +95,92 @@ class TestHalfSpace:
     def test_rejects_floats(self):
         with pytest.raises(DomainError):
             HalfSpace((1, 0), 0.5)
+
+
+def _int_vector(rng, rank):
+    """Entries mixing zeros, small values of either sign and values above 2**64,
+    sometimes all scaled by a common factor so the gcd exceeds 1."""
+    pick = (lambda: 0, lambda: rng.randint(-9, 9),
+            lambda: rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 80))
+    vec = [rng.choice(pick)() for _ in range(rank)]
+    factor = rng.choice((1, 1, 6, -4, 2 ** 65))
+    return tuple(e * factor for e in vec)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+class TestIntegerHelpersAgainstReferences:
+    """``dot``, ``primitive``, ``_combine`` and ``frac_str`` give what their
+    generator-based predecessors in ``oracles`` give, on every integer input."""
+
+    def test_dot_primitive_and_combine(self):
+        rng = random.Random(14)
+        for trial in range(3000):
+            rank = 1 + trial % 6
+            u, v = _int_vector(rng, rank), _int_vector(rng, rank)
+            a, b = rng.randint(-7, 7), rng.choice((rng.randint(-7, 7), 2 ** 70 + 1))
+            if trial % 10 == 0:  # a*u + b*v = 0
+                v, b = u, -a
+            assert dot(u, v) == oracles.dot_reference(u, v)
+            for w in (u, list(v)):
+                assert _outcome(primitive, w) == _outcome(oracles.primitive_reference, w)
+            assert (_outcome(polyhedra._combine, a, u, b, v)
+                    == _outcome(oracles.combine_reference, a, u, b, v))
+        assert _outcome(primitive, ()) == _outcome(oracles.primitive_reference, ())
+
+    def test_results_are_int_tuples(self):
+        for out in (primitive([4, -6, 2 ** 66]), primitive((True, False)),
+                    polyhedra._combine(3, (1, 2), -1, (3, 0))):
+            assert type(out) is tuple and all(type(e) is int for e in out)
+
+    def test_frac_str(self):
+        rng = random.Random(15)
+        values = [True, False, 0, -1, 2 ** 70, Fraction(6, 3), Fraction(-5, 2),
+                  Fraction(0), Fraction(2 ** 65 + 1, 2 ** 64), "7/14"]
+        values += [rng.randint(-2 ** 70, 2 ** 70) for _ in range(300)]
+        values += [Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 12))
+                   for _ in range(300)]
+        for x in values:
+            assert frac_str(x) == oracles.frac_str_reference(x), x
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ThresholdSystem(2, [((1, 1), Fraction(5, 2))]),
+    lambda: ThresholdSystem(2, [((1, 1), Fraction(3))]),
+    lambda: ThresholdSystem(2, [((1, 1), 2.0)]),
+    lambda: ThresholdSystem(2, [((0.5, 1), 1)]),
+    lambda: HalfSpace((0.5, 1), 0),
+    lambda: HalfSpace((Fraction(1, 2), 1), 0),
+    lambda: Cone(2, [(0.9, 1)]),
+    lambda: Cone(2, [(1, 1)], (HalfSpace((1, 0.0), 0),)),
+    lambda: primitive((1.5, 2)),
+    lambda: primitive((Fraction(2), 4)),
+    lambda: primitive("12"),
+    lambda: newton_from_points([(0.5, 1)], 2),
+    lambda: minimalize([(1.0, 2)]),
+    lambda: MonomialIdeal(2, [(1, Fraction(2))]),
+    lambda: LocalHypersurfaceModel(1, 1, (1.5,)),
+    lambda: multiplier_module_principal(
+        extended_rees_cone(minimalize([(1, 0), (0, 1)])), (1.5, 0, 0), 1),
+], ids=["fraction-threshold", "integral-fraction-threshold", "float-threshold",
+        "float-normal", "halfspace-float", "halfspace-fraction", "cone-ray",
+        "cone-facet", "primitive-float", "primitive-fraction", "primitive-str",
+        "newton-point", "minimalize", "monomial-ideal", "hypersurface-exps",
+        "rees-exponent"])
+def test_integer_constructors_refuse_non_integers(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_integer_constructors_take_bools_as_ints():
+    assert ThresholdSystem(2, [((True, 2), False)]) == ThresholdSystem(2, [((1, 2), 0)])
+    assert HalfSpace((False, True), 1) == HalfSpace((0, 1), 1)
+    assert Cone(2, [(True, 0)]).rays == ((1, 0),)
 
 
 class TestDualCone:
