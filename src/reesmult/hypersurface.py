@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .polyhedra import ThresholdSystem, as_fraction, as_ints, compare_systems
+from .polyhedra import ThresholdSystem, as_fraction, as_ints, compare_systems, unit_vectors
 from .rees import PerLevel, VerificationReport
 from .serialize import Record
 
@@ -188,7 +188,7 @@ def verify_local_decomposition(
     if box_c is None:
         box_c = max(model.exps) * box_deg + 2
     lo, hi = k_range
-    units = [tuple(int(i == j) for j in range(model.n)) for i in range(model.n)]
+    units = unit_vectors(model.n)
     rest = [1] * (model.n - model.m)
     per_k = []
     inconclusive = []

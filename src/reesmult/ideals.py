@@ -24,6 +24,7 @@ from .polyhedra import (
     lattice_runs,
     newton_from_points,
     point_guard,
+    unit_vectors,
 )
 from .serialize import Record, frac_str
 
@@ -221,9 +222,7 @@ class MonomialModule(Record):
 
 def omega_module(nvars: int) -> MonomialModule:
     """The canonical module omega_R = all exponents >= 1."""
-    units = tuple(
-        (tuple(1 if j == i else 0 for j in range(nvars)), 1) for i in range(nvars)
-    )
+    units = tuple((u, 1) for u in unit_vectors(nvars))
     return MonomialModule(nvars, ThresholdSystem(nvars, units), OMEGA)
 
 

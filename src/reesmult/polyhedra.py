@@ -79,8 +79,9 @@ def primitive(v) -> IntVec:
     return vec if g == 1 else tuple([e // g for e in vec])
 
 
-def _unit(rank, i):
-    return tuple(1 if j == i else 0 for j in range(rank))
+def unit_vectors(rank):
+    """The unit vectors e_1, ..., e_rank, in that order."""
+    return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
 
 
 def _neg(v):
@@ -120,7 +121,7 @@ def _dd(rows, rank):
     Returns the lineality basis, the rays and, per ray, the bitmask of the
     rows that vanish on it.
     """
-    lin = [_unit(rank, i) for i in range(rank)]
+    lin = unit_vectors(rank)
     rays = []  # (ray, bitmask of the rows added so far that vanish on it)
     for i, a in enumerate(rows):
         bit = 1 << i
@@ -187,7 +188,7 @@ def _homogenized(facets, rank):
     """
     rows = [tuple(e * h.threshold.denominator for e in h.normal) + (-h.threshold.numerator,)
             for h in facets]
-    return rows + [_unit(rank + 1, rank)]
+    return rows + unit_vectors(rank + 1)[-1:]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ class Cone(Record):
 
 @lru_cache(maxsize=None)
 def orthant(rank: int) -> Cone:
-    units = [_unit(rank, i) for i in range(rank)]
+    units = unit_vectors(rank)
     return Cone(rank, tuple(units), tuple(HalfSpace(u, Fraction(0)) for u in units))
 
 
@@ -593,7 +594,7 @@ def _walk(system: ThresholdSystem, box, max_points, count: bool):
     residual at most ``smin``, the least the free coordinates can add to its
     row in the box, means the row holds on the whole subtree: every such
     residual gives the same count, and the key holds None for it."""
-    bounds = tuple((int(lo), int(hi)) for lo, hi in box)
+    bounds = tuple(map(as_ints, box))
     if len(bounds) != system.rank:
         raise DomainError("box length does not match system rank")
     for lo, hi in bounds:
@@ -672,7 +673,8 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
 
     A constraint bounds v from one side, or tests the prefix alone when its
     last entry is 0, so each line meets the set in one interval, whatever the
-    system.  ``box`` is one (lo, hi) pair per coordinate.  The box volume
+    system.  ``box`` is one (lo, hi) pair of integers per coordinate; other
+    bounds are refused, never truncated.  The box volume
     guard (default 10**8, override via REESMULT_MAX_POINTS or ``max_points``)
     bounds the search space, not the output.
     """

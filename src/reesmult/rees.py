@@ -35,14 +35,15 @@ from .polyhedra import (
     HalfSpace,
     Polyhedron,
     ThresholdSystem,
+    _facet_rows,
     as_fraction,
     as_ints,
     compare_systems,
     dot,
-    irredundant_facets,
     lattice_count,
     points_plus_cone,
     homogeneous_rays,
+    unit_vectors,
 )
 from .serialize import Record, frac_str
 
@@ -154,10 +155,11 @@ class VerificationReport(Record):
 def _validate_slices(alg: GradedToricAlgebra):
     """Level k of the cone must cut out a^k on all of Z^n: its reduced system
     must be that of {<w, m> >= k c} over the Newton facets of a for k >= 1
-    (``_build_algebra`` compared those points with a^k), of the orthant for k <= 0."""
+    (``extended_rees_cone`` compared those points with a^k), of the orthant
+    for k <= 0."""
     a, n = alg.source, alg.nvars
     facets = [(h.normal, int(h.threshold)) for h in newton(a).facets]
-    units = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    units = [(u, 0) for u in unit_vectors(n)]
     for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
         want = ThresholdSystem(n, tuple([(w, k * c) for w, c in facets] if k >= 1 else units))
         if alg.cone.substitute_last(k).reduced() != want.reduced():
@@ -167,32 +169,12 @@ def _validate_slices(alg: GradedToricAlgebra):
             )
 
 
-def _cone_rows(a: MonomialIdeal, extra_k_row: bool):
-    n = a.nvars
-    rows = [(tuple(1 if j == i else 0 for j in range(n)) + (0,), 0) for i in range(n)]
-    for w, c in newton_positive_facets(a):
-        rows.append((w + (-c,), 0))
-    if extra_k_row:
-        rows.append(((0,) * n + (1,), 0))
-    return rows
-
-
-def _build_algebra(a: MonomialIdeal, kind: str) -> GradedToricAlgebra:
-    k = first_non_closed_power(a, max(a.nvars - 1, 3))  # and each power the slice check reads
-    if k is not None:
-        raise DomainError(
-            "extended Rees algebra is not toric: ideal not normal "
-            f"(closure differs at power {k})"
-        )
-    rows = _cone_rows(a, extra_k_row=(kind == REES))
-    poly = Polyhedron(
-        a.nvars + 1,
-        tuple(HalfSpace(w, Fraction(t)) for w, t in rows),
-    )
-    poly = irredundant_facets(poly)
-    system = ThresholdSystem(a.nvars + 1, tuple((h.normal, 0) for h in poly.facets))
-    rays = system.normals()
-    alg = GradedToricAlgebra(a.nvars, kind, system, rays, a)
+def _cone_model(a: MonomialIdeal, kind: str, rows) -> GradedToricAlgebra:
+    """The model of a on the full-dimensional cone {x : <r, x> >= 0 for r in
+    rows}: its facet rows, read off one ``_dd``, then checked slice by slice."""
+    rows = [rows[i] for i in _facet_rows(rows, a.nvars + 1)]
+    system = ThresholdSystem(a.nvars + 1, tuple((w, 0) for w in rows))
+    alg = GradedToricAlgebra(a.nvars, kind, system, system.normals(), a)
     _validate_slices(alg)
     return alg
 
@@ -200,13 +182,23 @@ def _build_algebra(a: MonomialIdeal, kind: str) -> GradedToricAlgebra:
 @lru_cache(maxsize=CACHE_SIZE)
 def extended_rees_cone(a: MonomialIdeal) -> GradedToricAlgebra:
     """Cone of R[at, t^-1]: {m >= 0} and <w_j, m> >= c_j k per Newton facet."""
-    return _build_algebra(a, EXTENDED_REES)
+    k = first_non_closed_power(a, max(a.nvars - 1, 3))  # and each power the slice check reads
+    if k is not None:
+        raise DomainError(
+            "extended Rees algebra is not toric: ideal not normal "
+            f"(closure differs at power {k})"
+        )
+    rows = [u + (0,) for u in unit_vectors(a.nvars)]
+    rows += [w + (-c,) for w, c in newton_positive_facets(a)]
+    return _cone_model(a, EXTENDED_REES, rows)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def rees_cone(a: MonomialIdeal) -> GradedToricAlgebra:
-    """Cone of R[at]: the extended cone intersected with {k >= 0}."""
-    return _build_algebra(a, REES)
+    """Cone of R[at]: the extended cone intersected with {k >= 0}, so the
+    extended cone's normality check covers it."""
+    rows = list(extended_rees_cone(a).rays) + unit_vectors(a.nvars + 1)[-1:]
+    return _cone_model(a, REES, rows)
 
 
 def canonical_module(alg: GradedToricAlgebra) -> GradedModuleSpec:

@@ -19,6 +19,7 @@ reduction with its kernel basis and the ray listing built on it, the
 ``Fraction`` rank test for facets and full-dimensionality, the quadratic
 ``minimalize``, the point-by-point local verifier, the closure-based
 normality test, the generator-based and the run-based cone slice checks,
+the cone models built one kind at a time through ``irredundant_facets``,
 the box test of pair rationality, the box scan for jumping numbers, the
 two-listing B.1, B.2 and local verifiers, and the dual cone with a
 second double description for its rays.
@@ -42,6 +43,7 @@ from reesmult.ideals import (
     JumpReport,
     MonomialIdeal,
     default_box,
+    first_non_closed_power,
     integral_closure,
     multiplier_module,
     newton_positive_facets,
@@ -59,22 +61,25 @@ from reesmult.polyhedra import (
     _facet_rows,
     _neg,
     _sorted_facets,
-    _unit,
     as_fraction,
     compare_runs,
     cube,
     dot,
     homogeneous_rays,
+    irredundant_facets,
     lattice_runs,
     orthant,
     point_guard,
     primitive,
+    unit_vectors,
 )
 from reesmult.rees import (
     EXTENDED_REES,
+    REES,
     GradedToricAlgebra,
     PerLevel,
     VerificationReport,
+    _validate_slices,
     canonical_module,
     decomposition_rhs_S,
     decomposition_rhs_T,
@@ -355,7 +360,7 @@ def subset_homogeneous_rays(normals, rank):
     extreme rays come from kernels of (rank-1)-subsets of the constraints.
     """
     if not normals:
-        units = [_unit(rank, i) for i in range(rank)]
+        units = unit_vectors(rank)
         return tuple(sorted(units + [_neg(u) for u in units]))
     lineal = kernel_basis(normals, rank)
     constraints = list(normals) + [l for l in lineal] + [_neg(l) for l in lineal]
@@ -747,6 +752,30 @@ def validate_slices_by_runs(alg: GradedToricAlgebra):
                 f"internal: level-{k} slice of the {alg.kind} cone of "
                 f"{a.to_json()} does not match a^{k}"
             )
+
+
+def cone_by_irredundant_facets(a: MonomialIdeal, kind: str) -> GradedToricAlgebra:
+    """The cone model as two separate builds made it: each kind runs its own
+    normality scan, homogenizes its full row list (the Rees kind with k >= 0
+    added) and keeps what ``irredundant_facets`` keeps."""
+    k = first_non_closed_power(a, max(a.nvars - 1, 3))
+    if k is not None:
+        raise DomainError(
+            "extended Rees algebra is not toric: ideal not normal "
+            f"(closure differs at power {k})"
+        )
+    n = a.nvars
+    rows = [(tuple(1 if j == i else 0 for j in range(n)) + (0,), 0) for i in range(n)]
+    for w, c in newton_positive_facets(a):
+        rows.append((w + (-c,), 0))
+    if kind == REES:
+        rows.append(((0,) * n + (1,), 0))
+    poly = irredundant_facets(
+        Polyhedron(n + 1, tuple(HalfSpace(w, Fraction(t)) for w, t in rows)))
+    system = ThresholdSystem(n + 1, tuple((h.normal, 0) for h in poly.facets))
+    alg = GradedToricAlgebra(n, kind, system, system.normals(), a)
+    _validate_slices(alg)
+    return alg
 
 
 def _pair_box(alg: GradedToricAlgebra, lam, k_span=(-3, 6)):

@@ -1,6 +1,6 @@
 """Byte identity of reports: the seed-0 jobs of the benchmark's ``facets``,
-``verify`` and ``cli`` workloads (all pinned ``verify`` jobs, the first
-ones of the others), replayed in-process through ``perfbench/jobs.py``,
+``verify`` and ``cli`` workloads (every pinned ``verify`` and ``cli`` job,
+the first ``facets`` ones), replayed in-process through ``perfbench/jobs.py``,
 must give the exit codes and the output digests pinned in
 ``perfbench/digests``.  Nothing under ``perfbench`` is written."""
 
@@ -24,7 +24,7 @@ import jobs  # noqa: E402
 sys.dont_write_bytecode = write_bytecode
 
 VERIFY_REPLAYED = 800  # every pinned verify job
-CLI_REPLAYED = 200  # of the 800 pinned cli jobs
+CLI_REPLAYED = 800  # every pinned cli job
 FACETS_REPLAYED = 3200  # of the 16000 pinned facets jobs: 400 per class
 
 

@@ -28,7 +28,6 @@ from reesmult.polyhedra import (
     HalfSpace,
     Polyhedron,
     ThresholdSystem,
-    _unit,
     compare_runs,
     cube,
     dot,
@@ -42,6 +41,7 @@ from reesmult.polyhedra import (
     primitive,
     scale,
     strict_interior_system,
+    unit_vectors,
 )
 from reesmult.rees import extended_rees_cone, graded_piece, multiplier_module_principal
 from reesmult.serialize import frac_str
@@ -288,9 +288,15 @@ class TestIrredundantFacets:
 
 
 class TestNewtonFromPoints:
+    def test_unit_vectors_in_order(self):
+        # callers zip them with per-coordinate data; the orthant's rays are sorted
+        assert unit_vectors(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for rank in range(1, 6):
+            assert unit_vectors(rank) == sorted(polyhedra.orthant(rank).rays, reverse=True)
+
     def test_orthant_built_once_per_rank(self):
         for rank in range(1, 6):
-            units = [_unit(rank, i) for i in range(rank)]
+            units = unit_vectors(rank)
             fresh = Cone(rank, tuple(units), tuple(HalfSpace(u, Fraction(0)) for u in units))
             assert polyhedra.orthant(rank) is polyhedra.orthant(rank)
             assert polyhedra.orthant(rank) == fresh
@@ -725,6 +731,18 @@ class TestLatticeCount:
                 messages.add(str(exc.value))
             assert len(messages) == 1, (system, box, messages)
 
+    @pytest.mark.parametrize("walk", (lattice_runs, lattice_count))
+    @pytest.mark.parametrize("box", (
+        ((0.5, 2), (0, 2)),
+        ((0, 2), (0, 2.0)),
+        ((Fraction(1, 2), 2), (0, 2)),
+        ((0, Fraction(2)), (0, 2)),
+    ), ids=("float_lo", "integral_float_hi", "fraction_lo", "integral_fraction_hi"))
+    def test_non_integer_bounds_refused(self, walk, box):
+        # truncating (0.5, 2) to (0, 2) would return the line m_1 = 0, left of the box
+        with pytest.raises(DomainError, match="not a vector of integers"):
+            walk(ThresholdSystem(2, [((1, 1), 1)]), box)
+
     @pytest.mark.parametrize("system", (
         ThresholdSystem(2, ()),
         ThresholdSystem(2, (((0, 0), 5),)),
@@ -935,7 +953,7 @@ class TestVertexCheck:
             for offset in (Fraction(0), Fraction(1, q), Fraction(-1, q)):
                 # <w, v> = t + offset
                 v[j] = (t + offset - dot(w, v[:j] + [0] + v[j + 1:])) / w[j]
-                other = HalfSpace(_unit(rank, j), v[j] - rng.randint(0, 1))
+                other = HalfSpace(unit_vectors(rank)[j], v[j] - rng.randint(0, 1))
                 ok = h.holds(v)
                 seen[ok] += 1
                 try:
@@ -1233,7 +1251,7 @@ class TestLinealityBasis:
 
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_empty_and_zero_rows_give_units(self, rank):
-        units = [_unit(rank, i) for i in range(rank)]
+        units = unit_vectors(rank)
         assert lineality_basis([], rank) == kernel_basis([], rank) == units
         zero = (0,) * rank
         assert lineality_basis([zero, zero], rank) == kernel_basis([zero, zero], rank) == units

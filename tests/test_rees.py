@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from reesmult.errors import DomainError
-from reesmult.ideals import minimalize, newton, omega_module, power
+from reesmult.ideals import first_non_closed_power, minimalize, newton, omega_module, power
 from reesmult.polyhedra import (
     ThresholdSystem,
     compare_runs,
@@ -25,6 +25,7 @@ from reesmult.polyhedra import (
 )
 from reesmult.rees import (
     EXTENDED_REES,
+    REES,
     GradedToricAlgebra,
     _graded_newton,
     _validate_slices,
@@ -45,6 +46,7 @@ from reesmult.rees import (
 )
 
 from oracles import (
+    cone_by_irredundant_facets,
     first_mismatch,
     pair_rational_by_box,
     validate_slices_by_runs,
@@ -498,6 +500,58 @@ def _random_normal_ideals(seed, count, ranks, top):
             continue
         found.append(a)
     return found
+
+
+class TestOneBuildPath:
+    """The Rees cone is the extended cone cut by k >= 0: one build path, one
+    normality scan per ideal, the same records as the two former builds."""
+
+    def test_matches_two_builds_in_either_order(self):
+        ideals = _random_normal_ideals(24, 300, (1, 2, 3, 4), lambda n: 2)
+        ideals += [minimalize([(0,) * n]) for n in range(1, 5)]
+        assert {a.nvars for a in ideals} == {1, 2, 3, 4}
+        for a in ideals:
+            want = (cone_by_irredundant_facets(a, EXTENDED_REES), cone_by_irredundant_facets(a, REES))
+            for first in (extended_rees_cone, rees_cone):
+                extended_rees_cone.cache_clear()
+                rees_cone.cache_clear()
+                first(a)
+                assert (extended_rees_cone(a), rees_cone(a)) == want, (a, first)
+
+    def test_non_normal_same_error(self):
+        rng = random.Random(25)
+        found = 0
+        while found < 40:
+            n = rng.randint(2, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 4))]
+            a = minimalize(gens, n)
+            try:
+                cone_by_irredundant_facets(a, REES)
+                continue
+            except DomainError as exc:
+                want = str(exc)
+            found += 1
+            for build in (rees_cone, extended_rees_cone):
+                with pytest.raises(DomainError) as exc:
+                    build(a)
+                assert str(exc.value) == want, (a, build)
+
+    def test_normality_scanned_once(self, monkeypatch):
+        calls = []
+
+        def counting(a, bound=None):
+            calls.append(a)
+            return first_non_closed_power(a, bound)
+
+        monkeypatch.setattr("reesmult.rees.first_non_closed_power", counting)
+        a = power(minimalize([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), 2)
+        extended_rees_cone.cache_clear()
+        rees_cone.cache_clear()
+        verify_theoremA(a, 1)
+        assert calls == [a]
+        rees_cone.cache_clear()
+        rees_cone(a)
+        assert calls == [a]
 
 
 class TestPairRationalityAgainstBox:
