@@ -47,8 +47,6 @@ from .polyhedra import (
     lattice_points,
     newton_from_points,
     primitive,
-    scale,
-    strict_interior_system,
 )
 from .rees import (
     GradedModuleSpec,

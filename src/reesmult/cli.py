@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .errors import DomainError, ParseError, ResourceLimitError
 from .hypersurface import LocalHypersurfaceModel, verify_local_decomposition
 from .ideals import (
     MonomialIdeal,
     integral_closure,
-    is_normal,
     jumping_numbers,
     lct,
     minimalize,
@@ -246,29 +246,29 @@ def cmd_verify(args) -> int:
         if not args.input:
             raise ParseError(f"verify {args.theorem} needs -i IDEAL")
         a = parse_ideal(args.input)
-        closure_applied = False
-        if args.closure and not is_normal(a):
-            a = integral_closure(a)
-            closure_applied = True
+        box = cube(a.nvars, 0, args.box) if args.box is not None else None
+        if args.theorem == "B2":
+            k_range = _parse_range(args.k) if args.k is not None else (-3, 6)
+            verify = partial(verify_theoremB_T, lam=lam, k_range=k_range, box=box)
+        elif args.theorem == "B1":
+            n_range = _parse_range(args.n) if args.n is not None else (0, 5)
+            verify = partial(verify_theoremB_S, lam=lam, n_range=n_range, box=box)
+        else:
+            verify = partial(verify_theoremA, lam=lam, box=box)
+        # every verifier first builds the cone, whose normality scan decides
+        # whether the closure is needed: no separate scan before it
+        try:
+            report = verify(a)
+        except DomainError as exc:
+            if "not normal" not in str(exc):
+                raise
+            if not args.closure:
+                raise DomainError(f"{exc}; pass --closure to verify the closure instead")
             sys.stderr.write(
                 "notice: input replaced by its integral closure; the decomposition "
                 "statements concern the given ideal, not its closure\n"
             )
-        box = cube(a.nvars, 0, args.box) if args.box is not None else None
-        try:
-            if args.theorem == "B2":
-                k_range = _parse_range(args.k) if args.k is not None else (-3, 6)
-                report = verify_theoremB_T(a, lam, k_range, box)
-            elif args.theorem == "B1":
-                n_range = _parse_range(args.n) if args.n is not None else (0, 5)
-                report = verify_theoremB_S(a, lam, n_range, box)
-            else:
-                report = verify_theoremA(a, lam, box)
-        except DomainError as exc:
-            if "not normal" in str(exc) and not args.closure:
-                raise DomainError(f"{exc}; pass --closure to verify the closure instead")
-            raise
-        if closure_applied:
+            report = verify(integral_closure(a))
             report.details["closureApplied"] = True
     payload = report.to_json()
     lines = [f"theorem {report.theorem}: {'VERIFIED' if report.overall else 'FAILED'}"]

@@ -13,10 +13,15 @@ exactly one form.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError
-from .polyhedra import ThresholdSystem, as_fraction, as_ints, compare_systems, unit_vectors
+from .polyhedra import (
+    ThresholdSystem,
+    as_fraction,
+    as_ints,
+    compare_systems,
+    interior_threshold,
+    unit_vectors,
+)
 from .rees import PerLevel, VerificationReport
 from .serialize import Record
 
@@ -117,7 +122,7 @@ def is_section(model: LocalHypersurfaceModel, mono: LocalMonomial, lam) -> bool:
     for i in range(model.m):
         if mono.a * model.exps[i] + mono.c[i] < 1:
             return False
-        if mono.b * model.exps[i] + mono.c[i] < 1 + math.floor(lam * model.exps[i]):
+        if mono.b * model.exps[i] + mono.c[i] < interior_threshold(lam, model.exps[i]):
             return False
     for i in range(model.m, model.n):
         if mono.c[i] < 1:
@@ -149,7 +154,7 @@ def snc_multiplier_section(model: LocalHypersurfaceModel, cprime, mu) -> bool:
     if mu <= 0:
         return all(e >= 1 for e in cprime)
     for i in range(model.n):
-        need = 1 + math.floor(mu * model.exps[i]) if i < model.m else 1
+        need = interior_threshold(mu, model.exps[i]) if i < model.m else 1
         if cprime[i] < need:
             return False
     return True
@@ -198,8 +203,8 @@ def verify_local_decomposition(
             continue
         a, mu = max(k, 0), k + lam
         reach = [(a * e, a * e + box_c) for e in model.exps] + [(0, box_c)] * len(rest)
-        lhs = [max(1, 1 + math.floor(lam * e) + k * e) for e in model.exps] + rest
-        rhs = [1 + math.floor(mu * e) if mu > 0 else 1 for e in model.exps] + rest
+        lhs = [max(1, interior_threshold(lam, e) + k * e) for e in model.exps] + rest
+        rhs = [interior_threshold(mu, e) if mu > 0 else 1 for e in model.exps] + rest
         sides = [ThresholdSystem(model.n, tuple(zip(units, need))) for need in (lhs, rhs)]
         count_l, count_r, witness = compare_systems(*sides, reach)
         per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))

@@ -20,6 +20,7 @@ from .polyhedra import (
     as_fraction,
     as_ints,
     cube,
+    interior_threshold,
     lattice_points,
     lattice_runs,
     newton_from_points,
@@ -102,12 +103,7 @@ def newton(a: MonomialIdeal) -> Polyhedron:
 
 def newton_positive_facets(a: MonomialIdeal):
     """(normal, threshold) per Newton facet with positive integer threshold."""
-    out = []
-    for h in newton(a).facets:
-        if h.threshold > 0:
-            assert h.threshold.denominator == 1
-            out.append((h.normal, int(h.threshold)))
-    return out
+    return [(h.normal, h.threshold) for h in newton(a).facets if h.threshold > 0]
 
 
 def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -135,7 +131,7 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     )
     system = ThresholdSystem(
         a.nvars,
-        tuple((h.normal, int(h.threshold)) for h in newton(a).facets),
+        tuple((h.normal, h.threshold) for h in newton(a).facets),
     )
     starts = [prefix + (lo,) for prefix, lo, _ in lattice_runs(system, bounds)]
     return minimalize(starts, a.nvars)
@@ -172,7 +168,7 @@ def first_non_closed_power(a: MonomialIdeal, bound=None):
     """
     if bound is None:
         bound = max(a.nvars - 1, 1)
-    facets = [(h.normal, int(h.threshold)) for h in newton(a).facets]
+    facets = [(h.normal, h.threshold) for h in newton(a).facets]
     for k in range(1, bound + 1):
         box = tuple((0, k * max(g[i] for g in a.generators)) for i in range(a.nvars))
         scaled = ThresholdSystem(a.nvars, tuple((w, k * c) for w, c in facets))
@@ -239,7 +235,7 @@ def multiplier_module(a: MonomialIdeal, lam) -> MonomialModule:
     if lam == 0:
         return omega_module(a.nvars)
     constraints = tuple(
-        (h.normal, math.floor(lam * h.threshold) + 1) for h in newton(a).facets
+        (h.normal, interior_threshold(lam, h.threshold)) for h in newton(a).facets
     )
     return MonomialModule(a.nvars, ThresholdSystem(a.nvars, constraints), OMEGA)
 

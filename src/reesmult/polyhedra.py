@@ -1,13 +1,16 @@
 """Exact rational polyhedral kernel.
 
 Cones, dual cones, polyhedra of the shape ``conv(points) + recession
-cone``, irredundant facet systems, strict-interior threshold systems
-over the integer lattice, and their points inside a box, counted, or
-listed as one interval per line and compared in that form.
+cone``, irredundant facet systems, threshold systems over the integer
+lattice with the strict-interior threshold ``interior_threshold``, and
+their points inside a box, counted, or listed as one interval per line
+and compared in that form.
 
-Everything runs on unbounded integers; :class:`fractions.Fraction`
-remains only in halfspace thresholds and polyhedron vertices.  Floats are
-rejected at the boundary.  Strictness of interior conditions is the whole
+Everything runs on unbounded integers.  A halfspace threshold or a
+polyhedron vertex entry is an ``int`` when it is integral and a
+:class:`fractions.Fraction` in lowest terms only when it is not, so every
+Newton facet and vertex is integral end to end.  Floats are rejected at
+the boundary.  Strictness of interior conditions is the whole
 content of the formulas computed downstream, so no rounding is tolerated
 anywhere.
 
@@ -56,6 +59,22 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise DomainError(f"not an exact rational: {value!r}")
+
+
+def as_rational(value):
+    """Coerce to an exact rational in canonical form: an ``int`` when it is
+    integral, else a ``Fraction`` in lowest terms.  Floats are refused."""
+    if type(value) is int:
+        return value
+    value = as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def interior_threshold(lam, c) -> int:
+    """floor(lam * c) + 1, the least integer above lam * c, for a rational
+    lam (int or Fraction) and an int or Fraction c; exact, no Fraction built
+    for an int c."""
+    return lam.numerator * c // lam.denominator + 1
 
 
 def dot(u, v):
@@ -197,19 +216,21 @@ def _homogenized(facets, rank):
 
 
 class HalfSpace(Record):
-    """Closed halfspace {x : <normal, x> >= threshold}, primitive integer normal."""
+    """Closed halfspace {x : <normal, x> >= threshold}, primitive integer
+    normal; the threshold is canonical (see ``as_rational``), so equal
+    halfspaces are equal records whatever rational type was passed."""
 
     __slots__ = ("normal", "threshold")
 
-    def __init__(self, normal: IntVec, threshold: Fraction):
+    def __init__(self, normal: IntVec, threshold):
         normal = as_ints(normal)
-        threshold = as_fraction(threshold)
+        threshold = as_rational(threshold)
         g = math.gcd(*normal)
         if g == 0:
             raise DomainError("zero vector has no primitive form")
         if g > 1:
             normal = tuple([e // g for e in normal])
-            threshold = threshold / g
+            threshold = as_rational(Fraction(threshold, g))
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "threshold", threshold)
 
@@ -277,7 +298,7 @@ class Cone(Record):
 @lru_cache(maxsize=None)
 def orthant(rank: int) -> Cone:
     units = unit_vectors(rank)
-    return Cone(rank, tuple(units), tuple(HalfSpace(u, Fraction(0)) for u in units))
+    return Cone(rank, tuple(units), tuple(HalfSpace(u, 0) for u in units))
 
 
 def _lineality_basis(lin):
@@ -343,7 +364,15 @@ def dual_cone(c: Cone) -> Cone:
             else:
                 i += 1
     rays = homogeneous_rays(kept, c.rank) if lin else rays
-    return Cone(c.rank, rays, tuple(HalfSpace(n, Fraction(0)) for n in kept))
+    return Cone(c.rank, rays, tuple(HalfSpace(n, 0) for n in kept))
+
+
+def _rational_vector(v):
+    """``v`` with each entry canonical (see ``as_rational``); ints pass as they are."""
+    try:
+        return as_ints(v)
+    except DomainError:
+        return tuple(map(as_rational, v))
 
 
 class Polyhedron(Record):
@@ -361,12 +390,10 @@ class Polyhedron(Record):
             raise DomainError("rank must be positive")
         facets = _sorted_facets(facets)
         if vertices is not None:
-            vertices = tuple(tuple(as_fraction(e) for e in v) for v in vertices)
+            vertices = tuple(map(_rational_vector, vertices))
             for v in vertices:
-                d = math.lcm(*(e.denominator for e in v))
-                num = [e.numerator * (d // e.denominator) for e in v]
                 for h in facets:
-                    if dot(h.normal, num) * h.threshold.denominator < h.threshold.numerator * d:
+                    if dot(h.normal, v) < h.threshold:
                         raise DomainError("declared vertex violates a facet")
         if recession is not None:
             for r in recession.rays:
@@ -440,27 +467,6 @@ def newton_from_points(points, rank: int) -> Polyhedron:
         if any(e < 0 for e in p):
             raise DomainError("Newton polyhedron points must be nonnegative")
     return points_plus_cone(pts, orthant(rank), rank)
-
-
-def scale(p: Polyhedron, lam) -> Polyhedron:
-    """lam * p for lam >= 0; lam = 0 yields the recession cone."""
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise DomainError("scaling factor must be nonnegative")
-    if lam == 0:
-        facets = {HalfSpace(h.normal, Fraction(0)) for h in p.facets}
-        return Polyhedron(
-            p.rank,
-            tuple(facets),
-            vertices=((0,) * p.rank,),
-            recession=p.recession,
-            irredundant=False,
-        )
-    facets = tuple(HalfSpace(h.normal, h.threshold * lam) for h in p.facets)
-    vertices = None
-    if p.vertices is not None:
-        vertices = tuple(tuple(e * lam for e in v) for v in p.vertices)
-    return Polyhedron(p.rank, facets, vertices, p.recession, irredundant=p.irredundant)
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +547,6 @@ class ThresholdSystem(Record):
         if self.infeasible:
             data["infeasible"] = True
         return data
-
-
-def strict_interior_system(p: Polyhedron) -> ThresholdSystem:
-    """Integer points of the topological interior of a full-dimensional p.
-
-    Per irredundant facet <w, x> >= c, the interior condition <w, m> > c
-    over integers m is exactly <w, m> >= floor(c) + 1.
-    """
-    q = irredundant_facets(p)
-    constraints = tuple((h.normal, math.floor(h.threshold) + 1) for h in q.facets)
-    return ThresholdSystem(p.rank, constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ level by level against the base-ring Newton computation.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,6 +39,7 @@ from .polyhedra import (
     as_ints,
     compare_systems,
     dot,
+    interior_threshold,
     lattice_count,
     points_plus_cone,
     homogeneous_rays,
@@ -158,7 +158,7 @@ def _validate_slices(alg: GradedToricAlgebra):
     (``extended_rees_cone`` compared those points with a^k), of the orthant
     for k <= 0."""
     a, n = alg.source, alg.nvars
-    facets = [(h.normal, int(h.threshold)) for h in newton(a).facets]
+    facets = [(h.normal, h.threshold) for h in newton(a).facets]
     units = [(u, 0) for u in unit_vectors(n)]
     for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
         want = ThresholdSystem(n, tuple([(w, k * c) for w, c in facets] if k >= 1 else units))
@@ -233,7 +233,7 @@ def multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModule
     system = ThresholdSystem(
         alg.ambient_rank,
         tuple(
-            (w, 1 + math.floor(lam * p))
+            (w, interior_threshold(lam, p))
             for (w, _), p in zip(alg.cone.constraints, pairings)
         ),
     )
@@ -247,7 +247,7 @@ def _graded_newton(alg: GradedToricAlgebra, gens) -> Polyhedron:
     recession = Cone(
         alg.ambient_rank,
         homogeneous_rays(list(normals), alg.ambient_rank),
-        tuple(HalfSpace(w, Fraction(0)) for w in normals),
+        tuple(HalfSpace(w, 0) for w in normals),
     )
     return points_plus_cone(gens, recession, alg.ambient_rank)
 
@@ -272,7 +272,7 @@ def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModul
         system = canonical_module(alg).system
     else:
         system = ThresholdSystem(alg.ambient_rank, tuple(
-            (h.normal, math.floor(lam * h.threshold) + 1) for h in newt.facets))
+            (h.normal, interior_threshold(lam, h.threshold)) for h in newt.facets))
     tail = "T" if alg.kind == EXTENDED_REES else "S"
     return GradedModuleSpec(alg.ambient_rank, system, f"MULT_{tail}({frac_str(lam)})")
 

@@ -50,6 +50,8 @@ class Record:
 
 def frac_str(value) -> str:
     """Format an exact rational as "p/q" ("p" when q = 1)."""
+    if type(value) is int:
+        return str(value)
     f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)

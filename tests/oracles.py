@@ -22,7 +22,9 @@ normality test, the generator-based and the run-based cone slice checks,
 the cone models built one kind at a time through ``irredundant_facets``,
 the box test of pair rationality, the box scan for jumping numbers, the
 two-listing B.1, B.2 and local verifiers, and the dual cone with a
-second double description for its rays.
+second double description for its rays.  ``scale`` and
+``strict_interior_system``, former library functions that only tests
+call, live there too.
 """
 
 from __future__ import annotations
@@ -507,6 +509,38 @@ def frac_str_reference(value) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def scale(p: Polyhedron, lam) -> Polyhedron:
+    """lam * p for lam >= 0; lam = 0 yields the recession cone."""
+    lam = as_fraction(lam)
+    if lam < 0:
+        raise DomainError("scaling factor must be nonnegative")
+    if lam == 0:
+        facets = {HalfSpace(h.normal, 0) for h in p.facets}
+        return Polyhedron(
+            p.rank,
+            tuple(facets),
+            vertices=((0,) * p.rank,),
+            recession=p.recession,
+            irredundant=False,
+        )
+    facets = tuple(HalfSpace(h.normal, h.threshold * lam) for h in p.facets)
+    vertices = None
+    if p.vertices is not None:
+        vertices = tuple(tuple(e * lam for e in v) for v in p.vertices)
+    return Polyhedron(p.rank, facets, vertices, p.recession, irredundant=p.irredundant)
+
+
+def strict_interior_system(p: Polyhedron) -> ThresholdSystem:
+    """Integer points of the topological interior of a full-dimensional p.
+
+    Per irredundant facet <w, x> >= c, the interior condition <w, m> > c
+    over integers m is exactly <w, m> >= floor(c) + 1.
+    """
+    q = irredundant_facets(p)
+    constraints = tuple((h.normal, math.floor(h.threshold) + 1) for h in q.facets)
+    return ThresholdSystem(p.rank, constraints)
 
 
 def _rref(rows):

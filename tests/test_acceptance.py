@@ -24,8 +24,6 @@ from reesmult.polyhedra import (
     irredundant_facets,
     lattice_points,
     newton_from_points,
-    scale,
-    strict_interior_system,
 )
 from reesmult.rees import (
     extended_rees_cone,
@@ -36,7 +34,7 @@ from reesmult.rees import (
 )
 from reesmult.hypersurface import LocalHypersurfaceModel, verify_local_decomposition
 
-from oracles import in_hull_plus_orthant, strict_interior_points
+from oracles import in_hull_plus_orthant, scale, strict_interior_points, strict_interior_system
 from test_polyhedra import random_pointed_cone
 
 IDEALS_2V = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,6 +23,7 @@ X2Y3 = '{"nvars":2,"generators":[[2,0],[0,3]]}'
 XY2 = '{"nvars":2,"generators":[[2,0],[1,1],[0,2]]}'
 XY = '{"nvars":2,"generators":[[1,0],[0,1]]}'
 UNIT = '{"nvars":2,"generators":[[0,0]]}'
+XYZ2 = '{"nvars":3,"generators":[[2,0,0],[1,1,0],[1,0,1],[0,2,0],[0,1,1],[0,0,2]]}'
 MODEL23 = '{"n":2,"m":2,"exps":[2,3]}'
 
 
@@ -166,6 +168,38 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["closureApplied"] is True
         assert "integral closure" in err
+
+    def test_closure_scans_normal_input_once(self, capsys, monkeypatch):
+        # the cone build's own normality scan decides whether to take the closure
+        from reesmult import ideals, rees
+
+        calls = []
+        scan = ideals.first_non_closed_power
+
+        def counting(a, bound=None):
+            calls.append(bound)
+            return scan(a, bound)
+
+        monkeypatch.setattr(ideals, "first_non_closed_power", counting)
+        monkeypatch.setattr(rees, "first_non_closed_power", counting)
+        rees.extended_rees_cone.cache_clear()
+        rees.rees_cone.cache_clear()
+        code, out, err = run_main(capsys, "verify", "B2", "-i", XYZ2, "--lambda", "1/2",
+                                  "--closure")
+        assert code == 0
+        assert "closureApplied" not in json.loads(out)
+        assert err == ""
+        assert calls == [3]
+
+    def test_closure_non_normal_pinned_bytes(self, capsys):
+        code, out, err = run_main(capsys, "verify", "B2", "-i", X2Y3, "--lambda", "1/2",
+                                  "--closure")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b18d1244f78b7f642f00babcbd560162d23ae6ba6a23ae881c1b97500bd2bd5b")
+        assert err == (
+            "notice: input replaced by its integral closure; the decomposition "
+            "statements concern the given ideal, not its closure\n")
 
     def test_b1(self, capsys):
         code, out, _ = run_main(

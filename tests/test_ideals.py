@@ -26,14 +26,16 @@ from reesmult.ideals import (
     power,
     power_runs,
 )
-from reesmult.polyhedra import cube, scale, strict_interior_system
+from reesmult.polyhedra import cube
 
 from oracles import (
     first_non_closed_power_by_closure,
     in_hull_plus_orthant,
     jumping_numbers_by_box,
     minimalize_reference,
+    scale,
     strict_interior_points,
+    strict_interior_system,
 )
 
 M_XY = minimalize([(1, 0), (0, 1)])

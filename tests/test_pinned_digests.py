@@ -1,8 +1,9 @@
-"""Byte identity of reports: the seed-0 jobs of the benchmark's ``facets``,
-``verify`` and ``cli`` workloads (every pinned ``verify`` and ``cli`` job,
-the first ``facets`` ones), replayed in-process through ``perfbench/jobs.py``,
-must give the exit codes and the output digests pinned in
-``perfbench/digests``.  Nothing under ``perfbench`` is written."""
+"""Byte identity of reports: every pinned seed-0 job of the benchmark's
+``facets``, ``verify`` and ``cli`` workloads, replayed in-process through
+``perfbench/jobs.py``, must give the exit codes and the output digests
+pinned in ``perfbench/digests``.  The replayed ``facets`` jobs also check
+the number types: every facet threshold and every Newton vertex entry is
+an int.  Nothing under ``perfbench`` is written."""
 
 from __future__ import annotations
 
@@ -25,7 +26,11 @@ sys.dont_write_bytecode = write_bytecode
 
 VERIFY_REPLAYED = 800  # every pinned verify job
 CLI_REPLAYED = 800  # every pinned cli job
-FACETS_REPLAYED = 3200  # of the 16000 pinned facets jobs: 400 per class
+FACETS_REPLAYED = 16000  # every pinned facets job
+
+
+def _all_ints(values):
+    return all(type(x) is int for x in values)
 
 
 def test_facets_jobs_match_pins():
@@ -35,6 +40,10 @@ def test_facets_jobs_match_pins():
         text, out = jobs.run(reesmult, "facets", job)
         assert jobs.check("facets", job, out) is None, (i, job)
         assert jobs.digest(text) == pins[i], (i, job)
+        poly = out if job[0] == "dual" else out[1]
+        assert _all_ints(h.threshold for h in poly.facets), (i, job)
+        if job[0] != "dual":
+            assert _all_ints(e for v in poly.vertices for e in v), (i, job)
 
 
 def test_verify_jobs_match_pins():

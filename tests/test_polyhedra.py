@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -39,8 +40,6 @@ from reesmult.polyhedra import (
     lattice_runs,
     newton_from_points,
     primitive,
-    scale,
-    strict_interior_system,
     unit_vectors,
 )
 from reesmult.rees import extended_rees_cone, graded_piece, multiplier_module_principal
@@ -62,7 +61,9 @@ from oracles import (
     in_hull_plus_orthant,
     kernel_basis,
     matrix_rank,
+    scale,
     strict_interior_points,
+    strict_interior_system,
     subset_homogeneous_rays,
 )
 
@@ -95,6 +96,65 @@ class TestHalfSpace:
     def test_rejects_floats(self):
         with pytest.raises(DomainError):
             HalfSpace((1, 0), 0.5)
+
+
+class TestCanonicalNumbers:
+    """A threshold or vertex entry is an int when it is integral, else a
+    Fraction in lowest terms, whatever exact type it was passed as."""
+
+    def test_integral_threshold_is_int(self):
+        h = HalfSpace((2, 4), 6)
+        assert h.normal == (1, 2)
+        assert type(h.threshold) is int and h.threshold == 3
+
+    def test_non_integral_threshold_is_fraction(self):
+        h = HalfSpace((2, 4), 3)
+        assert type(h.threshold) is Fraction and h.threshold == Fraction(3, 2)
+
+    @pytest.mark.parametrize("normal", [(1, 2), (2, 4), (-3, 0, 6)])
+    @pytest.mark.parametrize("value", [6, Fraction(6), Fraction(-5, 2)])
+    def test_same_record_whatever_type(self, normal, value):
+        variants = [value, Fraction(value), Fraction(2 * value.numerator, 2 * value.denominator),
+                    f"{value.numerator}/{value.denominator}"]
+        records = [HalfSpace(normal, t) for t in variants]
+        assert len(set(records)) == 1
+        assert len({hash(h) for h in records}) == 1
+        assert len({repr(h) for h in records}) == 1
+        assert all(type(h.threshold) is type(records[0].threshold) for h in records)
+
+    def test_vertices_canonical(self):
+        facets = (HalfSpace((1, 0), 0), HalfSpace((0, 1), 0))
+        p = Polyhedron(2, facets, vertices=((Fraction(4, 2), Fraction(1, 2)), (3, True)))
+        assert p.vertices == ((2, Fraction(1, 2)), (3, 1))
+        assert [[type(e) for e in v] for v in p.vertices] == [[int, Fraction], [int, int]]
+        assert p == Polyhedron(2, facets, vertices=((2, Fraction(1, 2)), (3, 1)))
+        assert repr(p) == repr(Polyhedron(2, facets, vertices=(("2", "1/2"), (3, 1))))
+
+    @pytest.mark.parametrize("make", [
+        lambda: HalfSpace((1, 0), 2.0),
+        lambda: HalfSpace((2, 4), 0.5),
+        lambda: Polyhedron(1, (HalfSpace((1,), 0),), vertices=((1.0,),)),
+        lambda: Polyhedron(2, (HalfSpace((1, 0), 0),), vertices=((1, 0.5),)),
+    ], ids=["threshold", "threshold-divided", "vertex", "vertex-mixed"])
+    def test_floats_refused(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+
+def test_interior_threshold_against_floor():
+    """``interior_threshold(lam, c)`` is floor(lam * c) + 1 as an int, for
+    lam >= 0 (0 included, int or Fraction) and c of either sign, int or Fraction."""
+    rng = random.Random(16)
+    big = 2 ** 70
+    for trial in range(6000):
+        lam = rng.choice((Fraction(0), 0, rng.randint(0, 9),
+                          Fraction(rng.randint(0, 80), rng.randint(1, 12)),
+                          Fraction(rng.randint(0, big), rng.randint(1, big))))
+        c = rng.choice((rng.randint(-40, 40), rng.randint(-big, big),
+                        Fraction(rng.randint(-90, 90), rng.randint(1, 9)),
+                        Fraction(rng.randint(-big, big), rng.randint(1, big))))
+        got = polyhedra.interior_threshold(lam, c)
+        assert type(got) is int and got == math.floor(lam * c) + 1, (lam, c)
 
 
 def _int_vector(rng, rank):

@@ -17,11 +17,11 @@ from reesmult.polyhedra import (
     compare_systems,
     cube,
     dot,
+    dual_cone,
     lattice_count,
     lattice_points,
     lattice_runs,
-    scale,
-    strict_interior_system,
+    orthant,
 )
 from reesmult.rees import (
     EXTENDED_REES,
@@ -49,6 +49,8 @@ from oracles import (
     cone_by_irredundant_facets,
     first_mismatch,
     pair_rational_by_box,
+    scale,
+    strict_interior_system,
     validate_slices_by_runs,
     validate_slices_reference,
     verify_theoremB_S_by_runs,
@@ -500,6 +502,21 @@ def _random_normal_ideals(seed, count, ranks, top):
             continue
         found.append(a)
     return found
+
+
+def test_cone_records_hold_ints():
+    """Every threshold of the cone models, of their graded Newton polyhedra
+    and of the dual orthant is an int, and so is every vertex entry."""
+    def ints(values):
+        return all(type(x) is int for x in values)
+
+    for a in _random_normal_ideals(26, 60, (1, 2, 3, 4), lambda n: 3):
+        for alg in (extended_rees_cone(a), rees_cone(a)):
+            assert ints(t for _, t in alg.cone.constraints), (a, alg.kind)
+            newt = _graded_newton(alg, rees_ideal_generators(a))
+            assert ints(h.threshold for h in newt.facets), (a, alg.kind)
+            assert ints(e for v in newt.vertices for e in v), (a, alg.kind)
+        assert ints(h.threshold for h in dual_cone(orthant(a.nvars)).facets), a
 
 
 class TestOneBuildPath:
