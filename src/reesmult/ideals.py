@@ -59,10 +59,9 @@ class MonomialIdeal(Record):
                 raise DomainError("generator length does not match nvars")
             if any(e < 0 for e in g):
                 raise DomainError("generator exponents must be nonnegative")
-        for g in gens:
-            for h in gens:
-                if g != h and all(a <= b for a, b in zip(g, h)):
-                    raise DomainError("generators not minimal; use minimalize()")
+        # a proper divisor precedes its multiples in lex order
+        if any(all(a <= b for a, b in zip(h, g)) for i, g in enumerate(gens) for h in gens[:i]):
+            raise DomainError("generators not minimal; use minimalize()")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "generators", gens)
 

@@ -98,9 +98,14 @@ def primitive(v) -> IntVec:
     return vec if g == 1 else tuple([e // g for e in vec])
 
 
+@lru_cache(maxsize=None)
+def _unit_tuple(rank):
+    return tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
+
+
 def unit_vectors(rank):
-    """The unit vectors e_1, ..., e_rank, in that order."""
-    return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    """The unit vectors e_1, ..., e_rank, in that order, as a new list."""
+    return list(_unit_tuple(rank))
 
 
 def _neg(v):
@@ -132,27 +137,28 @@ def _dd(rows, rank):
     Double description in exact integers (Motzkin, Raiffa, Thompson and
     Thrall 1953; Fukuda and Prodon 1996), from lin(e_1..e_rank), one row
     at a time.  A row nonzero on the lineality space turns a lineality
-    vector into a ray; any other row joins each ray on its negative side
-    to each adjacent ray on its positive side, then drops the negative
-    ones.  Adjacency is the combinatorial test on zero-set bitmasks over
-    the rows so far: no third ray vanishes on every row both vanish on.
-    Rays are primitive and unique modulo the (non-unique) lineality basis.
-    Returns the lineality basis, the rays and, per ray, the bitmask of the
-    rows that vanish on it.
+    vector into a ray and moves every other vector onto its hyperplane,
+    keeping a vector the row vanishes on as it is; any other row joins
+    each ray on its negative side to each adjacent ray on its positive
+    side, then drops the negative ones.  Adjacency is the combinatorial
+    test on zero-set bitmasks over the rows so far: no third ray vanishes
+    on every row both vanish on.  Rays are primitive and unique modulo the
+    (non-unique) lineality basis.  Returns the lineality basis, the rays
+    and, per ray, the bitmask of the rows that vanish on it.
     """
     lin = unit_vectors(rank)
     rays = []  # (ray, bitmask of the rows added so far that vanish on it)
     for i, a in enumerate(rows):
         bit = 1 << i
-        k = next((j for j, l in enumerate(lin) if dot(a, l) != 0), None)
+        pairs = [dot(a, l) for l in lin]
+        k = next((j for j, d in enumerate(pairs) if d), None)
         if k is not None:
-            pivot = lin.pop(k)
-            s = dot(a, pivot)
+            pivot, s = lin.pop(k), pairs.pop(k)
             if s < 0:
                 pivot, s = _neg(pivot), -s
-            # move everything else onto <a, x> = 0 along the pivot
-            lin = [_combine(s, l, -dot(a, l), pivot) for l in lin]
-            rays = [(_combine(s, r, -dot(a, r), pivot), z | bit) for r, z in rays]
+            # move everything else onto <a, x> = 0 along the pivot; what is on it stays
+            lin = [_combine(s, l, -d, pivot) if d else l for l, d in zip(lin, pairs)]
+            rays = [(_combine(s, r, -d, pivot) if (d := dot(a, r)) else r, z | bit) for r, z in rays]
             rays.append((pivot, bit - 1))
             continue
         pos, neg, kept = [], [], []
@@ -556,9 +562,12 @@ class ThresholdSystem(Record):
 
 def point_guard(max_points=None):
     """The box-volume guard: ``max_points`` if given, else REESMULT_MAX_POINTS
-    (a positive integer; unset or empty means the default 10**8)."""
+    (each a positive integer; unset or empty means the default 10**8)."""
     if max_points is not None:
-        return int(max_points)
+        guard = operator.index(max_points) if hasattr(max_points, "__index__") else 0
+        if guard < 1:
+            raise DomainError(f"max_points must be a positive integer, got {max_points!r}")
+        return guard
     env = os.environ.get(POINT_GUARD_ENV)
     if not env:
         return DEFAULT_POINT_GUARD

@@ -14,17 +14,18 @@ The second part is a reference facet kernel (Fourier-Motzkin) for
 differential tests of the library's double description kernel.  The last
 part keeps former library routines verbatim as references for the ones
 that replaced them: the generator-based integer helpers ``dot``,
-``primitive``, ``_combine`` and ``frac_str``, the ``Fraction`` row
-reduction with its kernel basis and the ray listing built on it, the
-``Fraction`` rank test for facets and full-dimensionality, the quadratic
-``minimalize``, the point-by-point local verifier, the closure-based
-normality test, the generator-based and the run-based cone slice checks,
-the cone models built one kind at a time through ``irredundant_facets``,
-the box test of pair rationality, the box scan for jumping numbers, the
-two-listing B.1, B.2 and local verifiers, and the dual cone with a
-second double description for its rays.  ``scale`` and
-``strict_interior_system``, former library functions that only tests
-call, live there too.
+``primitive``, ``_combine`` and ``frac_str``, the double description
+that combined every vector on a pivot row, the all-pairs generator
+minimality check, the ``Fraction`` row reduction with its kernel basis
+and the ray listing built on it, the ``Fraction`` rank test for facets
+and full-dimensionality, the quadratic ``minimalize``, the
+point-by-point local verifier, the closure-based normality test, the
+generator-based and the run-based cone slice checks, the cone models
+built one kind at a time through ``irredundant_facets``, the box test of
+pair rationality, the box scan for jumping numbers, the two-listing B.1,
+B.2 and local verifiers, and the dual cone with a second double
+description for its rays.  ``scale`` and ``strict_interior_system``,
+former library functions that only tests call, live there too.
 """
 
 from __future__ import annotations
@@ -53,12 +54,14 @@ from reesmult.ideals import (
     power_runs,
     systems_equal,
 )
+from reesmult import polyhedra
 from reesmult.polyhedra import (
     MAX_DUAL_RANK,
     Cone,
     HalfSpace,
     Polyhedron,
     ThresholdSystem,
+    _combine,
     _dd,
     _facet_rows,
     _neg,
@@ -501,6 +504,64 @@ def primitive_reference(v):
 def combine_reference(a, u, b, v):
     """Primitive form of the nonzero integer vector a*u + b*v."""
     return primitive_reference([a * x + b * y for x, y in zip(u, v)])
+
+
+def dd_reference(rows, rank):
+    """``polyhedra._dd`` as it was before a vector the pivot row vanishes on
+    was kept as it is: every lineality vector and ray goes through
+    ``_combine``, zero coefficient or not, and the pivot's pairing is taken
+    twice."""
+    lin = unit_vectors(rank)
+    rays = []  # (ray, bitmask of the rows added so far that vanish on it)
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        k = next((j for j, l in enumerate(lin) if dot(a, l) != 0), None)
+        if k is not None:
+            pivot = lin.pop(k)
+            s = dot(a, pivot)
+            if s < 0:
+                pivot, s = _neg(pivot), -s
+            # move everything else onto <a, x> = 0 along the pivot
+            lin = [_combine(s, l, -dot(a, l), pivot) for l in lin]
+            rays = [(_combine(s, r, -dot(a, r), pivot), z | bit) for r, z in rays]
+            rays.append((pivot, bit - 1))
+            continue
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = dot(a, r)
+            if v > 0:
+                pos.append((r, z, v))
+                kept.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | bit))
+        # a 2-face of the pointed part lies on rows of rank dim - 2
+        need = rank - len(lin) - 2
+        masks = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for n, zn, vn in neg:
+                z = zp & zn
+                if z.bit_count() < need or any(
+                    z & zr == z and zr != zp and zr != zn for zr in masks
+                ):
+                    continue
+                kept.append((_combine(vp, n, -vn, p), z | bit))
+                if len(kept) > polyhedra.MAX_DD_RAYS:
+                    raise ResourceLimitError(
+                        f"double description exceeds {polyhedra.MAX_DD_RAYS} rays")
+        rays = kept
+    return lin, [r for r, _ in rays], [z for _, z in rays]
+
+
+def generators_minimal_reference(gens) -> bool:
+    """The all-pairs minimality check ``MonomialIdeal`` made before it
+    tested each sorted generator against the earlier ones only."""
+    for g in gens:
+        for h in gens:
+            if g != h and all(a <= b for a, b in zip(g, h)):
+                return False
+    return True
 
 
 def frac_str_reference(value) -> str:

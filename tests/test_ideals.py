@@ -30,6 +30,7 @@ from reesmult.polyhedra import cube
 
 from oracles import (
     first_non_closed_power_by_closure,
+    generators_minimal_reference,
     in_hull_plus_orthant,
     jumping_numbers_by_box,
     minimalize_reference,
@@ -91,6 +92,39 @@ class TestMinimalize:
     def test_constructor_rejects_non_minimal(self):
         with pytest.raises(DomainError):
             MonomialIdeal(2, ((1, 0), (1, 1)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_minimality_check_matches_all_pairs(self, seed):
+        # the constructor tests each sorted generator against earlier ones only
+        rng = random.Random(6200 + seed)
+        outcomes = set()
+        for _ in range(300):
+            nvars = rng.randint(1, 5)
+            gens = [
+                tuple(rng.randint(0, 4) for _ in range(nvars))
+                for _ in range(rng.randint(1, 12))
+            ]
+            if rng.random() < 0.5:
+                gens = list(minimalize(gens, nvars).generators)
+                if rng.random() < 0.5:
+                    # a multiple of one generator, or an exact duplicate
+                    g = rng.choice(gens)
+                    gens.append(tuple(e + rng.randint(0, 1) for e in g))
+            rng.shuffle(gens)
+            minimal = generators_minimal_reference(sorted(set(gens)))
+            outcomes.add(minimal)
+            if minimal:
+                assert MonomialIdeal(nvars, gens).generators == tuple(sorted(set(gens)))
+            else:
+                with pytest.raises(DomainError, match=r"^generators not minimal; use minimalize\(\)$"):
+                    MonomialIdeal(nvars, gens)
+        assert outcomes == {True, False}
+
+    def test_shape_checks_come_before_minimality(self):
+        with pytest.raises(DomainError, match="length does not match"):
+            MonomialIdeal(2, ((1, 0), (1, 1, 0)))
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            MonomialIdeal(2, ((1, 0), (1, 1), (0, -1)))
 
 
 class TestNewton:

@@ -49,6 +49,7 @@ import oracles
 from oracles import (
     brute_lattice_points,
     cube_count_at_least,
+    dd_reference,
     dual_cone_by_two_runs,
     facet_rows_by_rank,
     first_mismatch,
@@ -538,6 +539,13 @@ class TestLatticePoints:
         with pytest.raises(ResourceLimitError):
             lattice_points(sys, cube(2, 0, 10), max_points=50)
 
+    @pytest.mark.parametrize("fn", (lattice_runs, lattice_count, lattice_points))
+    @pytest.mark.parametrize("bad", (121.9, Fraction(121), "121", 0, -1))
+    def test_max_points_not_a_positive_integer_refused(self, fn, bad):
+        # never truncated nor parsed: 121.9 once allowed the 121-point box
+        with pytest.raises(DomainError, match="max_points must be a positive integer"):
+            fn(ThresholdSystem(2, (((1, 1), 0),)), cube(2, 0, 10), max_points=bad)
+
     def test_guard_env_override(self, monkeypatch):
         sys = ThresholdSystem(2, ())
         monkeypatch.setenv("REESMULT_MAX_POINTS", "50")
@@ -652,11 +660,12 @@ class TestLatticeRuns:
 
     def test_volume_guard_same_as_points(self):
         sys = ThresholdSystem(2, ())
-        for fn in (lattice_runs, lattice_points):
+        for fn in (lattice_runs, lattice_count, lattice_points):
             with pytest.raises(ResourceLimitError) as exc:
                 fn(sys, cube(2, 0, 10), max_points=120)
             assert str(exc.value) == "box volume 121 exceeds enumeration guard 120"
         assert len(lattice_runs(sys, cube(2, 0, 10), max_points=121)) == 11
+        assert lattice_count(sys, cube(2, 0, 10), max_points=121) == 121
         assert len(lattice_points(sys, cube(2, 0, 10), max_points=121)) == 121
 
     def test_guard_env_override(self, monkeypatch):
@@ -1233,6 +1242,95 @@ def random_row_set(rng, rank):
         if any(neg):
             rows.append(neg)
     return rows
+
+
+def random_dd_rows(rng):
+    """A rank in 1..7 and 1..10 rows with entries in -3..3: plain random
+    rows, or rows drawn from fewer than ``rank`` base rows (a rank-deficient
+    set, so the cone has lineality), with zero rows, repeated rows and signed
+    unit rows mixed in."""
+    rank = rng.randint(1, 7)
+    count = rng.randint(1, 10)
+    if rank > 1 and rng.random() < 0.4:
+        base = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(1, rank - 1))]
+        rows = [tuple(rng.choice((1, -1)) * e for e in rng.choice(base)) for _ in range(count)]
+    else:
+        rows = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("zero", "repeat", "unit"))
+        if kind == "zero":
+            row = (0,) * rank
+        elif kind == "repeat":
+            row = rng.choice(rows)
+        else:
+            row = tuple(rng.choice((1, -1)) * e for e in unit_vectors(rank)[rng.randrange(rank)])
+        rows.insert(rng.randint(0, len(rows)), row)
+    return rows[:10], rank
+
+
+class TestDoubleDescriptionAgainstReference:
+    """``_dd`` keeps a vector the pivot row vanishes on as it is; the
+    reference combines every one.  Vectors are primitive, so both give the
+    same lineality basis, rays and zero sets, in the same order."""
+
+    def test_random_rows(self):
+        rng = random.Random(17000)
+        seen = set()
+        for _ in range(2400):
+            rows, rank = random_dd_rows(rng)
+            got = polyhedra._dd(rows, rank)
+            assert got == dd_reference(rows, rank), (rows, rank)
+            seen.add(rank)
+            seen.add("lineality" if got[0] else "pointed")
+            seen.update(name for name, hit in (
+                ("zero row", not all(map(any, rows))),
+                ("repeated row", len(set(rows)) < len(rows)),
+                ("unit row", any(sorted(map(abs, r))[-2:] == [0, 1] for r in rows if len(r) > 1)),
+                ("rank-deficient", matrix_rank(rows) < rank),
+            ) if hit)
+        assert seen == {*range(1, 8), "lineality", "pointed", "zero row", "repeated row",
+                        "unit row", "rank-deficient"}
+
+    def test_points_plus_cone_rows(self):
+        # the orthant rows come first and pair to 0 with all but their pivot
+        rng = random.Random(17001)
+        for _ in range(200):
+            rank = rng.randint(1, 5)
+            rows = [u + (0,) for u in unit_vectors(rank)] + [
+                tuple(rng.randint(-3, 3) for _ in range(rank)) + (rng.randint(-3, 3),)
+                for _ in range(rng.randint(1, 6))]
+            assert polyhedra._dd(rows, rank + 1) == dd_reference(rows, rank + 1), rows
+
+    @pytest.mark.parametrize("limit", (2, 4, 8))
+    def test_ray_guard_same_as_reference(self, limit, monkeypatch):
+        monkeypatch.setattr(polyhedra, "MAX_DD_RAYS", limit)
+        rng = random.Random(17100 + limit)
+        outcomes = set()
+        for _ in range(300):
+            rows, rank = random_dd_rows(rng)
+            results = []
+            for dd in (polyhedra._dd, dd_reference):
+                try:
+                    results.append(dd(rows, rank))
+                except ResourceLimitError:
+                    results.append("guard")
+            assert results[0] == results[1], (rows, rank)
+            outcomes.add(results[0] == "guard")
+        assert outcomes == {True, False}
+
+
+def test_unit_vectors_fresh_list_each_call():
+    # callers mutate the list (``_dd`` pops its pivots from it)
+    for rank in range(1, 8):
+        first = unit_vectors(rank)
+        want = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        assert type(first) is list and first == want
+        assert all(type(u) is tuple for u in first)
+        first.pop(0)
+        first.append((9,) * rank)
+        second = unit_vectors(rank)
+        assert type(second) is list and second == want and second is not first
 
 
 class TestZeroSetFacets:
