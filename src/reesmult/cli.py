@@ -39,7 +39,7 @@ from .rees import (
     verify_theoremB_S,
     verify_theoremB_T,
 )
-from .serialize import dumps_canonical, frac_str, parse_rational
+from .serialize import dumps_canonical, frac_str, parse_int, parse_rational
 
 UNIT_IDEAL_WARNING = "ht(a)=0: unit ideal lies outside the positive-height hypotheses"
 
@@ -97,8 +97,7 @@ def parse_model(text: str) -> LocalHypersurfaceModel:
 
 def _parse_range(text: str):
     try:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(parse_int, text.split(".."))
     except ValueError as exc:
         raise ParseError(f"range must be LO..HI, got {text!r}") from exc
     if lo > hi:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .polyhedra import (
     ThresholdSystem,
+    as_exponent,
     as_fraction,
     as_ints,
     compare_systems,
@@ -116,9 +117,7 @@ def is_section(model: LocalHypersurfaceModel, mono: LocalMonomial, lam) -> bool:
     Conditions: a*a_i + c_i >= 1 and b*a_i + c_i >= 1 + floor(lam * a_i)
     for i <= m, and c_i >= 1 for i > m.
     """
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    lam = as_exponent(lam)
     for i in range(model.m):
         if mono.a * model.exps[i] + mono.c[i] < 1:
             return False
@@ -185,9 +184,7 @@ def verify_local_decomposition(
     box by ``compare_systems``; they are the same system at every level,
     so each level is counted and nothing is listed.
     """
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    lam = as_exponent(lam)
     if box_deg < 0 or (box_c is not None and box_c < 0):
         raise DomainError("box_deg and box_c must be nonnegative")
     if box_c is None:

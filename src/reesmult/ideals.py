@@ -17,9 +17,11 @@ from .errors import DomainError, ResourceLimitError
 from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
+    as_exponent,
     as_fraction,
     as_ints,
     cube,
+    dot,
     interior_threshold,
     lattice_points,
     lattice_runs,
@@ -125,13 +127,8 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     box suffices.  Every other point of a run lies above its first, so
     only the first points are candidates.
     """
-    bounds = tuple(
-        (0, max(g[i] for g in a.generators)) for i in range(a.nvars)
-    )
-    system = ThresholdSystem(
-        a.nvars,
-        tuple((h.normal, h.threshold) for h in newton(a).facets),
-    )
+    bounds = tuple((0, max(column)) for column in zip(*a.generators))
+    system = ThresholdSystem(a.nvars, [(h.normal, h.threshold) for h in newton(a).facets])
     starts = [prefix + (lo,) for prefix, lo, _ in lattice_runs(system, bounds)]
     return minimalize(starts, a.nvars)
 
@@ -228,9 +225,7 @@ def multiplier_module(a: MonomialIdeal, lam) -> MonomialModule:
     scaling by lam keeps the facets irredundant.  For lam = 0 the scaled
     polyhedron is the orthant, so the module is omega_R.
     """
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    lam = as_exponent(lam)
     if lam == 0:
         return omega_module(a.nvars)
     constraints = tuple(
@@ -306,19 +301,18 @@ class JumpReport(Record):
 def jumping_numbers(a: MonomialIdeal, lam_max) -> JumpReport:
     """Values in (0, lam_max] where the multiplier module strictly shrinks.
 
-    Candidates are exactly t / c_j over the positive Newton facet
-    thresholds c_j: between consecutive candidates every floor(lam * c_j)
-    is constant.  Just below lam the module (the interior of lam Newt(a),
-    Howald 2001) is {<w, m> >= ceil(lam * c)}; at lam only the rows with
-    lam * c_j an integer rise by one.  So lam jumps iff, for one such row,
-    some m >= 1 of the module below has <w_j, m> <= lam * c_j.  There each
-    m_i with w_ji > 0 lies in [1, lam * c_j // w_ji], and every other m_i
-    can be fixed at the largest threshold, which meets each row it enters
-    (all normals are nonnegative): one run listing of that derived box
-    decides it on all of Z^n.  The guard is checked first, on the boxes at
-    lam_max (the largest) and on the candidate count.  The module and ideal
-    versions share the jumps (the diagonal shift is a bijection of lattice
-    sets).  The reported box, ``default_box(a, lam_max)``, only lets an
+    Candidates are t / c_j over the positive Newton facet thresholds c_j.
+    Just below lam the module (the interior of lam Newt(a), Howald 2001) is
+    {m >= 1, <w_j, m> >= lam c_j}, at lam {m >= 1, <w_j, m> > lam c_j}: lam
+    jumps iff lam = nu(m) := min_j <w_j, m> / c_j for some m >= 1.  For a
+    facet (w, c), the m with nu(m) = <w, m> / c <= lam_max are the points of
+    {<c v - d w, m> >= 0 per facet (v, d), <w, m> <= floor(lam_max c)}; one
+    run listing gives their values <w, m>.  Each m_i with w_i > 0 lies in
+    [1, floor(lam_max c) // w_i]; any other m_i can be fixed at the largest
+    ceil(lam_max d), which keeps <w, m> and meets each row (v, d) it enters
+    (all normals are nonnegative).  The guard is checked first, on those
+    boxes and on the candidate count.  The ideal version has the same jumps
+    (shifting by (1,..,1) is a bijection).  The reported box only lets an
     enumeration reproduce the result; ``warnings`` is always empty.
     """
     lam_max = as_fraction(lam_max)
@@ -326,28 +320,29 @@ def jumping_numbers(a: MonomialIdeal, lam_max) -> JumpReport:
         raise DomainError("lambda_max must be positive")
     facets = newton_positive_facets(a)
     thresholds = sorted({c for _, c in facets})
-    volume = max((math.prod(math.floor(lam_max * c) // e if e else 1 for e in w)
-                  for w, c in facets), default=0)
+    top = max((math.ceil(lam_max * d) for _, d in facets), default=1)
+    boxes = [tuple((1, math.floor(lam_max * c) // e) if e else (top, top) for e in w)
+             for w, c in facets]
+    volume = max((math.prod(hi - lo + 1 for lo, hi in box) for box in boxes), default=0)
     count, guard = sum(math.floor(lam_max * c) for c in thresholds), point_guard()
     if volume > guard or count > guard:
         raise ResourceLimitError(f"jump box volume {volume} or candidate count "
                                  f"{count} exceeds enumeration guard {guard}")
-    candidates = sorted(
-        {Fraction(t, c) for c in thresholds for t in range(1, math.floor(lam_max * c) + 1)}
-    )
-    jumps = []
-    for lam in candidates:
-        below = [(w, math.ceil(lam * c)) for w, c in facets]
-        top = max(t for _, t in below)
-        for w, c in facets:
-            bound = lam * c
-            if bound.denominator == 1 and bound >= sum(w):
-                rows = below + [(tuple(-e for e in w), -bound.numerator)]
-                box = tuple((1, bound // e) if e else (top, top) for e in w)
-                if lattice_runs(ThresholdSystem(a.nvars, rows), box):
-                    jumps.append(lam)
-                    break
-    return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), default_box(a, lam_max), ())
+    candidates = tuple(sorted({Fraction(t, c) for c in thresholds
+                               for t in range(1, math.floor(lam_max * c) + 1)}))
+    jumps = set()
+    for (w, c), box in zip(facets, boxes):
+        bound, step = math.floor(lam_max * c), w[-1]
+        if bound >= sum(w):
+            rows = [(tuple(c * x - d * y for x, y in zip(v, w)), 0) for v, d in facets]
+            rows.append((tuple(-e for e in w), -bound))
+            hit = bytearray(bound + 1)
+            for prefix, lo, hi in lattice_runs(ThresholdSystem(a.nvars, rows), box):
+                # the run's values of <w, m>: one, or n of them step apart from t
+                t, n = dot(w[:-1], prefix) + step * lo, hi - lo + 1 if step else 1
+                hit[t:t + step * (n - 1) + 1:step or 1] = b"\1" * n
+            jumps.update(Fraction(t, c) for t in range(bound + 1) if hit[t])
+    return JumpReport(a, lam_max, tuple(sorted(jumps)), candidates, default_box(a, lam_max), ())
 
 
 def lct(a: MonomialIdeal) -> Fraction:
@@ -367,13 +362,7 @@ def lct(a: MonomialIdeal) -> Fraction:
     candidates = sorted(
         {Fraction(t, c) for _, c in facets for t in range(1, math.floor(formula * c) + 1)}
     )
-    first = None
-    for cand in candidates:
-        if not multiplier_ideal(a, cand).is_full_ring():
-            first = cand
-            break
-    if first is None or first != formula:
-        raise AssertionError(
-            f"lct computations disagree: formula {formula}, scan {first}"
-        )
+    first = next((x for x in candidates if not multiplier_ideal(a, x).is_full_ring()), None)
+    if first != formula:
+        raise AssertionError(f"lct computations disagree: formula {formula}, scan {first}")
     return formula

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, ParseError, ResourceLimitError
-from .serialize import Record, frac_str, parse_rational
+from .serialize import Record, frac_str, parse_int, parse_rational
 
 IntVec = tuple
 
@@ -68,6 +68,14 @@ def as_rational(value):
         return value
     value = as_fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def as_exponent(lam) -> Fraction:
+    """``as_fraction(lam)``, refused when negative: a multiplier exponent."""
+    lam = as_fraction(lam)
+    if lam < 0:
+        raise DomainError("lambda must be nonnegative")
+    return lam
 
 
 def interior_threshold(lam, c) -> int:
@@ -572,7 +580,7 @@ def point_guard(max_points=None):
     if not env:
         return DEFAULT_POINT_GUARD
     try:
-        guard = int(env)
+        guard = parse_int(env)
     except ValueError:
         guard = 0
     if guard < 1:

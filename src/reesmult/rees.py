@@ -35,6 +35,7 @@ from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
     _facet_rows,
+    as_exponent,
     as_fraction,
     as_ints,
     compare_systems,
@@ -226,9 +227,7 @@ def multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModule
 
     Per facet/ray i the lattice condition is <m, v_i> >= 1 + floor(lam * <u, v_i>).
     """
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    lam = as_exponent(lam)
     pairings = principal_divisor_pairings(alg, u)
     system = ThresholdSystem(
         alg.ambient_rank,
@@ -257,9 +256,7 @@ def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModul
     cone model: strict interior of lam * (conv(gens) + cone), that is
     floor(lam * c) + 1 per facet (w, c) for lam > 0 and the canonical
     module's system, the cone's strict interior, for lam = 0."""
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    lam = as_exponent(lam)
     gens = tuple(sorted({as_ints(g) for g in gens}))
     for g in gens:
         if len(g) != alg.ambient_rank:

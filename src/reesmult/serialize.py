@@ -15,7 +15,8 @@ from operator import attrgetter
 
 from .errors import ParseError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class Record:
@@ -63,7 +64,7 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"rationals must be p/q, got {text!r}")
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(s):
         raise ParseError(f"rationals must be p/q, got {text!r}")
     num, _, den = s.partition("/")
     try:
@@ -73,6 +74,14 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ParseError(f"zero denominator in rational {text!r}")
     return Fraction(num, den)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for a signed decimal in ASCII digits, else ValueError:
+    ``int`` alone also reads "1_0", surrounding blanks and non-ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def dumps_canonical(obj) -> str:

@@ -22,7 +22,8 @@ and full-dimensionality, the quadratic ``minimalize``, the
 point-by-point local verifier, the closure-based normality test, the
 generator-based and the run-based cone slice checks, the cone models
 built one kind at a time through ``irredundant_facets``, the box test of
-pair rationality, the box scan for jumping numbers, the two-listing B.1,
+pair rationality, the box scan for jumping numbers and the search that
+decided each jump candidate on its own derived boxes, the two-listing B.1,
 B.2 and local verifiers, and the dual cone with a second double
 description for its rays.  ``scale`` and ``strict_interior_system``,
 former library functions that only tests call, live there too.
@@ -958,6 +959,53 @@ def jumping_numbers_by_box(a: MonomialIdeal, lam_max, box=None) -> JumpReport:
         if lattice_runs(at.system, box) != lattice_runs(before.system, box):
             jumps.append(cand)
     return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), box, tuple(warnings))
+
+
+def jumping_numbers_by_candidates(a: MonomialIdeal, lam_max) -> JumpReport:
+    """Values in (0, lam_max] where the multiplier module strictly shrinks.
+
+    Candidates are exactly t / c_j over the positive Newton facet
+    thresholds c_j: between consecutive candidates every floor(lam * c_j)
+    is constant.  Just below lam the module (the interior of lam Newt(a),
+    Howald 2001) is {<w, m> >= ceil(lam * c)}; at lam only the rows with
+    lam * c_j an integer rise by one.  So lam jumps iff, for one such row,
+    some m >= 1 of the module below has <w_j, m> <= lam * c_j.  There each
+    m_i with w_ji > 0 lies in [1, lam * c_j // w_ji], and every other m_i
+    can be fixed at the largest threshold, which meets each row it enters
+    (all normals are nonnegative): one run listing of that derived box
+    decides it on all of Z^n.  The guard is checked first, on the boxes at
+    lam_max (the largest) and on the candidate count.  The module and ideal
+    versions share the jumps (the diagonal shift is a bijection of lattice
+    sets).  The reported box, ``default_box(a, lam_max)``, only lets an
+    enumeration reproduce the result; ``warnings`` is always empty.
+    """
+    lam_max = as_fraction(lam_max)
+    if lam_max <= 0:
+        raise DomainError("lambda_max must be positive")
+    facets = newton_positive_facets(a)
+    thresholds = sorted({c for _, c in facets})
+    volume = max((math.prod(math.floor(lam_max * c) // e if e else 1 for e in w)
+                  for w, c in facets), default=0)
+    count, guard = sum(math.floor(lam_max * c) for c in thresholds), point_guard()
+    if volume > guard or count > guard:
+        raise ResourceLimitError(f"jump box volume {volume} or candidate count "
+                                 f"{count} exceeds enumeration guard {guard}")
+    candidates = sorted(
+        {Fraction(t, c) for c in thresholds for t in range(1, math.floor(lam_max * c) + 1)}
+    )
+    jumps = []
+    for lam in candidates:
+        below = [(w, math.ceil(lam * c)) for w, c in facets]
+        top = max(t for _, t in below)
+        for w, c in facets:
+            bound = lam * c
+            if bound.denominator == 1 and bound >= sum(w):
+                rows = below + [(tuple(-e for e in w), -bound.numerator)]
+                box = tuple((1, bound // e) if e else (top, top) for e in w)
+                if lattice_runs(ThresholdSystem(a.nvars, rows), box):
+                    jumps.append(lam)
+                    break
+    return JumpReport(a, lam_max, tuple(jumps), tuple(candidates), default_box(a, lam_max), ())
 
 
 def verify_theoremB_T_by_runs(

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -414,10 +415,8 @@ def _is_json(text):
 
 
 def _positive_int(text):
-    try:
-        return int(text) > 0
-    except ValueError:
-        return False
+    # the guard reads ASCII digits only, so int()'s "1_0" or " 5" are malformed
+    return re.fullmatch("[+-]?[0-9]+", text) is not None and int(text) > 0
 
 
 def _with_field(data, draw, keys):
@@ -517,3 +516,30 @@ class TestMalformedInputExitCode:
             code = main(argv)
         assert code == 2, (argv, env, err.getvalue())
         assert out.getvalue() == ""
+
+    # int() and \d also read "1_0", surrounding blanks and non-ASCII digits
+    @pytest.mark.parametrize("argv", [
+        ["verify", "B2", "-i", XY2, "--k", "1_0..2_0"],
+        ["verify", "B2", "-i", XY2, "--k", " 1 .. 3 "],
+        ["verify", "B1", "-i", XY2, "--n", "\u0660..\u0663"],
+        ["verify", "local", "-m", MODEL23, "--k", "\uff11..3"],
+        ["multiplier", "-i", XY2, "--module", "--lambda", "\u0661/\u0662"],
+        ["jumps", "-i", XY2, "--max", "\u0662"],
+    ])
+    def test_numbers_in_ascii_digits_only(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("value", ["1_000", " 1000", "\u0661\u0660\u0660\u0660"])
+    def test_point_guard_in_ascii_digits_only(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("REESMULT_MAX_POINTS", value)
+        code, out, err = run_main(capsys, "lct", "-i", X2Y3)
+        assert (code, out) == (2, "")
+        assert "REESMULT_MAX_POINTS must be a positive integer" in err
+
+    def test_signed_ranges_still_read(self, capsys):
+        for bounds in ("-3..6", "+0..2", "-5..-3"):
+            code, out, _ = run_main(capsys, "verify", "B2", "-i", XY2, "--k", bounds)
+            assert code == 0
+            assert json.loads(out)["kRange"] == [int(b) for b in bounds.split("..")]

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from reesmult.errors import DomainError
+import reesmult.ideals
+from reesmult.errors import DomainError, ResourceLimitError
 from reesmult.ideals import (
     MonomialIdeal,
     default_box,
@@ -22,17 +23,19 @@ from reesmult.ideals import (
     multiplier_ideal,
     multiplier_module,
     newton,
+    newton_positive_facets,
     omega_module,
     power,
     power_runs,
 )
-from reesmult.polyhedra import cube
+from reesmult.polyhedra import cube, lattice_runs
 
 from oracles import (
     first_non_closed_power_by_closure,
     generators_minimal_reference,
     in_hull_plus_orthant,
     jumping_numbers_by_box,
+    jumping_numbers_by_candidates,
     minimalize_reference,
     scale,
     strict_interior_points,
@@ -503,6 +506,57 @@ class TestJumpingNumbers:
                 wide = cube(n, 0, 3 * report.box[0][1])
                 assert report.jumps == jumping_numbers_by_box(a, lam_max, wide).jumps
         assert warned
+
+    def test_matches_candidate_search(self, monkeypatch):
+        # 320 random ideals of rank 1-4, lam_max <= 8, against the former
+        # per-candidate search: equal reports, or equal guard refusals
+        monkeypatch.setenv("REESMULT_MAX_POINTS", "3000")
+
+        def outcome(search, a, lam_max):
+            try:
+                return search(a, lam_max)
+            except ResourceLimitError as exc:
+                return str(exc)
+
+        rng = random.Random(18)
+        refused = 0
+        for i in range(320):
+            n = 1 + i % 4
+            a = UNIT2 if i == 0 else random_ideal(rng, n, max_entry=7 - n)
+            q = rng.randint(1, 3)
+            lam_max = Fraction(rng.randint(1, 8 * q), q)
+            new = outcome(jumping_numbers, a, lam_max)
+            assert new == outcome(jumping_numbers_by_candidates, a, lam_max), (a, lam_max)
+            refused += isinstance(new, str)
+        assert 0 < refused < 100
+
+    def test_matches_box_scan_where_it_does_not_warn(self):
+        rng = random.Random(41)
+        compared = 0
+        while compared < 40:
+            n = 1 + compared % 3
+            a = random_ideal(rng, n, max_entry=5 - n)
+            lam_max = Fraction(rng.randint(1, 8), rng.randint(1, 2))
+            oracle = jumping_numbers_by_box(a, lam_max)
+            if not oracle.warnings:
+                assert jumping_numbers(a, lam_max).jumps == oracle.jumps, (a, lam_max)
+                compared += 1
+
+    def test_one_run_listing_per_positive_facet(self, monkeypatch):
+        # the per-candidate search listed 596 times on (x^2, y^3) up to 100
+        calls = []
+
+        def counted(system, box, max_points=None):
+            calls.append(box)
+            return lattice_runs(system, box, max_points)
+
+        monkeypatch.setattr(reesmult.ideals, "lattice_runs", counted)
+        x2y3z5 = minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 5)])
+        for a, lam_max in ((M_X2Y3, 100), (M_XY2, 7), (x2y3z5, 12),
+                           (minimalize([(1, 3), (4, 2)]), Fraction(5, 2)), (UNIT2, 3)):
+            calls.clear()
+            jumping_numbers(a, lam_max)
+            assert len(calls) <= len(newton_positive_facets(a)), (a, lam_max)
 
     def test_skoda_periodicity(self):
         # for lam > n, lam is a jump iff lam - 1 is (Ein, Lazarsfeld, Smith
