@@ -7,7 +7,7 @@ modules together with the pair-level rationality biconditional and
 jumping-number periodicity they imply.
 """
 
-from .errors import DomainError, ParseError, ReesmultError, ResourceLimitError
+from .errors import DomainError, NotNormalError, ParseError, ReesmultError, ResourceLimitError
 from .hypersurface import (
     DivisorData,
     LocalHypersurfaceModel,

@@ -14,7 +14,7 @@ import json
 import sys
 from functools import partial
 
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import DomainError, NotNormalError, ParseError, ResourceLimitError
 from .hypersurface import LocalHypersurfaceModel, verify_local_decomposition
 from .ideals import (
     MonomialIdeal,
@@ -93,6 +93,13 @@ def parse_model(text: str) -> LocalHypersurfaceModel:
             and all(_is_int(e) for e in exps)):
         raise ParseError("model JSON: n, m integers and exps a list of integers")
     return LocalHypersurfaceModel(n, m, tuple(exps))
+
+
+def _int(text: str) -> int:
+    return parse_int(text)
+
+
+_int.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
 
 
 def _parse_range(text: str):
@@ -195,12 +202,12 @@ def cmd_canonical(args) -> int:
     return 0
 
 
-def cmd_cone(args, kind: str) -> int:
+def cmd_cone(args) -> int:
     a = parse_ideal(args.ideal)
-    alg = rees_cone(a) if kind == "rees" else extended_rees_cone(a)
+    alg = _algebra(args, a)
     payload = alg.to_json()
     payload["warnings"] = _ideal_warnings(a)
-    lines = [f"{kind} cone in rank {alg.ambient_rank}:"]
+    lines = [f"{args.algebra} cone in rank {alg.ambient_rank}:"]
     lines += [f"  {_ineq_text(w, t)}" for w, t in alg.cone.constraints]
     _emit(args, payload, lines)
     return 0
@@ -230,45 +237,33 @@ def cmd_verify(args) -> int:
         if getattr(args, opt) is not None and args.theorem not in takers.split():
             raise ParseError(f"verify {args.theorem} takes no --{opt.replace('_', '-')}")
     lam = parse_rational(args.lam)
-    if args.theorem == "local":
-        if not args.model:
-            raise ParseError("verify local needs -m MODEL")
-        model = parse_model(args.model)
-        report = verify_local_decomposition(
-            model,
-            lam,
-            box_deg=6 if args.box_deg is None else args.box_deg,
-            box_c=args.box_c,
-            k_range=_parse_range(args.k) if args.k is not None else (-4, 4),
+    local = args.theorem == "local"
+    source = args.model if local else args.input
+    if not source:
+        raise ParseError(f"verify {args.theorem} needs {'-m MODEL' if local else '-i IDEAL'}")
+    subject = parse_model(source) if local else parse_ideal(source)
+    # only the options given reach the verifier: its signature owns each default
+    options = {"k_range": args.k, "n_range": args.n, "box_deg": args.box_deg, "box_c": args.box_c}
+    given = {key: _parse_range(value) if key.endswith("range") else value
+             for key, value in options.items() if value is not None}
+    if args.box is not None:
+        given["box"] = cube(subject.nvars, 0, args.box)
+    verifier = {"B2": verify_theoremB_T, "B1": verify_theoremB_S, "A": verify_theoremA,
+                "local": verify_local_decomposition}[args.theorem]
+    verify = partial(verifier, lam=lam, **given)
+    # every ideal verifier first builds the cone, whose normality scan decides
+    # whether the closure is needed: no separate scan before it
+    try:
+        report = verify(subject)
+    except NotNormalError as exc:
+        if not args.closure:
+            raise DomainError(f"{exc}; pass --closure to verify the closure instead")
+        sys.stderr.write(
+            "notice: input replaced by its integral closure; the decomposition "
+            "statements concern the given ideal, not its closure\n"
         )
-    else:
-        if not args.input:
-            raise ParseError(f"verify {args.theorem} needs -i IDEAL")
-        a = parse_ideal(args.input)
-        box = cube(a.nvars, 0, args.box) if args.box is not None else None
-        if args.theorem == "B2":
-            k_range = _parse_range(args.k) if args.k is not None else (-3, 6)
-            verify = partial(verify_theoremB_T, lam=lam, k_range=k_range, box=box)
-        elif args.theorem == "B1":
-            n_range = _parse_range(args.n) if args.n is not None else (0, 5)
-            verify = partial(verify_theoremB_S, lam=lam, n_range=n_range, box=box)
-        else:
-            verify = partial(verify_theoremA, lam=lam, box=box)
-        # every verifier first builds the cone, whose normality scan decides
-        # whether the closure is needed: no separate scan before it
-        try:
-            report = verify(a)
-        except DomainError as exc:
-            if "not normal" not in str(exc):
-                raise
-            if not args.closure:
-                raise DomainError(f"{exc}; pass --closure to verify the closure instead")
-            sys.stderr.write(
-                "notice: input replaced by its integral closure; the decomposition "
-                "statements concern the given ideal, not its closure\n"
-            )
-            report = verify(integral_closure(a))
-            report.details["closureApplied"] = True
+        report = verify(integral_closure(subject))
+        report.details["closureApplied"] = True
     payload = report.to_json()
     lines = [f"theorem {report.theorem}: {'VERIFIED' if report.overall else 'FAILED'}"]
     for p in report.per_k:
@@ -335,17 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rees-cone", help="cone model of the Rees algebra", **sub_parents)
     add_ideal(p)
-    p.set_defaults(func=lambda a: cmd_cone(a, "rees"))
+    p.set_defaults(func=cmd_cone, algebra="rees")
 
     p = sub.add_parser("ext-rees-cone", help="cone model of the extended Rees algebra", **sub_parents)
     add_ideal(p)
-    p.set_defaults(func=lambda a: cmd_cone(a, "ext-rees"))
+    p.set_defaults(func=cmd_cone, algebra="ext-rees")
 
     p = sub.add_parser("graded-piece", help="t-degree slice of a multiplier module", **sub_parents)
     add_ideal(p)
     p.add_argument("--algebra", choices=("rees", "ext-rees"), default="ext-rees")
     p.add_argument("--lambda", dest="lam", default="0", help='exponent as "p/q"')
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.set_defaults(func=cmd_graded_piece)
 
     p = sub.add_parser("verify", help="machine-verify a decomposition statement", **sub_parents)
@@ -355,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="0", help='exponent as "p/q"')
     p.add_argument("--k", help="B2, local: t-degree range LO..HI")
     p.add_argument("--n", help="B1: decomposition index range LO..HI")
-    p.add_argument("--box", type=int, help="B1, B2: per-coordinate upper bound; A: recorded only")
-    p.add_argument("--box-deg", type=int, help="local: max x/y degree (default 6)")
-    p.add_argument("--box-c", type=int, default=None, help="local: max s exponent")
+    p.add_argument("--box", type=_int, help="B1, B2: per-coordinate upper bound; A: recorded only")
+    p.add_argument("--box-deg", type=_int, help="local: max x/y degree (default 6)")
+    p.add_argument("--box-c", type=_int, help="local: max s exponent")
     p.add_argument("--closure", action="store_true", default=None,
                    help="replace a non-normal ideal by its integral closure (with notice)")
     p.set_defaults(func=cmd_verify)

@@ -15,3 +15,7 @@ class DomainError(ReesmultError, ValueError):
 
 class ResourceLimitError(ReesmultError, RuntimeError):
     """A desk-scale guard (rank or enumeration volume) was exceeded."""
+
+
+class NotNormalError(DomainError):
+    """The ideal is not normal, so its (extended) Rees algebra is not toric."""

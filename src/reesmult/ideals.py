@@ -124,13 +124,16 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
 
     Minimal lattice points of the Newton polyhedron have coordinates
     bounded by the per-coordinate maxima of the generators, so a finite
-    box suffices.  Every other point of a run lies above its first, so
-    only the first points are candidates.
+    box suffices.  The set is upward closed: a run start ``p + (lo,)`` is
+    minimal iff each line ``p - e_i`` (``p_i > 0``) misses it or starts after lo.
     """
     bounds = tuple((0, max(column)) for column in zip(*a.generators))
     system = ThresholdSystem(a.nvars, [(h.normal, h.threshold) for h in newton(a).facets])
-    starts = [prefix + (lo,) for prefix, lo, _ in lattice_runs(system, bounds)]
-    return minimalize(starts, a.nvars)
+    start = {prefix: lo for prefix, lo, _ in lattice_runs(system, bounds)}
+    return MonomialIdeal(a.nvars, [
+        p + (lo,) for p, lo in start.items()
+        if all(start.get(p[:i] + (e - 1,) + p[i + 1:], lo + 1) > lo for i, e in enumerate(p) if e)
+    ])
 
 
 def power_runs(a: MonomialIdeal, k: int, box):

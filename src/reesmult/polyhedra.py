@@ -568,14 +568,9 @@ class ThresholdSystem(Record):
 # ---------------------------------------------------------------------------
 
 
-def point_guard(max_points=None):
-    """The box-volume guard: ``max_points`` if given, else REESMULT_MAX_POINTS
-    (each a positive integer; unset or empty means the default 10**8)."""
-    if max_points is not None:
-        guard = operator.index(max_points) if hasattr(max_points, "__index__") else 0
-        if guard < 1:
-            raise DomainError(f"max_points must be a positive integer, got {max_points!r}")
-        return guard
+def point_guard():
+    """The box-volume guard: REESMULT_MAX_POINTS, a positive integer in ASCII
+    digits (unset or empty means the default 10**8)."""
     env = os.environ.get(POINT_GUARD_ENV)
     if not env:
         return DEFAULT_POINT_GUARD
@@ -597,7 +592,7 @@ def _narrow(lo, hi, a, r):
     return (lo, hi) if r <= 0 else (hi + 1, hi)
 
 
-def _walk(system: ThresholdSystem, box, max_points, count: bool):
+def _walk(system: ThresholdSystem, box, count: bool):
     """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``.
 
     The walk fixes coordinates in order; ``rs[ci]`` is what row ci still needs
@@ -613,7 +608,7 @@ def _walk(system: ThresholdSystem, box, max_points, count: bool):
         if lo > hi:
             raise DomainError("box lower bound exceeds upper bound")
     volume = math.prod(hi - lo + 1 for lo, hi in bounds)
-    guard = point_guard(max_points)
+    guard = point_guard()
     if volume > guard:
         raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:
@@ -621,7 +616,7 @@ def _walk(system: ThresholdSystem, box, max_points, count: bool):
     if system.rank == 1:
         # the one line has an empty prefix: search a box with a dummy first axis
         lifted = ThresholdSystem(2, tuple(((0,) + w, t) for w, t in system.constraints))
-        found = _walk(lifted, ((0, 0),) + bounds, volume, count)
+        found = _walk(lifted, ((0, 0),) + bounds, count)
         return found if count else [((), lo, hi) for _, lo, hi in found]
     last = system.rank - 1
     last_lo, last_hi = bounds[last]
@@ -678,7 +673,7 @@ def _walk(system: ThresholdSystem, box, max_points, count: bool):
     return found if count else runs
 
 
-def lattice_runs(system: ThresholdSystem, box, max_points=None):
+def lattice_runs(system: ThresholdSystem, box):
     """Integer points of the system inside the box as runs ``(prefix, lo, hi)``,
     the points ``prefix + (v,)`` with lo <= v <= hi, one per line along the
     last coordinate that meets the set, in lex order of ``prefix``.
@@ -686,24 +681,23 @@ def lattice_runs(system: ThresholdSystem, box, max_points=None):
     A constraint bounds v from one side, or tests the prefix alone when its
     last entry is 0, so each line meets the set in one interval, whatever the
     system.  ``box`` is one (lo, hi) pair of integers per coordinate; other
-    bounds are refused, never truncated.  The box volume
-    guard (default 10**8, override via REESMULT_MAX_POINTS or ``max_points``)
-    bounds the search space, not the output.
+    bounds are refused, never truncated.  The box volume guard
+    (``point_guard``) bounds the search space, not the output.
     """
-    return _walk(system, box, max_points, count=False)
+    return _walk(system, box, count=False)
 
 
-def lattice_count(system: ThresholdSystem, box, max_points=None):
-    """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box, max_points))``
+def lattice_count(system: ThresholdSystem, box):
+    """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box))``
     from the same walk, checks and guard, with no run built, and a subtree
     counted once per distinct residual of its rows (see ``_walk``)."""
-    return _walk(system, box, max_points, count=True)
+    return _walk(system, box, count=True)
 
 
-def lattice_points(system: ThresholdSystem, box, max_points=None):
+def lattice_points(system: ThresholdSystem, box):
     """All integer points of the system inside the box, sorted
     lexicographically: the expansion of ``lattice_runs``."""
-    runs = lattice_runs(system, box, max_points)
+    runs = lattice_runs(system, box)
     return [prefix + (v,) for prefix, lo, hi in runs for v in range(lo, hi + 1)]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, NotNormalError
 from .ideals import (
     CACHE_SIZE,
     OMEGA,
@@ -185,7 +185,7 @@ def extended_rees_cone(a: MonomialIdeal) -> GradedToricAlgebra:
     """Cone of R[at, t^-1]: {m >= 0} and <w_j, m> >= c_j k per Newton facet."""
     k = first_non_closed_power(a, max(a.nvars - 1, 3))  # and each power the slice check reads
     if k is not None:
-        raise DomainError(
+        raise NotNormalError(
             "extended Rees algebra is not toric: ideal not normal "
             f"(closure differs at power {k})"
         )

@@ -16,7 +16,8 @@ part keeps former library routines verbatim as references for the ones
 that replaced them: the generator-based integer helpers ``dot``,
 ``primitive``, ``_combine`` and ``frac_str``, the double description
 that combined every vector on a pivot row, the all-pairs generator
-minimality check, the ``Fraction`` row reduction with its kernel basis
+minimality check, the closure that minimalized every run start, the
+``Fraction`` row reduction with its kernel basis
 and the ray listing built on it, the ``Fraction`` rank test for facets
 and full-dimensionality, the quadratic ``minimalize``, the
 point-by-point local verifier, the closure-based normality test, the
@@ -49,7 +50,9 @@ from reesmult.ideals import (
     default_box,
     first_non_closed_power,
     integral_closure,
+    minimalize,
     multiplier_module,
+    newton,
     newton_positive_facets,
     power,
     power_runs,
@@ -736,6 +739,15 @@ def minimalize_reference(gens, nvars=None) -> MonomialIdeal:
     return MonomialIdeal(nvars, tuple(kept))
 
 
+def integral_closure_by_minimalize(a: MonomialIdeal) -> MonomialIdeal:
+    """Minimal generators of the monomials in Newt(a), kept verbatim from the
+    former library: ``minimalize`` over the first point of every run."""
+    bounds = tuple((0, max(column)) for column in zip(*a.generators))
+    system = ThresholdSystem(a.nvars, [(h.normal, h.threshold) for h in newton(a).facets])
+    starts = [prefix + (lo,) for prefix, lo, _ in lattice_runs(system, bounds)]
+    return minimalize(starts, a.nvars)
+
+
 def local_decomposition_by_points(
     model: LocalHypersurfaceModel,
     lam,
@@ -758,7 +770,7 @@ def local_decomposition_by_points(
     if box_c is None:
         box_c = max(model.exps) * box_deg + 2
     lo, hi = k_range
-    guard = point_guard(None)
+    guard = point_guard()
     per_k = []
     inconclusive = []
     for k in range(lo, hi + 1):

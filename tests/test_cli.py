@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 import reesmult.cli
 from reesmult.cli import main
+from reesmult.errors import DomainError
+from reesmult.serialize import dumps_canonical
 
 X2Y3 = '{"nvars":2,"generators":[[2,0],[0,3]]}'
 XY2 = '{"nvars":2,"generators":[[2,0],[1,1],[0,2]]}'
@@ -201,6 +204,43 @@ class TestVerify:
         assert err == (
             "notice: input replaced by its integral closure; the decomposition "
             "statements concern the given ideal, not its closure\n")
+
+    @pytest.mark.parametrize("argv, k_range", [
+        (["verify", "B2", "-i", XY2], [-3, 6]),
+        (["verify", "B1", "-i", XY], [0, 5]),
+        (["verify", "local", "-m", MODEL23], [-4, 4]),
+    ])
+    def test_library_defaults_without_options(self, capsys, argv, k_range):
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["kRange"] == k_range
+        if argv[1] == "local":
+            assert data["boxDeg"] == 6
+
+    @pytest.mark.parametrize("theorem", ("B2", "B1", "A", "local"))
+    def test_report_is_the_library_default_call(self, capsys, theorem):
+        # no option given: the bytes of the verifier called with no keyword
+        from reesmult import hypersurface, rees
+
+        if theorem == "local":
+            argv, report = ["-m", MODEL23], hypersurface.verify_local_decomposition(
+                reesmult.cli.parse_model(MODEL23), 0)
+        else:
+            verifier = {"B2": rees.verify_theoremB_T, "B1": rees.verify_theoremB_S,
+                        "A": rees.verify_theoremA}[theorem]
+            argv, report = ["-i", XY2], verifier(reesmult.cli.parse_ideal(XY2), 0)
+        code, out, _ = run_main(capsys, "verify", theorem, *argv)
+        assert (code, out) == (0, dumps_canonical(report.to_json()) + "\n")
+
+    def test_closure_follows_the_type_not_the_text(self, capsys, monkeypatch):
+        # a domain error that only mentions normality is reported as it is
+        def refuse(a, lam, **options):
+            raise DomainError("ideal not normal, says another check")
+
+        monkeypatch.setattr(reesmult.cli, "verify_theoremB_T", refuse)
+        code, out, err = run_main(capsys, "verify", "B2", "-i", X2Y3, "--closure")
+        assert (code, out, err) == (3, "", "domain error: ideal not normal, says another check\n")
 
     def test_b1(self, capsys):
         code, out, _ = run_main(
@@ -538,8 +578,52 @@ class TestMalformedInputExitCode:
         assert (code, out) == (2, "")
         assert "REESMULT_MAX_POINTS must be a positive integer" in err
 
+    @pytest.mark.parametrize("argv, option, value", [
+        (["graded-piece", "-i", XY2, "--k"], "--k", "1_0"),
+        (["graded-piece", "-i", XY2, "--k"], "--k", " 2"),
+        (["verify", "B2", "-i", XY2, "--box"], "--box", " \u0663"),
+        (["verify", "local", "-m", MODEL23, "--box-deg"], "--box-deg", "\u0662"),
+        (["verify", "local", "-m", MODEL23, "--box-c"], "--box-c", "1_0"),
+        (["verify", "B2", "-i", XY2, "--box"], "--box", "x"),
+    ])
+    def test_integer_options_in_ascii_digits_only(self, capsys, argv, option, value):
+        code, out, err = run_main(capsys, *argv, value)
+        assert (code, out) == (2, "")
+        # argparse's own message, as for any value int() refuses
+        assert err.splitlines()[-1] == (
+            f"reesmult {argv[0]}: error: argument {option}: invalid int value: {value!r}")
+
     def test_signed_ranges_still_read(self, capsys):
         for bounds in ("-3..6", "+0..2", "-5..-3"):
             code, out, _ = run_main(capsys, "verify", "B2", "-i", XY2, "--k", bounds)
             assert code == 0
             assert json.loads(out)["kRange"] == [int(b) for b in bounds.split("..")]
+
+
+class TestParserAudit:
+    BAD = ("1_0", "\u0663", " 2")
+
+    @staticmethod
+    def _options():
+        parser = reesmult.cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.option_strings and action.type is not None:
+                    yield name, action
+
+    def test_every_integer_option_in_ascii_digits_only(self):
+        # a future type=int (which reads all three) fails here
+        audited = []
+        for name, action in self._options():
+            try:
+                if action.type("12") != 12:
+                    continue
+            except (TypeError, ValueError):
+                continue
+            audited.append(f"{name} {action.option_strings[-1]}")
+            for bad in self.BAD:
+                with pytest.raises(ValueError):
+                    action.type(bad)
+        assert audited == [
+            "graded-piece --k", "verify --box", "verify --box-deg", "verify --box-c"]

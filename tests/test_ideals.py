@@ -34,6 +34,7 @@ from oracles import (
     first_non_closed_power_by_closure,
     generators_minimal_reference,
     in_hull_plus_orthant,
+    integral_closure_by_minimalize,
     jumping_numbers_by_box,
     jumping_numbers_by_candidates,
     minimalize_reference,
@@ -189,6 +190,14 @@ class TestIntegralClosure:
                 assert closure.contains_exponent(m) == in_hull_plus_orthant(
                     m, a.generators
                 ), (a, m)
+
+    def test_matches_minimalized_run_starts(self):
+        # the unit ideal, then 240 random ideals of rank 1-4, principal included
+        rng = random.Random(19)
+        ideals = [UNIT2] + [random_ideal(rng, rng.randint(1, 4), rng.choice((3, 6)), max_gens=6)
+                            for _ in range(240)]
+        for a in ideals:
+            assert integral_closure(a) == integral_closure_by_minimalize(a), a
 
     def test_extensive_idempotent(self):
         rng = random.Random(42)
@@ -546,9 +555,9 @@ class TestJumpingNumbers:
         # the per-candidate search listed 596 times on (x^2, y^3) up to 100
         calls = []
 
-        def counted(system, box, max_points=None):
+        def counted(system, box):
             calls.append(box)
-            return lattice_runs(system, box, max_points)
+            return lattice_runs(system, box)
 
         monkeypatch.setattr(reesmult.ideals, "lattice_runs", counted)
         x2y3z5 = minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 5)])

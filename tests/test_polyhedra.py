@@ -25,6 +25,7 @@ from reesmult.ideals import (
     systems_equal,
 )
 from reesmult.polyhedra import (
+    POINT_GUARD_ENV,
     Cone,
     HalfSpace,
     Polyhedron,
@@ -534,17 +535,10 @@ class TestLatticePoints:
             assert got == want
             assert got == sorted(got)
 
-    def test_volume_guard(self):
-        sys = ThresholdSystem(2, ())
+    def test_volume_guard(self, monkeypatch):
+        monkeypatch.setenv(POINT_GUARD_ENV, "50")
         with pytest.raises(ResourceLimitError):
-            lattice_points(sys, cube(2, 0, 10), max_points=50)
-
-    @pytest.mark.parametrize("fn", (lattice_runs, lattice_count, lattice_points))
-    @pytest.mark.parametrize("bad", (121.9, Fraction(121), "121", 0, -1))
-    def test_max_points_not_a_positive_integer_refused(self, fn, bad):
-        # never truncated nor parsed: 121.9 once allowed the 121-point box
-        with pytest.raises(DomainError, match="max_points must be a positive integer"):
-            fn(ThresholdSystem(2, (((1, 1), 0),)), cube(2, 0, 10), max_points=bad)
+            lattice_points(ThresholdSystem(2, ()), cube(2, 0, 10))
 
     def test_guard_env_override(self, monkeypatch):
         sys = ThresholdSystem(2, ())
@@ -658,15 +652,17 @@ class TestLatticeRuns:
         assert compare_runs([((0,), 1, 2)], [((0,), 1, 4)]) == (2, 4, (0, 3))
         assert compare_runs([((0,), 1, 2)], [((0,), 1, 2), ((2,), 5, 5)]) == (2, 3, (2, 5))
 
-    def test_volume_guard_same_as_points(self):
+    def test_volume_guard_same_as_points(self, monkeypatch):
         sys = ThresholdSystem(2, ())
+        monkeypatch.setenv(POINT_GUARD_ENV, "120")
         for fn in (lattice_runs, lattice_count, lattice_points):
             with pytest.raises(ResourceLimitError) as exc:
-                fn(sys, cube(2, 0, 10), max_points=120)
+                fn(sys, cube(2, 0, 10))
             assert str(exc.value) == "box volume 121 exceeds enumeration guard 120"
-        assert len(lattice_runs(sys, cube(2, 0, 10), max_points=121)) == 11
-        assert lattice_count(sys, cube(2, 0, 10), max_points=121) == 121
-        assert len(lattice_points(sys, cube(2, 0, 10), max_points=121)) == 121
+        monkeypatch.setenv(POINT_GUARD_ENV, "121")
+        assert len(lattice_runs(sys, cube(2, 0, 10))) == 11
+        assert lattice_count(sys, cube(2, 0, 10)) == 121
+        assert len(lattice_points(sys, cube(2, 0, 10))) == 121
 
     def test_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("REESMULT_MAX_POINTS", "50")
@@ -822,17 +818,13 @@ class TestLatticeCount:
         volume = 11 ** system.rank
         message = f"box volume {volume} exceeds enumeration guard {volume - 1}"
         for walk in (lattice_runs, lattice_count):
-            with pytest.raises(ResourceLimitError) as exc:
-                walk(system, box, max_points=volume - 1)
-            assert str(exc.value) == message
-            monkeypatch.setenv("REESMULT_MAX_POINTS", str(volume - 1))
+            monkeypatch.setenv(POINT_GUARD_ENV, str(volume - 1))
             with pytest.raises(ResourceLimitError) as exc:
                 walk(system, box)
             assert str(exc.value) == message
-            monkeypatch.setenv("REESMULT_MAX_POINTS", str(volume))
+            monkeypatch.setenv(POINT_GUARD_ENV, str(volume))
             walk(system, box)
-            monkeypatch.delenv("REESMULT_MAX_POINTS")
-            walk(system, box, max_points=volume)
+            monkeypatch.delenv(POINT_GUARD_ENV)
         assert lattice_count(system, box) == len(brute_lattice_points(system, box))
 
     @settings(max_examples=300, deadline=None)
@@ -867,13 +859,16 @@ class TestLatticeCount:
         row = ThresholdSystem(6, (((1,) * 6, 60),))
         volume = 21 ** 6
         for walk in (lattice_runs, lattice_count):
+            monkeypatch.setenv(POINT_GUARD_ENV, str(volume - 1))
             with pytest.raises(ResourceLimitError) as exc:
-                walk(row, cube(6, 0, 20), max_points=volume - 1)
+                walk(row, cube(6, 0, 20))
             assert str(exc.value) == f"box volume {volume} exceeds enumeration guard {volume - 1}"
+            monkeypatch.delenv(POINT_GUARD_ENV)
             with pytest.raises(ResourceLimitError) as exc:
                 walk(row, cube(6, 0, 21))
             assert str(exc.value) == f"box volume {22 ** 6} exceeds enumeration guard {10 ** 8}"
-        assert lattice_count(row, cube(6, 0, 20), max_points=volume) == cube_count_at_least(6, 20, 60)
+        monkeypatch.setenv(POINT_GUARD_ENV, str(volume))
+        assert lattice_count(row, cube(6, 0, 20)) == cube_count_at_least(6, 20, 60)
 
     def test_count_narrows_far_less_than_listing(self, monkeypatch):
         # the work the memo saves, as a count that does not depend on the

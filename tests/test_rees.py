@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from reesmult.errors import DomainError
+from reesmult.errors import DomainError, NotNormalError
 from reesmult.ideals import first_non_closed_power, minimalize, newton, omega_module, power
 from reesmult.polyhedra import (
     ThresholdSystem,
@@ -82,6 +82,15 @@ class TestConeConstruction:
     def test_non_normal_rejected(self):
         with pytest.raises(DomainError, match="not normal .closure differs at power 1."):
             extended_rees_cone(M_X2Y3)
+
+    @pytest.mark.parametrize("build", (extended_rees_cone, rees_cone))
+    def test_non_normal_is_its_own_type(self, build):
+        # callers such as ``verify --closure`` catch the type, not the text
+        assert issubclass(NotNormalError, DomainError)
+        with pytest.raises(NotNormalError) as exc:
+            build(M_X2Y3)
+        assert str(exc.value) == (
+            "extended Rees algebra is not toric: ideal not normal (closure differs at power 1)")
 
     def test_rees_square(self):
         assert rees_cone(M_XY2).cone.constraints == (
@@ -635,13 +644,13 @@ def _record_walks(monkeypatch):
     to record the systems they list and count."""
     listed, counted = [], []
 
-    def listing(system, box, max_points=None):
+    def listing(system, box):
         listed.append(system)
-        return lattice_runs(system, box, max_points)
+        return lattice_runs(system, box)
 
-    def counting(system, box, max_points=None):
+    def counting(system, box):
         counted.append(system)
-        return lattice_count(system, box, max_points)
+        return lattice_count(system, box)
 
     monkeypatch.setattr("reesmult.polyhedra.lattice_runs", listing)
     monkeypatch.setattr("reesmult.polyhedra.lattice_count", counting)
