@@ -56,7 +56,7 @@ def _load_source(text: str):
         try:
             with open(text, encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read input file {text!r}: {exc}") from exc
     try:
         return json.loads(raw)
@@ -118,8 +118,11 @@ def _emit(args, payload: dict, text_lines) -> None:
     else:
         out = dumps_canonical(payload) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise ParseError(f"cannot write output file {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(out)
 
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", help="B2, local: t-degree range LO..HI")
     p.add_argument("--n", help="B1: decomposition index range LO..HI")
     p.add_argument("--box", type=_int, help="B1, B2: per-coordinate upper bound; A: recorded only")
-    p.add_argument("--box-deg", type=_int, help="local: max x/y degree (default 6)")
+    p.add_argument("--box-deg", type=_int, help="local: max x/y degree")
     p.add_argument("--box-c", type=_int, help="local: max s exponent")
     p.add_argument("--closure", action="store_true", default=None,
                    help="replace a non-normal ideal by its integral closure (with notice)")

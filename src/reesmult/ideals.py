@@ -107,73 +107,51 @@ def newton_positive_facets(a: MonomialIdeal):
     return [(h.normal, h.threshold) for h in newton(a).facets if h.threshold > 0]
 
 
+def _sums(a: MonomialIdeal, k: int):
+    """The k-fold sums of generators, which generate a^k."""
+    combos = itertools.combinations_with_replacement(a.generators, k)
+    return {tuple(map(sum, zip(*combo))) for combo in combos}
+
+
 def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th power: minimalized k-fold sums of generators."""
     if k < 1:
         raise DomainError("power exponent must be positive")
-    if k == 1:
-        return a
-    sums = set()
-    for combo in itertools.combinations_with_replacement(a.generators, k):
-        sums.add(tuple(sum(es) for es in zip(*combo)))
-    return minimalize(sums, a.nvars)
+    return a if k == 1 else minimalize(_sums(a, k), a.nvars)
+
+
+def _closure_points(a: MonomialIdeal, k: int):
+    """Minimal lattice points of k Newt(a), the minimal generators of the
+    integral closure of a^k.  They lie in the box of k times the
+    per-coordinate generator maxima.  The lattice points are upward closed:
+    a run start ``p + (lo,)`` is minimal iff each line ``p - e_i``
+    (``p_i > 0``) misses them or starts after lo.
+    """
+    bounds = tuple((0, k * max(column)) for column in zip(*a.generators))
+    system = ThresholdSystem(a.nvars, [(h.normal, k * h.threshold) for h in newton(a).facets])
+    start = {prefix: lo for prefix, lo, _ in lattice_runs(system, bounds)}
+    return {
+        p + (lo,) for p, lo in start.items()
+        if all(start.get(p[:i] + (e - 1,) + p[i + 1:], lo + 1) > lo for i, e in enumerate(p) if e)
+    }
 
 
 def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
-    """Minimal generators of the monomials in Newt(a); extensive, idempotent.
-
-    Minimal lattice points of the Newton polyhedron have coordinates
-    bounded by the per-coordinate maxima of the generators, so a finite
-    box suffices.  The set is upward closed: a run start ``p + (lo,)`` is
-    minimal iff each line ``p - e_i`` (``p_i > 0``) misses it or starts after lo.
-    """
-    bounds = tuple((0, max(column)) for column in zip(*a.generators))
-    system = ThresholdSystem(a.nvars, [(h.normal, h.threshold) for h in newton(a).facets])
-    start = {prefix: lo for prefix, lo, _ in lattice_runs(system, bounds)}
-    return MonomialIdeal(a.nvars, [
-        p + (lo,) for p, lo in start.items()
-        if all(start.get(p[:i] + (e - 1,) + p[i + 1:], lo + 1) > lo for i, e in enumerate(p) if e)
-    ])
-
-
-def power_runs(a: MonomialIdeal, k: int, box):
-    """Runs (as ``lattice_runs`` gives them) of the exponents of a^k, the unit
-    ideal for k <= 0, in a box starting at 0.  A line starts at the least last
-    exponent of a k-fold generator sum on it or of the lines one step below,
-    which lex order visits first; that needs no minimal generators."""
-    sums = {(0,) * a.nvars}
-    for _ in range(k):
-        sums = {tuple(x + y for x, y in zip(s, g)) for s in sums for g in a.generators}
-    *head, (_, top) = box
-    least = {}
-    for s in sums:
-        least[s[:-1]] = min(least.get(s[:-1], top + 1), s[-1])
-    runs = []
-    for p in itertools.product(*(range(hi + 1) for _, hi in head)):
-        below = [least[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e > 0]
-        least[p] = min([least.get(p, top + 1)] + below)
-        if least[p] <= top:
-            runs.append((p, least[p], top))
-    return runs
+    """Minimal generators of the monomials in Newt(a); extensive, idempotent."""
+    return MonomialIdeal(a.nvars, _closure_points(a, 1))
 
 
 def first_non_closed_power(a: MonomialIdeal, bound=None):
     """Smallest k <= bound with a^k not integrally closed, or None.
 
-    The lattice points of Newt(a^k) = k Newt(a) are compared with the
-    exponents of a^k; both sets are upward closed with minimal points in
-    the box of k times the per-coordinate generator maxima.  Closedness of
-    the first nvars - 1 powers implies normality, hence the default bound.
+    The k-fold sums generate a^k, which lies in its closure, so a^k is
+    closed iff each minimal point of k Newt(a) is a sum (if a^k is closed,
+    the point is a minimal generator of a^k).  Closedness of the first
+    nvars - 1 powers implies normality, hence the default bound.
     """
     if bound is None:
         bound = max(a.nvars - 1, 1)
-    facets = [(h.normal, h.threshold) for h in newton(a).facets]
-    for k in range(1, bound + 1):
-        box = tuple((0, k * max(g[i] for g in a.generators)) for i in range(a.nvars))
-        scaled = ThresholdSystem(a.nvars, tuple((w, k * c) for w, c in facets))
-        if lattice_runs(scaled, box) != power_runs(a, k, box):
-            return k
-    return None
+    return next((k for k in range(1, bound + 1) if not _closure_points(a, k) <= _sums(a, k)), None)
 
 
 def is_normal(a: MonomialIdeal, bound=None) -> bool:

@@ -55,7 +55,6 @@ from reesmult.ideals import (
     newton,
     newton_positive_facets,
     power,
-    power_runs,
     systems_equal,
 )
 from reesmult import polyhedra
@@ -820,6 +819,46 @@ def first_non_closed_power_by_closure(a: MonomialIdeal, bound=None):
     for k in range(1, bound + 1):
         ak = power(a, k)
         if integral_closure(ak) != ak:
+            return k
+    return None
+
+
+def power_runs(a: MonomialIdeal, k: int, box):
+    """Runs (as ``lattice_runs`` gives them) of the exponents of a^k, the unit
+    ideal for k <= 0, in a box starting at 0.  A line starts at the least last
+    exponent of a k-fold generator sum on it or of the lines one step below,
+    which lex order visits first; that needs no minimal generators."""
+    sums = {(0,) * a.nvars}
+    for _ in range(k):
+        sums = {tuple(x + y for x, y in zip(s, g)) for s in sums for g in a.generators}
+    *head, (_, top) = box
+    least = {}
+    for s in sums:
+        least[s[:-1]] = min(least.get(s[:-1], top + 1), s[-1])
+    runs = []
+    for p in itertools.product(*(range(hi + 1) for _, hi in head)):
+        below = [least[p[:i] + (e - 1,) + p[i + 1:]] for i, e in enumerate(p) if e > 0]
+        least[p] = min([least.get(p, top + 1)] + below)
+        if least[p] <= top:
+            runs.append((p, least[p], top))
+    return runs
+
+
+def first_non_closed_power_by_runs(a: MonomialIdeal, bound=None):
+    """Smallest k <= bound with a^k not integrally closed, or None.
+
+    The lattice points of Newt(a^k) = k Newt(a) are compared with the
+    exponents of a^k; both sets are upward closed with minimal points in
+    the box of k times the per-coordinate generator maxima.  Closedness of
+    the first nvars - 1 powers implies normality, hence the default bound.
+    """
+    if bound is None:
+        bound = max(a.nvars - 1, 1)
+    facets = [(h.normal, h.threshold) for h in newton(a).facets]
+    for k in range(1, bound + 1):
+        box = tuple((0, k * max(g[i] for g in a.generators)) for i in range(a.nvars))
+        scaled = ThresholdSystem(a.nvars, tuple((w, k * c) for w, c in facets))
+        if lattice_runs(scaled, box) != power_runs(a, k, box):
             return k
     return None
 

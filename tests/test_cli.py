@@ -363,6 +363,22 @@ class TestOtherCommands:
         assert out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["lct"] == "5/6"
 
+    def test_input_file_not_utf8_exit2(self, capsys, tmp_path):
+        source = tmp_path / "ideal.json"
+        source.write_bytes(b'{"nvars": 2, "generators": [[2, 0], [0, 3]]}\xff')
+        code, out, err = run_main(capsys, "lct", "-i", str(source))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: cannot read input file {str(source)!r}: ")
+        assert "codec can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("where", ["missing/out.json", ""])  # no directory; a directory
+    def test_unwritable_output_file_exit2(self, capsys, tmp_path, where):
+        target = str(tmp_path / where)
+        code, out, err = run_main(capsys, "-o", target, "lct", "-i", X2Y3)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: cannot write output file {target!r}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_text_format(self, capsys):
         code, out, _ = run_main(capsys, "newton", "-i", X2Y3, "--format", "text")
         assert code == 0

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reesmult.ideals
 from reesmult.errors import DomainError, ResourceLimitError
@@ -26,18 +28,19 @@ from reesmult.ideals import (
     newton_positive_facets,
     omega_module,
     power,
-    power_runs,
 )
 from reesmult.polyhedra import cube, lattice_runs
 
 from oracles import (
     first_non_closed_power_by_closure,
+    first_non_closed_power_by_runs,
     generators_minimal_reference,
     in_hull_plus_orthant,
     integral_closure_by_minimalize,
     jumping_numbers_by_box,
     jumping_numbers_by_candidates,
     minimalize_reference,
+    power_runs,
     scale,
     strict_interior_points,
     strict_interior_system,
@@ -241,6 +244,49 @@ class TestIsNormal:
         # every rank, and non-normal ideals at more than one power
         assert {n for n, _ in seen} == {1, 2, 3, 4}
         assert {k for _, k in seen} >= {None, 1, 2}
+
+
+def scan_bounds(a):
+    return (None, 1, 3, max(a.nvars - 1, 3))
+
+
+def expected_at(first, a, bound):
+    """The run-list scan's answer at ``bound``, read off one scan up to a
+    larger bound: the scan stops at the first non-closed power."""
+    top = max(a.nvars - 1, 1) if bound is None else bound
+    return first if first is not None and first <= top else None
+
+
+@st.composite
+def scanned_ideals(draw):
+    n = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 2 if n == 5 else 3)] * n)
+    a = minimalize(draw(st.lists(exponents, min_size=1, max_size=4)), n)
+    return integral_closure(a) if draw(st.booleans()) else a
+
+
+class TestClosedPowerScan:
+    def test_matches_run_list_scan(self):
+        # 1000 ideals of rank 1-5, every second one a closure
+        rng = random.Random(20)
+        seen = set()
+        for i in range(1000):
+            n = 1 + i % 5
+            a = random_ideal(rng, n, max_entry=(5, 5, 4, 3, 2)[n - 1], max_gens=3 if n == 5 else 4)
+            if i % 2:
+                a = integral_closure(a)
+            first = first_non_closed_power_by_runs(a, max(n - 1, 3))
+            for bound in scan_bounds(a):
+                want = expected_at(first, a, bound)
+                assert first_non_closed_power(a, bound) == want, (a, bound)
+                seen.add(want)
+        assert seen == {None, 1, 2}
+
+    @settings(max_examples=150, deadline=None)
+    @given(scanned_ideals(), st.data())
+    def test_matches_run_list_scan_on_any_ideal(self, a, data):
+        bound = data.draw(st.sampled_from(scan_bounds(a)))
+        assert first_non_closed_power(a, bound) == first_non_closed_power_by_runs(a, bound)
 
 
 class TestPowerRuns:
