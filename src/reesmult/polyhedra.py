@@ -595,12 +595,15 @@ def _narrow(lo, hi, a, r):
 def _walk(system: ThresholdSystem, box, count: bool):
     """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``.
 
-    The walk fixes coordinates in order; ``rs[ci]`` is what row ci still needs
-    from the free coordinates.  A subtree's count depends only on its depth
-    and ``rs``, not on the prefix, so count mode memoises it for this call.  A
-    residual at most ``smin``, the least the free coordinates can add to its
-    row in the box, means the row holds on the whole subtree: every such
-    residual gives the same count, and the key holds None for it."""
+    A row with one nonzero entry bounds one coordinate: it narrows the box and
+    leaves the row list, after the volume guard has read the box as given.  The
+    walk fixes the other coordinates in order; ``rs[ci]`` is what row ci still
+    needs from the free coordinates.  A residual at most ``smin``, the least the
+    free coordinates can add to its row in the box, means the row holds on the
+    whole subtree.  Count mode adds the values of a coordinate where every row
+    does so as one block of whole sub-boxes, and memoises any other subtree for
+    this call: its count depends only on its depth and ``rs``, not on the
+    prefix, and the key holds None for each residual at most ``smin``."""
     bounds = tuple(map(as_ints, box))
     if len(bounds) != system.rank:
         raise DomainError("box length does not match system rank")
@@ -613,14 +616,25 @@ def _walk(system: ThresholdSystem, box, count: bool):
         raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:
         return 0 if count else []
+    bounds, ws, ts = list(bounds), [], []
+    for w, t in system.constraints:
+        nonzero = [i for i, e in enumerate(w) if e]
+        if len(nonzero) == 1:
+            i = nonzero[0]
+            bounds[i] = _narrow(*bounds[i], w[i], t)
+        else:
+            ws.append(w)
+            ts.append(t)
+    if any(lo > hi for lo, hi in bounds):
+        return 0 if count else []
     if system.rank == 1:
-        # the one line has an empty prefix: search a box with a dummy first axis
-        lifted = ThresholdSystem(2, tuple(((0,) + w, t) for w, t in system.constraints))
-        found = _walk(lifted, ((0, 0),) + bounds, count)
-        return found if count else [((), lo, hi) for _, lo, hi in found]
+        # a nonzero rank-1 row is a unit row: none is left
+        ((lo, hi),) = bounds
+        return hi - lo + 1 if count else [((), lo, hi)]
     last = system.rank - 1
     last_lo, last_hi = bounds[last]
-    ws = [w for w, _ in system.constraints]
+    # later[d]: the number of points of the box on the coordinates after d
+    later = [math.prod(hi - lo + 1 for lo, hi in bounds[d + 1:]) for d in range(last)]
     # smax[ci][d], smin[ci][d]: the most and least coordinates d.. can add to row ci
     ends = [[sorted((e * lo, e * hi)) for e, (lo, hi) in zip(w, bounds)] for w in ws]
     smax = [[sum(hi for _, hi in m[d:]) for d in range(last + 1)] for m in ends]
@@ -637,8 +651,16 @@ def _walk(system: ThresholdSystem, box, count: bool):
             # the values of this coordinate whose subtree can meet the set
             for w, r, s in zip(ws, rs, smax):
                 vlo, vhi = _narrow(vlo, vhi, w[depth], r - s[depth + 1])
-            found = 0
-            for v in range(vlo, vhi + 1):
+            found, vs = 0, range(vlo, vhi + 1)
+            if count:
+                # and those whose subtree lies in the set: counted as one block
+                blo, bhi = vlo, vhi
+                for w, r, s in zip(ws, rs, smin):
+                    blo, bhi = _narrow(blo, bhi, w[depth], r - s[depth + 1])
+                if blo <= bhi:
+                    found = (bhi - blo + 1) * later[depth]
+                    vs = [*range(vlo, blo), *range(bhi + 1, vhi + 1)]
+            for v in vs:
                 found += rec(depth + 1, prefix + (v,), [r - w[depth] * v for r, w in zip(rs, ws)])
         else:
             # the lines prefix + (v,): a constraint without the last coordinate
@@ -669,7 +691,7 @@ def _walk(system: ThresholdSystem, box, count: bool):
             memo[key] = found
         return found
 
-    found = rec(0, (), [t for _, t in system.constraints])
+    found = rec(0, (), ts)
     return found if count else runs
 
 
@@ -682,15 +704,18 @@ def lattice_runs(system: ThresholdSystem, box):
     last entry is 0, so each line meets the set in one interval, whatever the
     system.  ``box`` is one (lo, hi) pair of integers per coordinate; other
     bounds are refused, never truncated.  The box volume guard
-    (``point_guard``) bounds the search space, not the output.
+    (``point_guard``) bounds the box as given, not the output; the walk
+    then searches the box the unit rows narrow it to (see ``_walk``).
     """
     return _walk(system, box, count=False)
 
 
 def lattice_count(system: ThresholdSystem, box):
     """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box))``
-    from the same walk, checks and guard, with no run built, and a subtree
-    counted once per distinct residual of its rows (see ``_walk``)."""
+    from the same walk, checks and guard, with no run built: the subtrees
+    on which every row holds add their sub-boxes in one product, and any
+    other subtree is counted once per distinct residual of its rows (see
+    ``_walk``)."""
     return _walk(system, box, count=True)
 
 
@@ -721,9 +746,10 @@ def compare_runs(runs1, runs2):
 
 
 def compare_systems(lhs: ThresholdSystem, rhs: ThresholdSystem, box):
-    """``compare_runs`` of the two systems' runs in the box.  Equal reduced
-    systems cut out equal sets: then ``lhs`` is only counted, nothing listed."""
-    if lhs.reduced() == rhs.reduced():
+    """``compare_runs`` of the two systems' runs in the box.  Equal systems,
+    or equal reduced systems, cut out equal sets: then ``lhs`` is only
+    counted, nothing listed."""
+    if lhs == rhs or lhs.reduced() == rhs.reduced():
         count = lattice_count(lhs, box)
         return count, count, None
     return compare_runs(lattice_runs(lhs, box), lattice_runs(rhs, box))

@@ -25,8 +25,10 @@ generator-based and the run-based cone slice checks, the cone models
 built one kind at a time through ``irredundant_facets``, the box test of
 pair rationality, the box scan for jumping numbers and the search that
 decided each jump candidate on its own derived boxes, the two-listing B.1,
-B.2 and local verifiers, and the dual cone with a second double
-description for its rays.  ``scale`` and ``strict_interior_system``,
+B.2 and local verifiers, the dual cone with a second double
+description for its rays, and the lattice walk that kept unit rows as
+rows, counted every satisfied subtree one value at a time and lifted
+rank 1 onto a dummy axis.  ``scale`` and ``strict_interior_system``,
 former library functions that only tests call, live there too.
 """
 
@@ -64,12 +66,15 @@ from reesmult.polyhedra import (
     HalfSpace,
     Polyhedron,
     ThresholdSystem,
+    _ceil_div,
     _combine,
     _dd,
     _facet_rows,
+    _narrow,
     _neg,
     _sorted_facets,
     as_fraction,
+    as_ints,
     compare_runs,
     cube,
     dot,
@@ -1206,3 +1211,86 @@ def verify_local_decomposition_by_runs(
         overall=overall,
         details={"inconclusive": inconclusive, "boxDeg": box_deg, "boxC": box_c},
     )
+
+
+def walk_reference(system: ThresholdSystem, box, count: bool):
+    """The lattice walk before unit rows were folded into the box and
+    satisfied subtrees counted in bulk: ``lattice_runs``, or with ``count``
+    ``lattice_count``, as the library gave them.
+
+    The walk fixes coordinates in order; ``rs[ci]`` is what row ci still needs
+    from the free coordinates.  A subtree's count depends only on its depth
+    and ``rs``, not on the prefix, so count mode memoises it for this call.  A
+    residual at most ``smin``, the least the free coordinates can add to its
+    row in the box, means the row holds on the whole subtree: every such
+    residual gives the same count, and the key holds None for it."""
+    bounds = tuple(map(as_ints, box))
+    if len(bounds) != system.rank:
+        raise DomainError("box length does not match system rank")
+    for lo, hi in bounds:
+        if lo > hi:
+            raise DomainError("box lower bound exceeds upper bound")
+    volume = math.prod(hi - lo + 1 for lo, hi in bounds)
+    guard = point_guard()
+    if volume > guard:
+        raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
+    if system.infeasible:
+        return 0 if count else []
+    if system.rank == 1:
+        # the one line has an empty prefix: search a box with a dummy first axis
+        lifted = ThresholdSystem(2, tuple(((0,) + w, t) for w, t in system.constraints))
+        found = walk_reference(lifted, ((0, 0),) + bounds, count)
+        return found if count else [((), lo, hi) for _, lo, hi in found]
+    last = system.rank - 1
+    last_lo, last_hi = bounds[last]
+    ws = [w for w, _ in system.constraints]
+    # smax[ci][d], smin[ci][d]: the most and least coordinates d.. can add to row ci
+    ends = [[sorted((e * lo, e * hi)) for e, (lo, hi) in zip(w, bounds)] for w in ws]
+    smax = [[sum(hi for _, hi in m[d:]) for d in range(last + 1)] for m in ends]
+    smin = [[sum(lo for lo, _ in m[d:]) for d in range(last + 1)] for m in ends]
+    runs, memo = [], {}
+
+    def rec(depth, prefix, rs):
+        if count:
+            key = (depth, *[r if r > s[depth] else None for r, s in zip(rs, smin)])
+            if key in memo:
+                return memo[key]
+        vlo, vhi = bounds[depth]
+        if depth < last - 1:
+            # the values of this coordinate whose subtree can meet the set
+            for w, r, s in zip(ws, rs, smax):
+                vlo, vhi = _narrow(vlo, vhi, w[depth], r - s[depth + 1])
+            found = 0
+            for v in range(vlo, vhi + 1):
+                found += rec(depth + 1, prefix + (v,), [r - w[depth] * v for r, w in zip(rs, ws)])
+        else:
+            # the lines prefix + (v,): a constraint without the last coordinate
+            # narrows v, one without this coordinate bounds every line alike,
+            # and only the rest bound each line on its own
+            lo, hi, rows = last_lo, last_hi, []
+            for w, r in zip(ws, rs):
+                wd, wl = w[depth], w[last]
+                if wl == 0:
+                    vlo, vhi = _narrow(vlo, vhi, wd, r)
+                elif wd == 0:
+                    lo, hi = _narrow(lo, hi, wl, r)
+                else:
+                    rows.append((wd, wl, r))
+            vs = range(vlo, vhi + 1) if lo <= hi else range(0)
+            los, his = [lo] * len(vs), [hi] * len(vs)
+            for wd, wl, r in rows:
+                if wl > 0:
+                    los = [max(lo, _ceil_div(r - wd * v, wl)) for lo, v in zip(los, vs)]
+                else:
+                    his = [min(hi, (r - wd * v) // wl) for hi, v in zip(his, vs)]
+            if count:
+                found = sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi)
+            else:
+                found = 0
+                runs.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
+        if count:
+            memo[key] = found
+        return found
+
+    found = rec(0, (), [t for _, t in system.constraints])
+    return found if count else runs

@@ -23,7 +23,8 @@ from reesmult.hypersurface import (
     verify_local_decomposition,
 )
 from reesmult.ideals import minimalize
-from reesmult.polyhedra import dot
+from reesmult import polyhedra
+from reesmult.polyhedra import POINT_GUARD_ENV, dot
 from reesmult.rees import extended_rees_cone
 from reesmult.serialize import dumps_canonical
 
@@ -204,6 +205,23 @@ class TestVerifyLocal:
         assert report.details["inconclusive"] == [-4, -3, 3, 4]
         assert all(abs(p.k) <= 2 for p in report.per_k)
         assert report.overall  # conclusive degrees all pass
+
+    def test_unit_rows_fold_at_the_root(self, monkeypatch):
+        # every row of a local level is a unit row, so the walk folds each
+        # into the box with one narrowing and counts the box at its root; the
+        # box 21^7 is over the default guard, which is the only bound left
+        monkeypatch.setenv(POINT_GUARD_ENV, str(10 ** 12))
+        calls = []
+        narrow = polyhedra._narrow
+
+        def counting(*args):
+            calls.append(None)
+            return narrow(*args)
+
+        monkeypatch.setattr(polyhedra, "_narrow", counting)
+        report = verify_local_decomposition(LocalHypersurfaceModel(7, 1, (3,)), 0)
+        assert report.overall and len(report.per_k) == 9
+        assert len(calls) == 7 * 9
 
 
 def _same_report(model, lam, box_deg, box_c, k_range):
