@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,10 +60,10 @@ class MonomialIdeal(Record):
         for g in gens:
             if len(g) != nvars:
                 raise DomainError("generator length does not match nvars")
-            if any(e < 0 for e in g):
+            if min(g) < 0:
                 raise DomainError("generator exponents must be nonnegative")
         # a proper divisor precedes its multiples in lex order
-        if any(all(a <= b for a, b in zip(h, g)) for i, g in enumerate(gens) for h in gens[:i]):
+        if any(all(map(operator.le, h, g)) for i, g in enumerate(gens) for h in gens[:i]):
             raise DomainError("generators not minimal; use minimalize()")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "generators", gens)
@@ -91,7 +92,7 @@ def minimalize(gens, nvars=None) -> MonomialIdeal:
     kept = []
     # a proper divisor precedes its multiples in lex order, so one pass suffices
     for g in sorted(set(gens)):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+        if not any(all(map(operator.le, h, g)) for h in kept):
             kept.append(g)
     return MonomialIdeal(nvars, tuple(kept))
 
@@ -204,9 +205,15 @@ def multiplier_module(a: MonomialIdeal, lam) -> MonomialModule:
 
     For lam > 0, <w, m> >= floor(lam * c) + 1 per Newton facet (w, c):
     scaling by lam keeps the facets irredundant.  For lam = 0 the scaled
-    polyhedron is the orthant, so the module is omega_R.
+    polyhedron is the orthant, so the module is omega_R.  Memoised on
+    ``(a, lam)`` once lam is checked: a float equal to a cached Fraction
+    is still refused.
     """
-    lam = as_exponent(lam)
+    return _multiplier_module(a, as_exponent(lam))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _multiplier_module(a: MonomialIdeal, lam: Fraction) -> MonomialModule:
     if lam == 0:
         return omega_module(a.nvars)
     constraints = tuple(

@@ -505,7 +505,7 @@ class ThresholdSystem(Record):
         canon = {}
         infeasible = bool(infeasible)
         for normal, t in constraints:
-            normal, (t,) = as_ints(normal), as_ints((t,))
+            normal, t = as_ints(normal), t if type(t) is int else as_ints((t,))[0]
             if len(normal) != rank:
                 raise DomainError("constraint length does not match rank")
             g = math.gcd(*normal)
@@ -596,8 +596,10 @@ def _walk(system: ThresholdSystem, box, count: bool):
     """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``.
 
     A row with one nonzero entry bounds one coordinate: it narrows the box and
-    leaves the row list, after the volume guard has read the box as given.  The
-    walk fixes the other coordinates in order; ``rs[ci]`` is what row ci still
+    leaves the row list, after the volume guard has read the box as given.  If
+    no row is left, the narrowed box is the set, and count mode returns the
+    product of its widths without a walk.  Otherwise the walk fixes the
+    coordinates before the last in order; ``rs[ci]`` is what row ci still
     needs from the free coordinates.  A residual at most ``smin``, the least the
     free coordinates can add to its row in the box, means the row holds on the
     whole subtree.  Count mode adds the values of a coordinate where every row
@@ -627,10 +629,12 @@ def _walk(system: ThresholdSystem, box, count: bool):
             ts.append(t)
     if any(lo > hi for lo, hi in bounds):
         return 0 if count else []
+    if count and not ws:
+        return math.prod(hi - lo + 1 for lo, hi in bounds)
     if system.rank == 1:
         # a nonzero rank-1 row is a unit row: none is left
         ((lo, hi),) = bounds
-        return hi - lo + 1 if count else [((), lo, hi)]
+        return [((), lo, hi)]
     last = system.rank - 1
     last_lo, last_hi = bounds[last]
     # later[d]: the number of points of the box on the coordinates after d
@@ -679,9 +683,9 @@ def _walk(system: ThresholdSystem, box, count: bool):
             los, his = [lo] * len(vs), [hi] * len(vs)
             for wd, wl, r in rows:
                 if wl > 0:
-                    los = [max(lo, _ceil_div(r - wd * v, wl)) for lo, v in zip(los, vs)]
+                    los = list(map(max, los, [-((wd * v - r) // wl) for v in vs]))
                 else:
-                    his = [min(hi, (r - wd * v) // wl) for hi, v in zip(his, vs)]
+                    his = list(map(min, his, [(r - wd * v) // wl for v in vs]))
             if count:
                 found = sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi)
             else:
@@ -712,10 +716,11 @@ def lattice_runs(system: ThresholdSystem, box):
 
 def lattice_count(system: ThresholdSystem, box):
     """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box))``
-    from the same walk, checks and guard, with no run built: the subtrees
-    on which every row holds add their sub-boxes in one product, and any
-    other subtree is counted once per distinct residual of its rows (see
-    ``_walk``)."""
+    from the same walk, checks and guard, with no run built: a system of
+    unit rows alone counts as the product of the widths of the box they
+    narrow, the subtrees on which every row holds add their sub-boxes in
+    one product, and any other subtree is counted once per distinct
+    residual of its rows (see ``_walk``)."""
     return _walk(system, box, count=True)
 
 

@@ -226,8 +226,14 @@ def multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModule
     """Multiplier module of a principal monomial pair on the cone model.
 
     Per facet/ray i the lattice condition is <m, v_i> >= 1 + floor(lam * <u, v_i>).
+    Memoised on ``(alg, u, lam)`` once u and lam are checked and canonical.
     """
     lam = as_exponent(lam)
+    return _multiplier_module_principal(alg, as_ints(u), lam)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModuleSpec:
     pairings = principal_divisor_pairings(alg, u)
     system = ThresholdSystem(
         alg.ambient_rank,
@@ -255,9 +261,15 @@ def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModul
     """Multiplier module of the pair cut out by monomials ``gens`` on the
     cone model: strict interior of lam * (conv(gens) + cone), that is
     floor(lam * c) + 1 per facet (w, c) for lam > 0 and the canonical
-    module's system, the cone's strict interior, for lam = 0."""
+    module's system, the cone's strict interior, for lam = 0.  Memoised on
+    ``(alg, gens, lam)`` once gens and lam are canonical."""
     lam = as_exponent(lam)
-    gens = tuple(sorted({as_ints(g) for g in gens}))
+    return _multiplier_module_general(alg, tuple(sorted({as_ints(g) for g in gens})), lam)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModuleSpec:
+    # checks that read only the key: an error is raised on every call, never cached
     for g in gens:
         if len(g) != alg.ambient_rank:
             raise DomainError("generator length does not match ambient rank")

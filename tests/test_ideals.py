@@ -341,6 +341,21 @@ class TestMultiplierModule:
         with pytest.raises(DomainError):
             multiplier_module(M_XY, 0.5)
 
+    def test_checked_before_the_cache(self):
+        # 0.5 hashes like the cached Fraction(1, 2) and is still refused
+        multiplier_module(M_XY, Fraction(1, 2))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                multiplier_module(M_XY, 0.5)
+            with pytest.raises(DomainError):
+                multiplier_module(M_XY, -1)
+
+    def test_equal_exponents_share_one_module(self):
+        module = multiplier_module(M_XY, 1)
+        assert multiplier_module(M_XY, Fraction(1)) is module
+        assert multiplier_module(M_XY, "1") is module
+        assert multiplier_module(minimalize([(0, 1), (1, 0)]), "2/2") is module
+
     def test_ambient_omega_implies_ones(self):
         rng = random.Random(13)
         box = cube(2, 0, 9)

@@ -958,6 +958,33 @@ class TestWalkAgainstReference:
         _check_walk(system, tuple((lo, lo + d) for lo, d in box))
 
 
+class TestUnitRowProduct:
+    """A system of unit rows alone is counted as the product of the widths of
+    the box the rows narrow, with no walk."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_against_reference(self, seed):
+        rng = random.Random(9300 + seed)
+        emptied = negative = 0
+        for trial in range(3000):
+            rank = 1 + trial % 6
+            rows = []
+            for i in range(rank):
+                for _ in range(rng.choice((0, 1, 1, 2))):
+                    w = [0] * rank
+                    w[i] = rng.choice((1, -1, 2, -2, -3))
+                    rows.append((tuple(w), rng.randint(-7, 7)))
+            system = ThresholdSystem(rank, rows)
+            span = 5 if rank <= 3 else 3
+            box = tuple((lo, lo + rng.randint(0, span))
+                        for lo in (rng.randint(-4, 2) for _ in range(rank)))
+            count = lattice_count(system, box)
+            assert count == oracles.walk_reference(system, box, True), (system, box)
+            emptied += count == 0
+            negative += any(lo < 0 for lo, _ in box)
+        assert min(emptied, negative) >= 100, (emptied, negative)
+
+
 class TestThresholdSystem:
     def test_canonicalization_ceiling(self):
         # <(2,0), m> >= 5 over integers is <(1,0), m> >= 3

@@ -10,9 +10,17 @@ from fractions import Fraction
 import pytest
 
 from reesmult.errors import DomainError, NotNormalError
-from reesmult.ideals import first_non_closed_power, minimalize, newton, omega_module, power
+from reesmult.ideals import (
+    _multiplier_module,
+    first_non_closed_power,
+    minimalize,
+    newton,
+    omega_module,
+    power,
+)
 from reesmult.polyhedra import (
     ThresholdSystem,
+    as_fraction,
     compare_runs,
     compare_systems,
     cube,
@@ -28,6 +36,8 @@ from reesmult.rees import (
     REES,
     GradedToricAlgebra,
     _graded_newton,
+    _multiplier_module_general,
+    _multiplier_module_principal,
     _validate_slices,
     canonical_module,
     decomposition_rhs_S,
@@ -208,9 +218,54 @@ class TestSliceOracle:
 
 class TestCaches:
     def test_bounded(self):
-        for cached in (newton, extended_rees_cone, rees_cone, _graded_newton):
+        for cached in (newton, extended_rees_cone, rees_cone, _graded_newton,
+                       _multiplier_module, _multiplier_module_principal,
+                       _multiplier_module_general):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize > 0
+
+
+class TestMemoisedModules:
+    """The graded module builders make their arguments canonical before the
+    cache: lists give the module of the tuples, and a bad argument raises on
+    every call, after a hit on an equal good one too."""
+
+    def test_principal_takes_a_list(self):
+        alg = extended_rees_cone(M_XY2)
+        u = alg.t_inverse()
+        for lam in (0, Fraction(1, 2), "3/2"):
+            module = multiplier_module_principal(alg, u, lam)
+            assert multiplier_module_principal(alg, list(u), lam) is module
+            assert multiplier_module_principal(alg, u, as_fraction(lam)) is module
+
+    def test_general_takes_lists(self):
+        alg = rees_cone(M_XY2)
+        gens = rees_ideal_generators(M_XY2)
+        shuffled = [list(g) for g in reversed(gens)] + [list(gens[0])]
+        for lam in (0, 1, Fraction(7, 3)):
+            module = multiplier_module_general(alg, gens, lam)
+            assert multiplier_module_general(alg, shuffled, lam) is module
+            assert multiplier_module_general(alg, gens, str(lam)) is module
+
+    def test_bad_arguments_raise_after_a_hit(self):
+        ext, rees = extended_rees_cone(M_XY2), rees_cone(M_XY2)
+        u, gens = ext.t_inverse(), rees_ideal_generators(M_XY2)
+        multiplier_module_principal(ext, u, Fraction(1, 2))
+        multiplier_module_general(rees, gens, Fraction(1, 2))
+        for _ in range(2):
+            for lam in (0.5, -1):
+                with pytest.raises(DomainError):
+                    multiplier_module_principal(ext, u, lam)
+                with pytest.raises(DomainError):
+                    multiplier_module_general(rees, gens, lam)
+            with pytest.raises(DomainError, match="not a vector of integers"):
+                multiplier_module_principal(ext, (0, 0, -1.0), Fraction(1, 2))
+            with pytest.raises(DomainError, match="not a monomial of the algebra"):
+                multiplier_module_principal(ext, (-1, 0, 0), Fraction(1, 2))
+            with pytest.raises(DomainError, match="not a vector of integers"):
+                multiplier_module_general(rees, [[0, 0, 0.0]], Fraction(1, 2))
+            with pytest.raises(DomainError, match="generator outside cone"):
+                multiplier_module_general(rees, [(0, 0, -1)], Fraction(1, 2))
 
 
 class TestCanonicalModule:
