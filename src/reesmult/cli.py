@@ -256,6 +256,7 @@ def cmd_verify(args) -> int:
     verify = partial(verifier, lam=lam, **given)
     # every ideal verifier first builds the cone, whose normality scan decides
     # whether the closure is needed: no separate scan before it
+    extra = {}
     try:
         report = verify(subject)
     except NotNormalError as exc:
@@ -266,15 +267,15 @@ def cmd_verify(args) -> int:
             "statements concern the given ideal, not its closure\n"
         )
         report = verify(integral_closure(subject))
-        report.details["closureApplied"] = True
-    payload = report.to_json()
+        extra = {"closureApplied": True}
+    payload = {**report.to_json(), **extra}
     lines = [f"theorem {report.theorem}: {'VERIFIED' if report.overall else 'FAILED'}"]
     for p in report.per_k:
         lines.append(
             f"  k={p.k}: lhs={p.lhs_count} rhs={p.rhs_count} "
             f"{'ok' if p.equal else 'MISMATCH at ' + str(p.witness)}"
         )
-    for key, value in sorted(report.details.items()):
+    for key, value in sorted({**report.details, **extra}.items()):
         lines.append(f"  {key}: {value}")
     _emit(args, payload, lines)
     return 0 if report.overall else 1

@@ -18,12 +18,12 @@ from .polyhedra import (
     ThresholdSystem,
     as_exponent,
     as_fraction,
+    as_int,
     as_ints,
-    compare_systems,
     interior_threshold,
     unit_vectors,
 )
-from .rees import PerLevel, VerificationReport
+from .rees import _level_report
 from .serialize import Record
 
 
@@ -33,6 +33,7 @@ class LocalHypersurfaceModel(Record):
     __slots__ = ("n", "m", "exps")
 
     def __init__(self, n: int, m: int, exps):
+        n, m = as_int(n), as_int(m)
         if not (1 <= m <= n):
             raise DomainError("need 1 <= m <= n")
         exps = as_ints(exps)
@@ -185,34 +186,25 @@ def verify_local_decomposition(
     so each level is counted and nothing is listed.
     """
     lam = as_exponent(lam)
-    if box_deg < 0 or (box_c is not None and box_c < 0):
+    box_deg = as_int(box_deg)
+    box_c = max(model.exps) * box_deg + 2 if box_c is None else as_int(box_c)
+    if box_deg < 0 or box_c < 0:
         raise DomainError("box_deg and box_c must be nonnegative")
-    if box_c is None:
-        box_c = max(model.exps) * box_deg + 2
-    lo, hi = k_range
+    lo, hi = as_ints(k_range)
     units = unit_vectors(model.n)
     rest = [1] * (model.n - model.m)
-    per_k = []
-    inconclusive = []
-    for k in range(lo, hi + 1):
-        if abs(k) > box_deg:
-            inconclusive.append(k)
-            continue
+
+    def level(k):
         a, mu = max(k, 0), k + lam
         reach = [(a * e, a * e + box_c) for e in model.exps] + [(0, box_c)] * len(rest)
         lhs = [max(1, interior_threshold(lam, e) + k * e) for e in model.exps] + rest
         rhs = [interior_threshold(mu, e) if mu > 0 else 1 for e in model.exps] + rest
         sides = [ThresholdSystem(model.n, tuple(zip(units, need))) for need in (lhs, rhs)]
-        count_l, count_r, witness = compare_systems(*sides, reach)
-        per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
-    overall = all(p.equal for p in per_k)
-    return VerificationReport(
-        theorem="local",
-        subject={"model": model.to_json()},
-        lam=lam,
-        k_range=(lo, hi),
-        box=((0, box_deg), (0, box_c)),
-        per_k=tuple(per_k),
-        overall=overall,
-        details={"inconclusive": inconclusive, "boxDeg": box_deg, "boxC": box_c},
-    )
+        return (k, *sides, reach)
+
+    ks = range(lo, hi + 1)
+    details = {"inconclusive": [k for k in ks if abs(k) > box_deg], "boxDeg": box_deg,
+               "boxC": box_c}
+    return _level_report("local", {"model": model.to_json()}, lam, (lo, hi),
+                         ((0, box_deg), (0, box_c)),
+                         (level(k) for k in ks if abs(k) <= box_deg), lambda: details)

@@ -20,6 +20,7 @@ from .polyhedra import (
     ThresholdSystem,
     as_exponent,
     as_fraction,
+    as_int,
     as_ints,
     cube,
     dot,
@@ -52,6 +53,7 @@ class MonomialIdeal(Record):
     __slots__ = ("nvars", "generators")
 
     def __init__(self, nvars: int, generators):
+        nvars = as_int(nvars)
         if nvars < 1:
             raise DomainError("need at least one variable")
         gens = tuple(sorted({as_ints(g) for g in generators}))
@@ -167,6 +169,7 @@ class MonomialModule(Record):
     __slots__ = ("nvars", "system", "ambient")
 
     def __init__(self, nvars: int, system: ThresholdSystem, ambient: str):
+        nvars = as_int(nvars)
         if ambient not in (OMEGA, RING):
             raise DomainError(f"unknown ambient {ambient!r}")
         if system.rank != nvars:

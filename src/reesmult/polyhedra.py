@@ -89,12 +89,30 @@ def dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
+def as_int(value) -> int:
+    """``value`` as an int (a bool as 0 or 1); floats and fractions are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"not an integer: {value!r}") from None
+
+
 def as_ints(v) -> IntVec:
     """The ints of ``v`` as a tuple; floats and fractions are refused, never truncated."""
     try:
         return tuple(map(operator.index, v))
     except TypeError:
         raise DomainError(f"not a vector of integers: {v!r}") from None
+
+
+def as_box(box, rank: int):
+    """``box`` as ``rank`` pairs (lo, hi) of ints with lo <= hi; anything else is refused."""
+    bounds = tuple(map(as_ints, box))
+    if len(bounds) != rank:
+        raise DomainError("box length does not match system rank")
+    if any(lo > hi for lo, hi in bounds):
+        raise DomainError("box lower bound exceeds upper bound")
+    return bounds
 
 
 def primitive(v) -> IntVec:
@@ -274,6 +292,7 @@ class Cone(Record):
     __slots__ = ("rank", "rays", "facets")
 
     def __init__(self, rank: int, rays=(), facets=None):
+        rank = as_int(rank)
         if rank < 1:
             raise DomainError("rank must be positive")
         rays = tuple(sorted({primitive(r) for r in rays}))
@@ -400,6 +419,7 @@ class Polyhedron(Record):
 
     def __init__(self, rank: int, facets, vertices=None, recession: Cone = None,
                  irredundant: bool = False):
+        rank = as_int(rank)
         if rank < 1:
             raise DomainError("rank must be positive")
         facets = _sorted_facets(facets)
@@ -500,6 +520,7 @@ class ThresholdSystem(Record):
     __slots__ = ("rank", "constraints", "infeasible")
 
     def __init__(self, rank: int, constraints=(), infeasible: bool = False):
+        rank = as_int(rank)
         if rank < 1:
             raise DomainError("rank must be positive")
         canon = {}
@@ -606,12 +627,7 @@ def _walk(system: ThresholdSystem, box, count: bool):
     does so as one block of whole sub-boxes, and memoises any other subtree for
     this call: its count depends only on its depth and ``rs``, not on the
     prefix, and the key holds None for each residual at most ``smin``."""
-    bounds = tuple(map(as_ints, box))
-    if len(bounds) != system.rank:
-        raise DomainError("box length does not match system rank")
-    for lo, hi in bounds:
-        if lo > hi:
-            raise DomainError("box lower bound exceeds upper bound")
+    bounds = as_box(box, system.rank)
     volume = math.prod(hi - lo + 1 for lo, hi in bounds)
     guard = point_guard()
     if volume > guard:

@@ -35,6 +35,7 @@ from .polyhedra import (
     Polyhedron,
     ThresholdSystem,
     _facet_rows,
+    as_box,
     as_exponent,
     as_fraction,
     as_ints,
@@ -153,6 +154,25 @@ class VerificationReport(Record):
         return data
 
 
+def _level_report(theorem, subject, lam, k_range, box, levels, details, required=()):
+    """Decide each ``(k, lhs, rhs, box)`` of ``levels`` by ``compare_systems``,
+    then call ``details()``: the check holds iff every level is equal and every
+    detail named in ``required`` is true."""
+    compared = [(k, *compare_systems(lhs, rhs, level_box)) for k, lhs, rhs, level_box in levels]
+    per_k = tuple(PerLevel(k, nl, nr, w is None, w) for k, nl, nr, w in compared)
+    details = details()
+    return VerificationReport(
+        theorem=theorem,
+        subject=subject,
+        lam=lam,
+        k_range=k_range,
+        box=box,
+        per_k=per_k,
+        overall=all(p.equal for p in per_k) and all(details[key] for key in required),
+        details=details,
+    )
+
+
 def _validate_slices(alg: GradedToricAlgebra):
     """Level k of the cone must cut out a^k on all of Z^n: its reduced system
     must be that of {<w, m> >= k c} over the Newton facets of a for k >= 1
@@ -223,27 +243,13 @@ def principal_divisor_pairings(alg: GradedToricAlgebra, u) -> list:
 
 
 def multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModuleSpec:
-    """Multiplier module of a principal monomial pair on the cone model.
-
-    Per facet/ray i the lattice condition is <m, v_i> >= 1 + floor(lam * <u, v_i>).
-    Memoised on ``(alg, u, lam)`` once u and lam are checked and canonical.
-    """
+    """Multiplier module of a principal monomial pair on the cone model: the
+    general pair of the one generator u, as u + C has the cone's facets with
+    thresholds <u, v_i>, so facet/ray i asks <m, v_i> >= 1 + floor(lam * <u, v_i>)."""
     lam = as_exponent(lam)
-    return _multiplier_module_principal(alg, as_ints(u), lam)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModuleSpec:
-    pairings = principal_divisor_pairings(alg, u)
-    system = ThresholdSystem(
-        alg.ambient_rank,
-        tuple(
-            (w, interior_threshold(lam, p))
-            for (w, _), p in zip(alg.cone.constraints, pairings)
-        ),
-    )
-    tail = "T" if alg.kind == EXTENDED_REES else "S"
-    return GradedModuleSpec(alg.ambient_rank, system, f"MULT_{tail}({frac_str(lam)})")
+    u = as_ints(u)
+    principal_divisor_pairings(alg, u)
+    return multiplier_module_general(alg, (u,), lam)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -296,9 +302,9 @@ def graded_piece(module: GradedModuleSpec, k: int) -> MonomialModule:
 def decomposition_rhs_T(a: MonomialIdeal, lam, k: int) -> MonomialModule:
     """Level-k term of the extended-Rees decomposition: the multiplier
     module at exponent k + lam, with omega_R when k + lam <= 0."""
-    lam = as_fraction(lam)
-    if k + lam > 0:
-        return multiplier_module(a, k + lam)
+    mu = k + as_fraction(lam)
+    if mu > 0:
+        return multiplier_module(a, mu)
     return omega_module(a.nvars)
 
 
@@ -306,8 +312,7 @@ def decomposition_rhs_S(a: MonomialIdeal, lam, n: int) -> MonomialModule:
     """Term at t-degree n+1 of the Rees decomposition (the sum starts at t^1)."""
     if n < 0:
         raise DomainError("decomposition index must be nonnegative")
-    lam = as_fraction(lam)
-    return multiplier_module(a, n + 1 + lam)
+    return decomposition_rhs_T(a, lam, n + 1)
 
 
 def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> VerificationReport:
@@ -324,32 +329,19 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     lam = as_fraction(lam)
     alg = extended_rees_cone(a)
     module = multiplier_module_principal(alg, alg.t_inverse(), lam)
-    lo, hi = k_range
-    if box is None:
-        box = default_box(a, lam + max(hi, 0))
-    per_k = []
-    thresholds_identical = True
-    for k in range(lo, hi + 1):
-        lhs = graded_piece(module, k)
-        rhs = decomposition_rhs_T(a, lam, k)
-        count_l, count_r, witness = compare_systems(lhs.system, rhs.system, box)
-        per_k.append(PerLevel(k, count_l, count_r, witness is None, witness))
-        lhs_t = dict(lhs.system.constraints)
-        rhs_t = dict(rhs.system.constraints)
-        for w in set(lhs_t) & set(rhs_t):
-            if lhs_t[w] != rhs_t[w]:
-                thresholds_identical = False
-    overall = all(p.equal for p in per_k)
-    return VerificationReport(
-        theorem="B.2",
-        subject={"ideal": a.to_json()},
-        lam=lam,
-        k_range=(lo, hi),
-        box=box,
-        per_k=tuple(per_k),
-        overall=overall,
-        details={"thresholdsIdentical": thresholds_identical},
-    )
+    lo, hi = as_ints(k_range)
+    box = default_box(a, lam + max(hi, 0)) if box is None else as_box(box, a.nvars)
+    identical = []  # per level: equal thresholds on the normals both sides have
+
+    def level(k):
+        lhs, rhs = graded_piece(module, k).system, decomposition_rhs_T(a, lam, k).system
+        thresholds = dict(lhs.constraints)
+        identical.append(all(thresholds.get(w, t) == t for w, t in rhs.constraints))
+        return k, lhs, rhs, box
+
+    return _level_report("B.2", {"ideal": a.to_json()}, lam, (lo, hi), box,
+                         map(level, range(lo, hi + 1)),
+                         lambda: {"thresholdsIdentical": all(identical)})
 
 
 def rees_ideal_generators(a: MonomialIdeal):
@@ -368,29 +360,18 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     lam = as_fraction(lam)
     alg = rees_cone(a)
     module = multiplier_module_general(alg, rees_ideal_generators(a), lam)
-    lo, hi = n_range
+    lo, hi = as_ints(n_range)
     if lo < 0:
         raise DomainError("decomposition index must be nonnegative")
-    if box is None:
-        box = default_box(a, lam + max(hi + 1, 0))
-    per_k = []
-    for n in range(lo, hi + 1):
-        lhs = graded_piece(module, n + 1)
-        rhs = decomposition_rhs_S(a, lam, n)
-        count_l, count_r, witness = compare_systems(lhs.system, rhs.system, box)
-        per_k.append(PerLevel(n + 1, count_l, count_r, witness is None, witness))
-    degree_zero_empty = lattice_count(graded_piece(module, 0).system, box) == 0
-    overall = all(p.equal for p in per_k) and degree_zero_empty
-    return VerificationReport(
-        theorem="B.1",
-        subject={"ideal": a.to_json()},
-        lam=lam,
-        k_range=(lo, hi),
-        box=box,
-        per_k=tuple(per_k),
-        overall=overall,
-        details={"degreeZeroEmpty": degree_zero_empty},
-    )
+    box = default_box(a, lam + max(hi + 1, 0)) if box is None else as_box(box, a.nvars)
+    levels = ((n + 1, graded_piece(module, n + 1).system, decomposition_rhs_S(a, lam, n).system,
+               box) for n in range(lo, hi + 1))
+
+    def details():  # the degree-0 piece is counted after the levels
+        return {"degreeZeroEmpty": lattice_count(graded_piece(module, 0).system, box) == 0}
+
+    return _level_report("B.1", {"ideal": a.to_json()}, lam, (lo, hi), box, levels, details,
+                         ["degreeZeroEmpty"])
 
 
 def is_pair_rational(alg: GradedToricAlgebra, u, lam) -> bool:
@@ -402,8 +383,7 @@ def is_pair_rational(alg: GradedToricAlgebra, u, lam) -> bool:
     t < t', then N p + u, with p in its relative interior and <w_j, u> = t,
     lies in the first set only for large N.
     """
-    module = multiplier_module_principal(alg, u, as_fraction(lam))
-    return module.system == canonical_module(alg).system
+    return multiplier_module_principal(alg, u, lam).system == canonical_module(alg).system
 
 
 def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
@@ -413,32 +393,22 @@ def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
     pair both are; all three sides are computed independently, on the
     whole lattice: the base pair by whether its upward-closed module holds
     the least point (1,..,1) of omega_R, the graded pairs as in
-    ``is_pair_rational``.  ``box`` is only recorded.
+    ``is_pair_rational``.  ``box`` is only checked, as B.1 and B.2 check
+    theirs, and recorded.
     """
     lam = as_fraction(lam)
     ext = extended_rees_cone(a)
     rees = rees_cone(a)
-    if box is None:
-        box = default_box(a, lam if lam > 0 else 1)
-    elif any(lo > hi for lo, hi in box):
-        raise DomainError("box lower bound exceeds upper bound")
+    box = default_box(a, lam if lam > 0 else 1) if box is None else as_box(box, a.nvars)
     rational_r = multiplier_module(a, lam).system.satisfies((1,) * a.nvars)
     rational_t = is_pair_rational(ext, ext.t_inverse(), lam)
     s_module = multiplier_module_general(rees, rees_ideal_generators(a), lam)
     rational_s = s_module.system == canonical_module(rees).system
-    biconditional = rational_t == (rational_r and rational_s)
-    return VerificationReport(
-        theorem="A",
-        subject={"ideal": a.to_json()},
-        lam=lam,
-        k_range=(0, 0),
-        box=box,
-        per_k=(),
-        overall=biconditional,
-        details={
-            "rationalR": rational_r,
-            "rationalS": rational_s,
-            "rationalT": rational_t,
-            "biconditional": biconditional,
-        },
-    )
+    details = {
+        "rationalR": rational_r,
+        "rationalS": rational_s,
+        "rationalT": rational_t,
+        "biconditional": rational_t == (rational_r and rational_s),
+    }
+    return _level_report("A", {"ideal": a.to_json()}, lam, (0, 0), box, (), lambda: details,
+                         ["biconditional"])

@@ -28,7 +28,8 @@ decided each jump candidate on its own derived boxes, the two-listing B.1,
 B.2 and local verifiers, the dual cone with a second double
 description for its rays, and the lattice walk that kept unit rows as
 rows, counted every satisfied subtree one value at a time and lifted
-rank 1 onto a dummy axis.  ``scale`` and ``strict_interior_system``,
+rank 1 onto a dummy axis, and the principal pair's multiplier module read
+off its pairings with the rays.  ``scale`` and ``strict_interior_system``,
 former library functions that only tests call, live there too.
 """
 
@@ -73,6 +74,7 @@ from reesmult.polyhedra import (
     _narrow,
     _neg,
     _sorted_facets,
+    as_exponent,
     as_fraction,
     as_ints,
     compare_runs,
@@ -89,6 +91,7 @@ from reesmult.polyhedra import (
 from reesmult.rees import (
     EXTENDED_REES,
     REES,
+    GradedModuleSpec,
     GradedToricAlgebra,
     PerLevel,
     VerificationReport,
@@ -100,6 +103,7 @@ from reesmult.rees import (
     graded_piece,
     multiplier_module_general,
     multiplier_module_principal,
+    principal_divisor_pairings,
     rees_cone,
     rees_ideal_generators,
 )
@@ -1294,3 +1298,16 @@ def walk_reference(system: ThresholdSystem, box, count: bool):
 
     found = rec(0, (), [t for _, t in system.constraints])
     return found if count else runs
+
+
+def multiplier_module_principal_by_pairings(alg: GradedToricAlgebra, u, lam) -> GradedModuleSpec:
+    """The principal pair's multiplier module by its direct formula, as the
+    library built it before the principal pair became the one-generator
+    general pair: the row <m, w_i> >= floor(lam * <u, v_i>) + 1 per cone facet
+    (w_i, 0), with v_i the matching ray."""
+    lam = as_exponent(lam)
+    pairings = principal_divisor_pairings(alg, u)
+    system = ThresholdSystem(alg.ambient_rank, tuple(
+        (w, math.floor(lam * p) + 1) for (w, _), p in zip(alg.cone.constraints, pairings)))
+    tail = "T" if alg.kind == EXTENDED_REES else "S"
+    return GradedModuleSpec(alg.ambient_rank, system, f"MULT_{tail}({frac_str(lam)})")

@@ -173,6 +173,27 @@ class TestVerify:
         assert json.loads(out)["closureApplied"] is True
         assert "integral closure" in err
 
+    def test_closure_leaves_the_verifier_report_as_built(self, capsys, monkeypatch):
+        # closureApplied goes into the CLI's own output, not into the record
+        verify, reports = reesmult.cli.verify_theoremB_T, []
+
+        def recording(*args, **kwargs):
+            report = verify(*args, **kwargs)
+            reports.append((report, repr(report)))
+            return report
+
+        monkeypatch.setattr(reesmult.cli, "verify_theoremB_T", recording)
+        code, out, _ = run_main(capsys, "verify", "B2", "-i", X2Y3, "--closure")
+        assert code == 0 and json.loads(out)["closureApplied"] is True
+        code, out, _ = run_main(capsys, "--format", "text", "verify", "B2", "-i", X2Y3,
+                                "--closure")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["  closureApplied: True", "  thresholdsIdentical: True"]
+        assert len(reports) == 2  # the given ideal raised before a report was built
+        for report, built in reports:
+            assert repr(report) == built
+            assert "closureApplied" not in report.details
+
     def test_closure_scans_normal_input_once(self, capsys, monkeypatch):
         # the cone build's own normality scan decides whether to take the closure
         from reesmult import ideals, rees

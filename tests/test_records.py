@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from reesmult.hypersurface import DivisorData, LocalHypersurfaceModel, LocalMonomial
+from reesmult.errors import DomainError
+from reesmult.hypersurface import (
+    DivisorData,
+    LocalHypersurfaceModel,
+    LocalMonomial,
+    verify_local_decomposition,
+)
 from reesmult.ideals import OMEGA, JumpReport, MonomialIdeal, MonomialModule
 from reesmult.polyhedra import Cone, HalfSpace, Polyhedron, ThresholdSystem
 from reesmult.rees import (
@@ -23,8 +29,11 @@ from reesmult.rees import (
     GradedToricAlgebra,
     PerLevel,
     VerificationReport,
+    verify_theoremA,
+    verify_theoremB_S,
+    verify_theoremB_T,
 )
-from reesmult.serialize import Record
+from reesmult.serialize import Record, dumps_canonical
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -182,3 +191,61 @@ def test_no_module_imports_dataclasses():
     for path in sorted((SRC / "reesmult").glob("*.py")):
         text = path.read_text()
         assert "import dataclasses" not in text and "from dataclasses" not in text, path.name
+
+
+M23 = LocalHypersurfaceModel(2, 2, (2, 3))
+XY2 = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+
+# one record or report per integer field or parameter, built from x = 1 or
+# its equal True, 1.0 or Fraction(1); zero(x) is 0 of the same type
+INTEGER_TAKERS = {
+    "MonomialIdeal": lambda x: MonomialIdeal(x, ((1,),)),
+    "MonomialModule": lambda x: MonomialModule(x, _omega(1), OMEGA),
+    "ThresholdSystem": lambda x: ThresholdSystem(x, (((1,), 1),)),
+    "Cone": lambda x: Cone(x, ((1,),)),
+    "Polyhedron": lambda x: Polyhedron(x, (HalfSpace((1,), 0),)),
+    "LocalHypersurfaceModel n": lambda x: LocalHypersurfaceModel(x, 1, (1,)),
+    "LocalHypersurfaceModel m": lambda x: LocalHypersurfaceModel(2, x, (1,)),
+    "local box_deg": lambda x: verify_local_decomposition(M23, 0, box_deg=x),
+    "local box_c": lambda x: verify_local_decomposition(M23, 0, box_deg=1, box_c=x),
+    "local k_range": lambda x: verify_local_decomposition(M23, 0, k_range=(zero(x), x)),
+    "B.2 k_range": lambda x: verify_theoremB_T(XY2, 0, k_range=(zero(x), x)),
+    "B.2 box": lambda x: verify_theoremB_T(XY2, 0, k_range=(0, 1), box=((zero(x), 4), (x, 4))),
+    "B.1 n_range": lambda x: verify_theoremB_S(XY2, 0, n_range=(zero(x), x)),
+    "B.1 box": lambda x: verify_theoremB_S(XY2, 0, n_range=(0, 1), box=((zero(x), 4), (x, 4))),
+    "A box": lambda x: verify_theoremA(XY2, 0, box=((zero(x), x), (x, 4))),
+}
+
+
+def zero(x):
+    return type(x)(0)
+
+
+def _leaves(data):
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, (list, tuple)):
+        for item in data:
+            yield from _leaves(item)
+    else:
+        yield data
+
+
+@pytest.mark.parametrize("name", list(INTEGER_TAKERS))
+def test_a_bool_is_stored_as_an_int(name):
+    # True for 1: the same record, field types and JSON bytes as with 1, and
+    # so no float and no bool beyond those the int-built record holds
+    got, want = INTEGER_TAKERS[name](True), INTEGER_TAKERS[name](1)
+    assert repr(got) == repr(want)
+    data = got.to_json() if hasattr(got, "to_json") else _fields(got)
+    assert dumps_canonical(data) == dumps_canonical(want.to_json() if hasattr(want, "to_json")
+                                                    else _fields(want))
+    assert not any(isinstance(leaf, float) for leaf in _leaves(data))
+
+
+@pytest.mark.parametrize("value", [1.0, Fraction(1)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("name", list(INTEGER_TAKERS))
+def test_a_float_or_fraction_is_refused(name, value):
+    INTEGER_TAKERS[name](1)
+    with pytest.raises(DomainError, match="not an integer|not a vector of integers"):
+        INTEGER_TAKERS[name](value)

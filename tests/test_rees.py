@@ -8,11 +8,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reesmult.errors import DomainError, NotNormalError
 from reesmult.ideals import (
     _multiplier_module,
     first_non_closed_power,
+    integral_closure,
     minimalize,
     newton,
     omega_module,
@@ -37,7 +40,6 @@ from reesmult.rees import (
     GradedToricAlgebra,
     _graded_newton,
     _multiplier_module_general,
-    _multiplier_module_principal,
     _validate_slices,
     canonical_module,
     decomposition_rhs_S,
@@ -58,6 +60,7 @@ from reesmult.rees import (
 from oracles import (
     cone_by_irredundant_facets,
     first_mismatch,
+    multiplier_module_principal_by_pairings,
     pair_rational_by_box,
     scale,
     strict_interior_system,
@@ -219,8 +222,7 @@ class TestSliceOracle:
 class TestCaches:
     def test_bounded(self):
         for cached in (newton, extended_rees_cone, rees_cone, _graded_newton,
-                       _multiplier_module, _multiplier_module_principal,
-                       _multiplier_module_general):
+                       _multiplier_module, _multiplier_module_general):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize > 0
 
@@ -372,18 +374,82 @@ class TestMultiplierModuleGeneral:
         )
 
     def test_agrees_with_principal_on_t_inverse(self):
+        # the principal pair's direct formula: multiplier_module_principal is
+        # now this very builder
         for a in (M_XY, M_XY2):
             alg = extended_rees_cone(a)
             u = alg.t_inverse()
             for lam in (0, Fraction(1, 2), Fraction(5, 6), 2):
                 general = multiplier_module_general(alg, (u,), lam)
-                principal = multiplier_module_principal(alg, u, lam)
-                assert general.system == principal.system
+                assert general == multiplier_module_principal_by_pairings(alg, u, lam)
 
     def test_generator_outside_cone(self):
         alg = rees_cone(M_XY)
         with pytest.raises(DomainError, match="generator outside cone"):
             multiplier_module_general(alg, ((0, 0, -1),), 1)
+
+
+LAMBDAS_PAIR = tuple(map(Fraction, ("0", "1/3", "1/2", "5/6", "1", "3/2", "7/3")))
+
+
+def _cone_monomials(alg, rng, count):
+    """``count`` random monomials of the algebra: lattice points of its cone,
+    with base exponents up to 4 and t-degree from -3 to 3."""
+    found = []
+    while len(found) < count:
+        u = tuple(rng.randint(0, 4) for _ in range(alg.nvars)) + (rng.randint(-3, 3),)
+        if alg.cone.satisfies(u):
+            found.append(u)
+    return found
+
+
+def _assert_principal_by_pairings(alg, u, lam):
+    want = multiplier_module_principal_by_pairings(alg, u, lam)
+    assert multiplier_module_principal(alg, u, lam) == want, (alg.source, alg.kind, u, lam)
+    assert multiplier_module_general(alg, (u,), lam) == want, (alg.source, alg.kind, u, lam)
+
+
+class TestPrincipalPairByPairings:
+    """The principal pair, built as the one-generator general pair, against
+    its direct formula floor(lam * <u, v_i>) + 1 per cone facet."""
+
+    def test_random_normal_ideals(self):
+        rng = random.Random(32)
+        ideals = _random_normal_ideals(32, 300, (1, 2, 3, 4), lambda n: 3 if n < 4 else 2)
+        assert {a.nvars for a in ideals} == {1, 2, 3, 4}
+        for a in ideals:
+            ext, rees = extended_rees_cone(a), rees_cone(a)
+            pairs = [(ext, ext.t_inverse())]
+            pairs += [(alg, u) for alg in (ext, rees) for u in _cone_monomials(alg, rng, 2)]
+            for alg, u in pairs:
+                for lam in LAMBDAS_PAIR:
+                    _assert_principal_by_pairings(alg, u, lam)
+
+    def test_unit_ideal_cone_has_lineality(self):
+        # the extended cone of the unit ideal holds t and t^-1: a line
+        rng = random.Random(33)
+        for n in range(1, 5):
+            ext = extended_rees_cone(minimalize([(0,) * n]))
+            t = (0,) * n + (1,)
+            assert ext.cone.satisfies(t) and ext.cone.satisfies(ext.t_inverse())
+            for u in [ext.t_inverse(), t] + _cone_monomials(ext, rng, 4):
+                for lam in LAMBDAS_PAIR:
+                    _assert_principal_by_pairings(ext, u, lam)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        n = data.draw(st.integers(1, 3))
+        gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=3))
+        a = integral_closure(minimalize(gens, n))
+        try:
+            ext = extended_rees_cone(a)
+        except DomainError:
+            assume(False)
+        alg = data.draw(st.sampled_from((ext, rees_cone(a))))
+        u = data.draw(st.tuples(*[st.integers(0, 4)] * n, st.integers(-3, 3)))
+        assume(alg.cone.satisfies(u))
+        _assert_principal_by_pairings(alg, u, data.draw(st.sampled_from(LAMBDAS_PAIR)))
 
 
 class TestGradedPiece:
@@ -504,6 +570,27 @@ class TestDefaultBoxes:
         assert verify_theoremB_T(M_XY2, lam, (hi - 1, hi)).box == graded(hi)
         if hi >= 0:
             assert verify_theoremB_S(M_XY2, lam, (0, hi)).box == graded(hi + 1)
+
+
+class TestVerifierBoxes:
+    """A, B.1 and B.2 check a given box as the lattice walk does, and with its
+    messages: A only records its box, yet refuses what B.1 and B.2 refuse."""
+
+    @pytest.mark.parametrize("verify", [verify_theoremA, verify_theoremB_S, verify_theoremB_T])
+    @pytest.mark.parametrize("box, message", [
+        (((0.5, 2), (0, 1)), "not a vector of integers"),
+        (((Fraction(1, 2), 2), (0, 1)), "not a vector of integers"),
+        (((0, 3),), "box length does not match system rank"),
+        (((0, 3), (0, 3), (0, 3)), "box length does not match system rank"),
+        (((0, 3), (2, 1)), "box lower bound exceeds upper bound"),
+    ], ids=["float", "Fraction", "short", "long", "empty"])
+    def test_refused(self, verify, box, message):
+        with pytest.raises(DomainError, match=message):
+            verify(M_XY2, Fraction(1, 2), box=box)
+
+    def test_recorded_as_int_pairs(self):
+        for verify in (verify_theoremA, verify_theoremB_S, verify_theoremB_T):
+            assert verify(M_XY2, Fraction(1, 2), box=[[0, 4], [1, 4]]).box == ((0, 4), (1, 4))
 
 
 class TestPairRationality:
