@@ -20,6 +20,7 @@ from .polyhedra import (
     as_fraction,
     as_int,
     as_ints,
+    as_range,
     interior_threshold,
     unit_vectors,
 )
@@ -53,6 +54,7 @@ class LocalMonomial(Record):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c):
+        a, b = as_int(a), as_int(b)
         if a < 0 or b < 0 or min(a, b) != 0:
             raise DomainError("monomial not in normal form: need min(a, b) = 0")
         c = as_ints(c)
@@ -190,7 +192,7 @@ def verify_local_decomposition(
     box_c = max(model.exps) * box_deg + 2 if box_c is None else as_int(box_c)
     if box_deg < 0 or box_c < 0:
         raise DomainError("box_deg and box_c must be nonnegative")
-    lo, hi = as_ints(k_range)
+    lo, hi = as_range(k_range)
     units = unit_vectors(model.n)
     rest = [1] * (model.n - model.m)
 

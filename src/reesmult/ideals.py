@@ -44,10 +44,10 @@ CACHE_SIZE = 256
 class MonomialIdeal(Record):
     """Finitely many minimal monomial generators, identified by exponents.
 
-    Generators are divisibility-minimal and sorted; the zero ideal is
-    excluded.  The unit ideal (exponent zero) is representable but lies
-    outside the usual positive-height hypotheses; callers that care
-    check :attr:`is_unit`.
+    The constructor keeps the minimal generators, sorted; the zero ideal
+    is excluded.  The unit ideal (exponent zero) is representable but lies
+    outside the usual positive-height hypotheses; callers that care check
+    :attr:`is_unit`.
     """
 
     __slots__ = ("nvars", "generators")
@@ -56,19 +56,20 @@ class MonomialIdeal(Record):
         nvars = as_int(nvars)
         if nvars < 1:
             raise DomainError("need at least one variable")
-        gens = tuple(sorted({as_ints(g) for g in generators}))
+        gens = sorted({as_ints(g) for g in generators})
         if not gens:
             raise DomainError("zero ideal")
+        kept = []
         for g in gens:
             if len(g) != nvars:
                 raise DomainError("generator length does not match nvars")
             if min(g) < 0:
                 raise DomainError("generator exponents must be nonnegative")
-        # a proper divisor precedes its multiples in lex order
-        if any(all(map(operator.le, h, g)) for i, g in enumerate(gens) for h in gens[:i]):
-            raise DomainError("generators not minimal; use minimalize()")
+            # a proper divisor precedes its multiples in lex order, so one pass suffices
+            if not any(all(map(operator.le, h, g)) for h in kept):
+                kept.append(g)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators", tuple(kept))
 
     @property
     def is_unit(self) -> bool:
@@ -85,18 +86,11 @@ class MonomialIdeal(Record):
 
 
 def minimalize(gens, nvars=None) -> MonomialIdeal:
-    """Drop divisible generators and build the ideal; idempotent."""
+    """The ideal of ``gens``, whose constructor keeps the minimal generators."""
     gens = [as_ints(g) for g in gens]
     if not gens:
         raise DomainError("zero ideal")
-    if nvars is None:
-        nvars = len(gens[0])
-    kept = []
-    # a proper divisor precedes its multiples in lex order, so one pass suffices
-    for g in sorted(set(gens)):
-        if not any(all(map(operator.le, h, g)) for h in kept):
-            kept.append(g)
-    return MonomialIdeal(nvars, tuple(kept))
+    return MonomialIdeal(len(gens[0]) if nvars is None else nvars, gens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

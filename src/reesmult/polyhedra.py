@@ -105,9 +105,17 @@ def as_ints(v) -> IntVec:
         raise DomainError(f"not a vector of integers: {v!r}") from None
 
 
+def as_range(bounds):
+    """``bounds`` as a pair (lo, hi) of ints; lo > hi is the empty range."""
+    bounds = as_ints(bounds)
+    if len(bounds) != 2:
+        raise DomainError("range must be two integers (lo, hi)")
+    return bounds
+
+
 def as_box(box, rank: int):
-    """``box`` as ``rank`` pairs (lo, hi) of ints with lo <= hi; anything else is refused."""
-    bounds = tuple(map(as_ints, box))
+    """``box`` as ``rank`` ranges (lo, hi) with lo <= hi; anything else is refused."""
+    bounds = tuple(map(as_range, box))
     if len(bounds) != rank:
         raise DomainError("box length does not match system rank")
     if any(lo > hi for lo, hi in bounds):
@@ -566,11 +574,7 @@ class ThresholdSystem(Record):
         kept = [(w, t) for w, t in self.constraints if min(w) < 0 or sum(w) == 1
                 or any(e and i not in units for i, e in enumerate(w))
                 or t > sum(e * units[i] for i, e in enumerate(w) if e)]
-        out = object.__new__(ThresholdSystem)  # a subset of canonical rows is canonical
-        object.__setattr__(out, "rank", self.rank)
-        object.__setattr__(out, "constraints", tuple(kept))
-        object.__setattr__(out, "infeasible", self.infeasible)
-        return out
+        return ThresholdSystem(self.rank, kept, self.infeasible)
 
     def to_json(self):
         data = {

@@ -39,6 +39,7 @@ from .polyhedra import (
     as_exponent,
     as_fraction,
     as_ints,
+    as_range,
     compare_systems,
     dot,
     interior_threshold,
@@ -149,8 +150,7 @@ class VerificationReport(Record):
             "convention": "floor",
         }
         data.update(self.subject)
-        for key, value in sorted(self.details.items()):
-            data[key] = value
+        data.update(sorted(self.details.items()))
         return data
 
 
@@ -247,7 +247,6 @@ def multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModule
     general pair of the one generator u, as u + C has the cone's facets with
     thresholds <u, v_i>, so facet/ray i asks <m, v_i> >= 1 + floor(lam * <u, v_i>)."""
     lam = as_exponent(lam)
-    u = as_ints(u)
     principal_divisor_pairings(alg, u)
     return multiplier_module_general(alg, (u,), lam)
 
@@ -329,7 +328,7 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     lam = as_fraction(lam)
     alg = extended_rees_cone(a)
     module = multiplier_module_principal(alg, alg.t_inverse(), lam)
-    lo, hi = as_ints(k_range)
+    lo, hi = as_range(k_range)
     box = default_box(a, lam + max(hi, 0)) if box is None else as_box(box, a.nvars)
     identical = []  # per level: equal thresholds on the normals both sides have
 
@@ -360,7 +359,7 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     lam = as_fraction(lam)
     alg = rees_cone(a)
     module = multiplier_module_general(alg, rees_ideal_generators(a), lam)
-    lo, hi = as_ints(n_range)
+    lo, hi = as_range(n_range)
     if lo < 0:
         raise DomainError("decomposition index must be nonnegative")
     box = default_box(a, lam + max(hi + 1, 0)) if box is None else as_box(box, a.nvars)

@@ -566,16 +566,6 @@ def dd_reference(rows, rank):
     return lin, [r for r, _ in rays], [z for _, z in rays]
 
 
-def generators_minimal_reference(gens) -> bool:
-    """The all-pairs minimality check ``MonomialIdeal`` made before it
-    tested each sorted generator against the earlier ones only."""
-    for g in gens:
-        for h in gens:
-            if g != h and all(a <= b for a, b in zip(g, h)):
-                return False
-    return True
-
-
 def frac_str_reference(value) -> str:
     """Format an exact rational as "p/q" ("p" when q = 1)."""
     f = Fraction(value)

@@ -57,6 +57,12 @@ class TestNewton:
         assert code == 3
         assert "zero ideal" in err
 
+    @pytest.mark.parametrize("gens", ["[[1,0],[1,0,5]]", "[[1,0],[1]]"], ids=["long", "short"])
+    def test_generator_length_exit3(self, capsys, gens):
+        # a longer generator that a divisor precedes is refused as a shorter one is
+        code, out, err = run_main(capsys, "newton", "-i", f'{{"nvars":2,"generators":{gens}}}')
+        assert (code, out, err) == (3, "", "domain error: generator length does not match nvars\n")
+
     def test_malformed_json_exit2(self, capsys):
         code, _, err = run_main(capsys, "newton", "-i", '{"nvars":2')
         assert code == 2

@@ -61,6 +61,16 @@ class TestNormalForm:
         with pytest.raises(DomainError):
             LocalMonomial(1, 1, (0, 0))
 
+    @pytest.mark.parametrize("a, b", [(0.0, 2), (2, 0.0), (Fraction(1), 0), ("1", 0)])
+    def test_constructor_refuses_non_integer_exponents(self, a, b):
+        with pytest.raises(DomainError, match="not an integer"):
+            LocalMonomial(a, b, (1,))
+
+    def test_bool_stored_as_int(self):
+        mono = LocalMonomial(True, False, (1,))
+        assert (type(mono.a), type(mono.b)) == (int, int)
+        assert mono == LocalMonomial(1, 0, (1,))
+
 
 class TestDivisorData:
     def test_two_two(self):

@@ -34,7 +34,6 @@ from reesmult.polyhedra import cube, lattice_runs
 from oracles import (
     first_non_closed_power_by_closure,
     first_non_closed_power_by_runs,
-    generators_minimal_reference,
     in_hull_plus_orthant,
     integral_closure_by_minimalize,
     jumping_numbers_by_box,
@@ -96,13 +95,13 @@ class TestMinimalize:
             rng.shuffle(gens)
             assert minimalize(gens, nvars) == minimalize_reference(gens, nvars), gens
 
-    def test_constructor_rejects_non_minimal(self):
-        with pytest.raises(DomainError):
-            MonomialIdeal(2, ((1, 0), (1, 1)))
+    def test_constructor_keeps_minimal_generators(self):
+        assert MonomialIdeal(2, ((1, 0), (1, 1))).generators == ((1, 0),)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_minimality_check_matches_all_pairs(self, seed):
-        # the constructor tests each sorted generator against earlier ones only
+    def test_constructor_matches_reference(self, seed):
+        # the two-filter reference on minimal lists and on lists with a
+        # multiple of a generator or an exact duplicate added
         rng = random.Random(6200 + seed)
         outcomes = set()
         for _ in range(300):
@@ -114,18 +113,18 @@ class TestMinimalize:
             if rng.random() < 0.5:
                 gens = list(minimalize(gens, nvars).generators)
                 if rng.random() < 0.5:
-                    # a multiple of one generator, or an exact duplicate
                     g = rng.choice(gens)
                     gens.append(tuple(e + rng.randint(0, 1) for e in g))
             rng.shuffle(gens)
-            minimal = generators_minimal_reference(sorted(set(gens)))
-            outcomes.add(minimal)
-            if minimal:
-                assert MonomialIdeal(nvars, gens).generators == tuple(sorted(set(gens)))
-            else:
-                with pytest.raises(DomainError, match=r"^generators not minimal; use minimalize\(\)$"):
-                    MonomialIdeal(nvars, gens)
+            expected = minimalize_reference(gens, nvars)
+            outcomes.add(len(gens) == len(expected.generators))
+            assert MonomialIdeal(nvars, gens) == expected, gens
         assert outcomes == {True, False}
+
+    def test_longer_generator_refused(self):
+        # the divisor (1, 0) must not hide that (1, 0, 5) has three entries
+        with pytest.raises(DomainError, match=r"^generator length does not match nvars$"):
+            minimalize([(1, 0), (1, 0, 5)], 2)
 
     def test_shape_checks_come_before_minimality(self):
         with pytest.raises(DomainError, match="length does not match"):

@@ -1055,8 +1055,8 @@ class TestReduced:
         assert dropped >= 50
 
     def test_equals_the_constructed_system(self):
-        # reduced() sets its rows without the constructor; on the same 400
-        # systems, and on an infeasible one, it builds the constructor's value
+        # reduced() keeps a subset of canonical rows; on the same 400 systems,
+        # and on an infeasible one, it is the constructor's value for them
         rng = random.Random(4100)
         systems = [_unit_heavy_system(rng, rng.randint(1, 3)) for _ in range(400)]
         systems.append(ThresholdSystem(2, (((1, 0), 0), ((0, 1), 1), ((0, 0), 1))))

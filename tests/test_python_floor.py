@@ -1,6 +1,7 @@
 """The package runs on the oldest Python that ``pyproject.toml`` admits:
 every module parses with that version's grammar, so syntax from a newer
-Python fails here and not only on an older interpreter."""
+Python fails here and not only on an older interpreter.  Each record is
+built through its own ``__init__``, so no module uses ``object.__new__``."""
 
 from __future__ import annotations
 
@@ -23,3 +24,12 @@ def _floor():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_parses_at_the_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=_floor())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_record_built_around_its_constructor(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert not lines, f"{path.name} uses object.__new__ at lines {lines}"

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reesmult.errors import DomainError, NotNormalError
+from reesmult.hypersurface import LocalHypersurfaceModel, verify_local_decomposition
 from reesmult.ideals import (
     _multiplier_module,
     first_non_closed_power,
@@ -583,7 +584,8 @@ class TestVerifierBoxes:
         (((0, 3),), "box length does not match system rank"),
         (((0, 3), (0, 3), (0, 3)), "box length does not match system rank"),
         (((0, 3), (2, 1)), "box lower bound exceeds upper bound"),
-    ], ids=["float", "Fraction", "short", "long", "empty"])
+        (((0, 3), (0, 1, 2)), r"range must be two integers \(lo, hi\)"),
+    ], ids=["float", "Fraction", "short", "long", "empty", "triple"])
     def test_refused(self, verify, box, message):
         with pytest.raises(DomainError, match=message):
             verify(M_XY2, Fraction(1, 2), box=box)
@@ -591,6 +593,29 @@ class TestVerifierBoxes:
     def test_recorded_as_int_pairs(self):
         for verify in (verify_theoremA, verify_theoremB_S, verify_theoremB_T):
             assert verify(M_XY2, Fraction(1, 2), box=[[0, 4], [1, 4]]).box == ((0, 4), (1, 4))
+
+
+class TestVerifierRanges:
+    """B.1, B.2 and local read their level range through one check: two ints,
+    where lo > hi is the empty range."""
+
+    VERIFIERS = {
+        "B1": lambda r: verify_theoremB_S(M_XY2, 0, n_range=r),
+        "B2": lambda r: verify_theoremB_T(M_XY2, 0, k_range=r),
+        "local": lambda r: verify_local_decomposition(LocalHypersurfaceModel(1, 1, (2,)), 0,
+                                                      k_range=r),
+    }
+
+    @pytest.mark.parametrize("name", VERIFIERS)
+    @pytest.mark.parametrize("bounds", [(1,), (0, 1, 2)], ids=["one", "three"])
+    def test_refused(self, name, bounds):
+        with pytest.raises(DomainError, match=r"^range must be two integers \(lo, hi\)$"):
+            self.VERIFIERS[name](bounds)
+
+    @pytest.mark.parametrize("name", VERIFIERS)
+    def test_empty_range_allowed(self, name):
+        report = self.VERIFIERS[name]((2, 1))
+        assert report.k_range == (2, 1) and report.per_k == () and report.overall
 
 
 class TestPairRationality:
