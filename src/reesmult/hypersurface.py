@@ -65,10 +65,18 @@ class LocalMonomial(Record):
         object.__setattr__(self, "c", c)
 
 
+def _exponents(model: LocalHypersurfaceModel, c):
+    """``c`` as ints, one per s-variable of the model; any other length is refused."""
+    c = as_ints(c)
+    if len(c) != model.n:
+        raise DomainError("s-exponent length does not match model n")
+    return c
+
+
 def normal_form(model: LocalHypersurfaceModel, a: int, b: int, c) -> LocalMonomial:
     """Rewrite xy -> f until one of the x/y exponents vanishes."""
     t = min(a, b)
-    c = list(as_ints(c))
+    c = list(_exponents(model, c))
     for i in range(model.m):
         c[i] += t * model.exps[i]
     return LocalMonomial(a - t, b - t, tuple(c))
@@ -107,11 +115,10 @@ def divisor_data(model: LocalHypersurfaceModel) -> DivisorData:
 
 def monomial_pairings(model: LocalHypersurfaceModel, mono: LocalMonomial):
     """Vanishing orders of the monomial along each ray, matching divisor_data."""
-    ex = model.exps
-    orders_x = tuple(mono.a * ex[i] + mono.c[i] for i in range(model.m))
-    orders_y = tuple(mono.b * ex[i] + mono.c[i] for i in range(model.m))
-    orders_s = tuple(mono.c[i] for i in range(model.m, model.n))
-    return orders_x + orders_y + orders_s
+    c = _exponents(model, mono.c)
+    orders_x = tuple(mono.a * e + ci for e, ci in zip(model.exps, c))
+    orders_y = tuple(mono.b * e + ci for e, ci in zip(model.exps, c))
+    return orders_x + orders_y + c[model.m:]
 
 
 def is_section(model: LocalHypersurfaceModel, mono: LocalMonomial, lam) -> bool:
@@ -121,15 +128,9 @@ def is_section(model: LocalHypersurfaceModel, mono: LocalMonomial, lam) -> bool:
     for i <= m, and c_i >= 1 for i > m.
     """
     lam = as_exponent(lam)
-    for i in range(model.m):
-        if mono.a * model.exps[i] + mono.c[i] < 1:
-            return False
-        if mono.b * model.exps[i] + mono.c[i] < interior_threshold(lam, model.exps[i]):
-            return False
-    for i in range(model.m, model.n):
-        if mono.c[i] < 1:
-            return False
-    return True
+    c = _exponents(model, mono.c)
+    return all(mono.a * e + ci >= 1 and mono.b * e + ci >= interior_threshold(lam, e)
+               for e, ci in zip(model.exps, c)) and all(ci >= 1 for ci in c[model.m:])
 
 
 def regrade(model: LocalHypersurfaceModel, mono: LocalMonomial):
@@ -138,11 +139,8 @@ def regrade(model: LocalHypersurfaceModel, mono: LocalMonomial):
     Injective on normal forms: a = max(k, 0) and b = max(-k, 0) are
     recoverable, hence c.
     """
-    cprime = tuple(
-        mono.c[i] + (mono.a * model.exps[i] if i < model.m else 0)
-        for i in range(model.n)
-    )
-    return cprime, mono.a - mono.b
+    c = _exponents(model, mono.c)
+    return tuple(ci + mono.a * e for ci, e in zip(c, model.exps)) + c[model.m:], mono.a - mono.b
 
 
 def snc_multiplier_section(model: LocalHypersurfaceModel, cprime, mu) -> bool:
@@ -150,7 +148,7 @@ def snc_multiplier_section(model: LocalHypersurfaceModel, cprime, mu) -> bool:
     exponent mu: c'_i >= 1 + floor(mu * a_i) for i <= m and c'_i >= 1
     past m; for mu <= 0 only the canonical-module condition c' >= 1."""
     mu = as_fraction(mu)
-    cprime = as_ints(cprime)
+    cprime = _exponents(model, cprime)
     if any(e < 0 for e in cprime):
         raise DomainError("negative exponent")
     if mu <= 0:

@@ -30,6 +30,7 @@ import operator
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
 
 from .errors import DomainError, ParseError, ResourceLimitError
 from .serialize import Record, frac_str, parse_int, parse_rational
@@ -538,14 +539,13 @@ class ThresholdSystem(Record):
             if len(normal) != rank:
                 raise DomainError("constraint length does not match rank")
             g = math.gcd(*normal)
-            if g == 0:
-                if t > 0:
-                    infeasible = True
-                continue
-            if g > 1:
+            if g != 1:
+                if g == 0:
+                    infeasible = infeasible or t > 0
+                    continue
                 normal = tuple([e // g for e in normal])
                 t = _ceil_div(t, g)
-            if normal not in canon or t > canon[normal]:
+            if canon.get(normal, t) <= t:
                 canon[normal] = t
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "constraints", tuple(sorted(canon.items())))
@@ -569,12 +569,17 @@ class ThresholdSystem(Record):
     def reduced(self) -> "ThresholdSystem":
         """The same lattice set without each row <w, m> >= t implied by the unit
         rows m_i >= u_i (w >= 0 not a unit, u_i present where w_i > 0, t <= sum
-        w_i u_i).  Equal reduced systems cut out equal sets; unequal prove nothing."""
+        w_i u_i).  Equal reduced systems cut out equal sets; unequal prove nothing.
+        ``compare_systems`` compares their ``_reduced_fields``, building neither."""
+        return ThresholdSystem(*self._reduced_fields())
+
+    def _reduced_fields(self):
+        """The fields of ``reduced()``, its rows canonical already: equal fields, equal systems."""
         units = {w.index(1): t for w, t in self.constraints if min(w) >= 0 and sum(w) == 1}
         kept = [(w, t) for w, t in self.constraints if min(w) < 0 or sum(w) == 1
                 or any(e and i not in units for i, e in enumerate(w))
                 or t > sum(e * units[i] for i, e in enumerate(w) if e)]
-        return ThresholdSystem(self.rank, kept, self.infeasible)
+        return self.rank, kept, self.infeasible
 
     def to_json(self):
         data = {
@@ -620,16 +625,17 @@ def _narrow(lo, hi, a, r):
 def _walk(system: ThresholdSystem, box, count: bool):
     """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``.
 
-    A row with one nonzero entry bounds one coordinate: it narrows the box and
-    leaves the row list, after the volume guard has read the box as given.  If
-    no row is left, the narrowed box is the set, and count mode returns the
-    product of its widths without a walk.  Otherwise the walk fixes the
-    coordinates before the last in order; ``rs[ci]`` is what row ci still
-    needs from the free coordinates.  A residual at most ``smin``, the least the
-    free coordinates can add to its row in the box, means the row holds on the
-    whole subtree.  Count mode adds the values of a coordinate where every row
-    does so as one block of whole sub-boxes, and memoises any other subtree for
-    this call: its count depends only on its depth and ``rs``, not on the
+    A row with one nonzero entry, e_i or -e_i as normals are primitive, bounds
+    one coordinate: it narrows the box and leaves the row list, after the volume
+    guard has read the box as given.  If no row is left (always so at rank 1),
+    the narrowed box is the set.  Otherwise the walk fixes the coordinates
+    before the last in order; ``rs[ci]`` is what row ci still needs from the
+    free coordinates.  A residual at most ``smin``, the least the free
+    coordinates can add to its row in the box (a suffix sum, as is the most,
+    ``smax``), means the row holds on the whole subtree.  Count mode adds the
+    values of a coordinate where every row does so, or the lines of a last
+    level where its one row does, as one block, and memoises any other subtree
+    for this call: its count depends only on its depth and ``rs``, not on the
     prefix, and the key holds None for each residual at most ``smin``."""
     bounds = as_box(box, system.rank)
     volume = math.prod(hi - lo + 1 for lo, hi in bounds)
@@ -638,31 +644,29 @@ def _walk(system: ThresholdSystem, box, count: bool):
         raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:
         return 0 if count else []
+    last = system.rank - 1
     bounds, ws, ts = list(bounds), [], []
     for w, t in system.constraints:
-        nonzero = [i for i, e in enumerate(w) if e]
-        if len(nonzero) == 1:
-            i = nonzero[0]
+        if w.count(0) == last:
+            i = w.index(1) if 1 in w else w.index(-1)
             bounds[i] = _narrow(*bounds[i], w[i], t)
         else:
             ws.append(w)
             ts.append(t)
-    if any(lo > hi for lo, hi in bounds):
+    widths = [hi - lo + 1 for lo, hi in bounds]
+    if min(widths) < 1:
         return 0 if count else []
-    if count and not ws:
-        return math.prod(hi - lo + 1 for lo, hi in bounds)
-    if system.rank == 1:
-        # a nonzero rank-1 row is a unit row: none is left
-        ((lo, hi),) = bounds
-        return [((), lo, hi)]
-    last = system.rank - 1
-    last_lo, last_hi = bounds[last]
+    if not ws:
+        return math.prod(widths) if count else [
+            (p, *bounds[last]) for p in product(*[range(lo, hi + 1) for lo, hi in bounds[:last]])]
     # later[d]: the number of points of the box on the coordinates after d
-    later = [math.prod(hi - lo + 1 for lo, hi in bounds[d + 1:]) for d in range(last)]
+    later = [*accumulate(widths[:0:-1], operator.mul)][::-1]
     # smax[ci][d], smin[ci][d]: the most and least coordinates d.. can add to row ci
-    ends = [[sorted((e * lo, e * hi)) for e, (lo, hi) in zip(w, bounds)] for w in ws]
-    smax = [[sum(hi for _, hi in m[d:]) for d in range(last + 1)] for m in ends]
-    smin = [[sum(lo for lo, _ in m[d:]) for d in range(last + 1)] for m in ends]
+    back = bounds[::-1]
+    smax = [[*accumulate([e * hi if e > 0 else e * lo for e, (lo, hi) in zip(w[::-1], back)])][::-1]
+            for w in ws]
+    smin = [[*accumulate([e * lo if e > 0 else e * hi for e, (lo, hi) in zip(w[::-1], back)])][::-1]
+            for w in ws]
     runs, memo = [], {}
 
     def rec(depth, prefix, rs):
@@ -690,7 +694,7 @@ def _walk(system: ThresholdSystem, box, count: bool):
             # the lines prefix + (v,): a constraint without the last coordinate
             # narrows v, one without this coordinate bounds every line alike,
             # and only the rest bound each line on its own
-            lo, hi, rows = last_lo, last_hi, []
+            (lo, hi), rows = bounds[last], []
             for w, r in zip(ws, rs):
                 wd, wl = w[depth], w[last]
                 if wl == 0:
@@ -699,18 +703,30 @@ def _walk(system: ThresholdSystem, box, count: bool):
                     lo, hi = _narrow(lo, hi, wl, r)
                 else:
                     rows.append((wd, wl, r))
-            vs = range(vlo, vhi + 1) if lo <= hi else range(0)
-            los, his = [lo] * len(vs), [hi] * len(vs)
-            for wd, wl, r in rows:
-                if wl > 0:
-                    los = list(map(max, los, [-((wd * v - r) // wl) for v in vs]))
-                else:
-                    his = list(map(min, his, [(r - wd * v) // wl for v in vs]))
-            if count:
-                found = sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi)
+            if count and len(rows) == 1 and lo <= hi:
+                # one row left: the lines it holds on whole are one block at one
+                # end of those it meets, and each other line counts to its bound
+                ((wd, wl, r),) = rows
+                vlo, vhi = _narrow(vlo, vhi, wd, r - max(wl * lo, wl * hi))
+                blo, bhi = _narrow(vlo, vhi, wd, r - min(wl * lo, wl * hi))
+                block = max(bhi - blo + 1, 0)
+                vs = range(vlo, vhi + 1 - block) if wd > 0 else range(vlo + block, vhi + 1)
+                found = block * (hi - lo + 1) + len(vs) * (hi + 1 if wl > 0 else 1 - lo)
+                found += sum([(wd * v - r) // abs(wl) for v in vs])
             else:
-                found = 0
-                runs.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his) if lo <= hi)
+                vs = range(vlo, vhi + 1) if lo <= hi else range(0)
+                los, his = [lo] * len(vs), [hi] * len(vs)
+                for wd, wl, r in rows:
+                    if wl > 0:
+                        los = list(map(max, los, [-((wd * v - r) // wl) for v in vs]))
+                    else:
+                        his = list(map(min, his, [(r - wd * v) // wl for v in vs]))
+                if count:
+                    found = sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi)
+                else:
+                    found = 0
+                    runs.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his)
+                                if lo <= hi)
         if count:
             memo[key] = found
         return found
@@ -736,11 +752,7 @@ def lattice_runs(system: ThresholdSystem, box):
 
 def lattice_count(system: ThresholdSystem, box):
     """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box))``
-    from the same walk, checks and guard, with no run built: a system of
-    unit rows alone counts as the product of the widths of the box they
-    narrow, the subtrees on which every row holds add their sub-boxes in
-    one product, and any other subtree is counted once per distinct
-    residual of its rows (see ``_walk``)."""
+    from the same walk, checks and guard, with no run built (see ``_walk``)."""
     return _walk(system, box, count=True)
 
 
@@ -773,8 +785,8 @@ def compare_runs(runs1, runs2):
 def compare_systems(lhs: ThresholdSystem, rhs: ThresholdSystem, box):
     """``compare_runs`` of the two systems' runs in the box.  Equal systems,
     or equal reduced systems, cut out equal sets: then ``lhs`` is only
-    counted, nothing listed."""
-    if lhs == rhs or lhs.reduced() == rhs.reduced():
+    counted, nothing listed.  Reduced systems are compared by their fields."""
+    if lhs == rhs or lhs._reduced_fields() == rhs._reduced_fields():
         count = lattice_count(lhs, box)
         return count, count, None
     return compare_runs(lattice_runs(lhs, box), lattice_runs(rhs, box))

@@ -137,6 +137,47 @@ class TestSncSection:
         assert not snc_multiplier_section(M23, (1, 0), Fraction(-5, 2))
 
 
+class TestExponentLength:
+    """A vector of s-exponents has one entry per s-variable of the model; a
+    shorter or longer one is refused with one ``DomainError``, never read in
+    part or padded."""
+
+    CALLS = {
+        "normal_form": lambda model, c: normal_form(model, 1, 1, c),
+        "is_section": lambda model, c: is_section(model, LocalMonomial(1, 0, c), 0),
+        "monomial_pairings": lambda model, c: monomial_pairings(model, LocalMonomial(1, 0, c)),
+        "regrade": lambda model, c: regrade(model, LocalMonomial(1, 0, c)),
+        "snc_positive": lambda model, c: snc_multiplier_section(model, c, 1),
+        "snc_nonpositive": lambda model, c: snc_multiplier_section(model, c, 0),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("model, c", [
+        (M23, (0,)), (M23, (0, 0, 5)), (M23, ()),
+        # n = 3 > m = 2: m entries are short too
+        (M321, (1, 1)), (M321, (1, 1, 1, 1)),
+    ], ids=("short", "long", "empty", "m_entries", "long_past_m"))
+    def test_refused(self, name, model, c):
+        with pytest.raises(DomainError, match="^s-exponent length does not match model n$"):
+            self.CALLS[name](model, c)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_full_length_accepted(self, name):
+        self.CALLS[name](M23, (1, 1))
+        self.CALLS[name](M321, (1, 1, 1))
+
+    def test_values_unchanged(self):
+        # what the loops over range(m) and range(n) gave at full length
+        assert normal_form(M321, 2, 1, (0, 1, 2)).c == (1, 2, 2)
+        assert monomial_pairings(M321, LocalMonomial(2, 0, (0, 1, 3))) == (2, 3, 0, 1, 3)
+        assert regrade(M321, LocalMonomial(2, 0, (0, 1, 3))) == ((2, 3, 3), 2)
+        assert regrade(M321, LocalMonomial(0, 2, (0, 1, 3))) == ((0, 1, 3), -2)
+        assert is_section(M321, LocalMonomial(0, 1, (1, 1, 1)), 0)
+        assert not is_section(M321, LocalMonomial(0, 1, (1, 1, 0)), 0)
+        assert not is_section(M321, LocalMonomial(0, 1, (0, 1, 1)), 0)
+        assert not is_section(M321, LocalMonomial(1, 0, (0, 0, 1)), Fraction(1, 2))
+
+
 class TestSectionSncEquivalence:
     @pytest.mark.parametrize("lam", [0, Fraction(1, 2), Fraction(5, 6), 1])
     def test_pointwise(self, lam):

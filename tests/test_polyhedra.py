@@ -31,6 +31,7 @@ from reesmult.polyhedra import (
     Polyhedron,
     ThresholdSystem,
     compare_runs,
+    compare_systems,
     cube,
     dot,
     dual_cone,
@@ -874,7 +875,8 @@ class TestLatticeCount:
         # the work the walk does, as a count that does not depend on the
         # host: the B.2 level systems of (x1..x4)^2 on their default box.
         # Folding the unit rows into the box lists them with 230-270 calls
-        # per lambda, and counting in bulk counts them with 110-144
+        # per lambda, and counting in bulk counts them with 160-228 (two
+        # calls bound each one-row last level's block)
         a = minimalize([tuple(int(i == j) + int(i == k) for i in range(4))
                         for j in range(4) for k in range(j, 4)], 4)
         alg = extended_rees_cone(a)
@@ -985,6 +987,76 @@ class TestUnitRowProduct:
         assert min(emptied, negative) >= 100, (emptied, negative)
 
 
+def _verify_shaped(rng, box, rows):
+    """A system of the shape the verifiers walk on ``box``: unit rows, scaled
+    by 1, 2 or -3 before canonicalization, and ``rows`` rows with two or more
+    nonzero entries, nonnegative or of mixed signs, each with a threshold
+    within one of the range it takes on the box."""
+    rank = len(box)
+    cons = []
+    for i, (lo, hi) in enumerate(box):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            c = rng.choice((1, -1, 2, -2, -3))
+            cons.append((tuple(c if j == i else 0 for j in range(rank)),
+                         c * rng.randint(lo - 1, hi + 1)))
+    for _ in range(rows):
+        while True:
+            w = [rng.randint(0, 3) if rng.random() < 0.5 else rng.randint(-3, 3)
+                 for _ in range(rank)]
+            if sum(map(bool, w)) >= 2:
+                break
+        ends = [sorted((e * lo, e * hi)) for e, (lo, hi) in zip(w, box)]
+        cons.append((tuple(w), rng.randint(sum(lo for lo, _ in ends) - 1,
+                                           sum(hi for _, hi in ends) + 1)))
+    return ThresholdSystem(rank, cons)
+
+
+def _walk_branches(system, box):
+    """The branches the walk certainly takes on ``system`` and ``box``: the
+    fold of a row e_i and of a row -e_i, and, when the folded box is not
+    empty, the unit-only product or, at rank 2, a last level with one row."""
+    units = [(w, t) for w, t in system.constraints if w.count(0) == system.rank - 1]
+    rest = len(system.constraints) - len(units)
+    open_box = oracles.walk_reference(ThresholdSystem(system.rank, units), box, True) > 0
+    return {
+        "plus_fold": any(1 in w for w, _ in units),
+        "minus_fold": any(-1 in w for w, _ in units),
+        "unit_product": open_box and rest == 0,
+        "one_row_last_level": open_box and system.rank == 2 and rest == 1,
+    }
+
+
+class TestWideBoxWalk:
+    """On verify-shaped systems of rank 2-4 over boxes up to 20 wide, from 0
+    and from -4, the walk gives the runs and counts of the walk before the
+    fold, the suffix-sum plan and the one-row last level."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sweep(self, seed):
+        rng = random.Random(9700 + seed)
+        seen = dict.fromkeys(("plus_fold", "minus_fold", "unit_product",
+                              "one_row_last_level"), 0)
+        mixed = 0
+        for trial in range(1000):
+            rank = 2 + trial % 3
+            box = tuple((lo, lo + rng.randint(0, 20)) for lo in rng.choices((0, -4), k=rank))
+            system = _verify_shaped(rng, box, rng.choice((0, 1, 1, 2)))
+            _check_walk(system, box)
+            for branch, taken in _walk_branches(system, box).items():
+                seen[branch] += taken
+            mixed += any(min(w) < 0 < max(w) for w, _ in system.constraints)
+        assert min(*seen.values(), mixed) >= 100, (seen, mixed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        rank = data.draw(st.integers(2, 4))
+        box = tuple((lo, lo + d) for lo, d in data.draw(st.lists(
+            st.tuples(st.sampled_from((0, -4)), st.integers(0, 20)), min_size=rank, max_size=rank)))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        _check_walk(_verify_shaped(rng, box, data.draw(st.integers(0, 2))), box)
+
+
 class TestThresholdSystem:
     def test_canonicalization_ceiling(self):
         # <(2,0), m> >= 5 over integers is <(1,0), m> >= 3
@@ -1084,6 +1156,79 @@ class TestReduced:
                     box = cube(rank, -3, 4)
                     assert brute_lattice_points(s1, box) == brute_lattice_points(s2, box), (s1, s2)
         assert certified >= 50
+
+
+def _implied_row(rng, system):
+    """A nonnegative non-unit row the unit rows m_i >= u_i of ``system`` imply,
+    or None when it has fewer than two of them."""
+    units = {w.index(1): t for w, t in system.constraints if min(w) >= 0 and sum(w) == 1}
+    if len(units) < 2:
+        return None
+    w = [rng.randint(1, 2) if i in units else 0 for i in range(system.rank)]
+    return tuple(w), sum(e * units[i] for i, e in enumerate(w) if e) - rng.randint(0, 2)
+
+
+class TestCompareSystemsDecision:
+    """``compare_systems`` counts a pair alone exactly when ``lhs == rhs`` or
+    ``lhs.reduced() == rhs.reduced()``, and decides it without building a
+    ``ThresholdSystem``."""
+
+    def test_decision_matches_reduced_equality(self, monkeypatch):
+        rng = random.Random(4300)
+        pairs = []
+        for _ in range(500):
+            rank = rng.randint(1, 3)
+            s1 = _unit_heavy_system(rng, rank)
+            flag = rng.random() < 0.2
+            implied = _implied_row(rng, s1)
+            if implied is not None:
+                # differ only by an implied row, with the flag on both or on one
+                pairs.append((ThresholdSystem(rank, s1.constraints, flag),
+                              ThresholdSystem(rank, s1.constraints + (implied,), flag)))
+                pairs.append((s1, ThresholdSystem(rank, s1.constraints + (implied,), True)))
+            extra = _unit_heavy_system(rng, rank).constraints[-1:]
+            pairs.append((s1, ThresholdSystem(rank, s1.constraints + extra)))
+            pairs.append((s1, _shifted(rng, s1)))
+        listed = []
+
+        def listing(system, box):
+            listed.append(system)
+            return lattice_runs(system, box)
+
+        monkeypatch.setattr(polyhedra, "lattice_runs", listing)
+        kinds = {"equal": 0, "reduced": 0, "differ": 0, "infeasible": 0}
+        for s1, s2 in pairs:
+            box = cube(s1.rank, -3, 4)
+            want = compare_runs(lattice_runs(s1, box), lattice_runs(s2, box))
+            listed.clear()
+            assert compare_systems(s1, s2, box) == want, (s1, s2)
+            certified = s1 == s2 or s1.reduced() == s2.reduced()
+            assert (listed == []) == certified, (s1, s2)
+            kinds["equal" if s1 == s2 else "reduced" if certified else "differ"] += 1
+            kinds["infeasible"] += s1.infeasible or s2.infeasible
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_no_system_built(self, monkeypatch):
+        omega = ThresholdSystem(2, (((1, 0), 1), ((0, 1), 1)))
+        implied = omega.constraints + (((1, 1), 2),)
+        # two pairs that differ only by an implied row, certified by their
+        # reduced systems, and one whose flags differ, which is listed
+        pairs = [(ThresholdSystem(2, implied), omega),
+                 (ThresholdSystem(2, implied, True), ThresholdSystem(2, omega.constraints, True)),
+                 (ThresholdSystem(2, implied, True), omega)]
+        box = cube(2, -1, 6)
+        want = [compare_runs(lattice_runs(s1, box), lattice_runs(s2, box)) for s1, s2 in pairs]
+        assert want == [(36, 36, None), (0, 0, None), (0, 36, (1, 1))]
+        built = []
+        init = ThresholdSystem.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThresholdSystem, "__init__", counting)
+        assert [compare_systems(s1, s2, box) for s1, s2 in pairs] == want
+        assert built == []
 
 
 class TestVertexCheck:
