@@ -193,18 +193,19 @@ def verify_local_decomposition(
     lo, hi = as_range(k_range)
     units = unit_vectors(model.n)
     rest = [1] * (model.n - model.m)
+    base = [interior_threshold(lam, e) for e in model.exps]
 
     def level(k):
         a, mu = max(k, 0), k + lam
-        reach = [(a * e, a * e + box_c) for e in model.exps] + [(0, box_c)] * len(rest)
-        lhs = [max(1, interior_threshold(lam, e) + k * e) for e in model.exps] + rest
-        rhs = [interior_threshold(mu, e) if mu > 0 else 1 for e in model.exps] + rest
-        sides = [ThresholdSystem(model.n, tuple(zip(units, need))) for need in (lhs, rhs)]
+        reach = tuple((a * e, a * e + box_c) for e in model.exps) + ((0, box_c),) * len(rest)
+        lhs = [max(1, b + k * e) for b, e in zip(base, model.exps)] + rest
+        rhs = [interior_threshold(mu, e) for e in model.exps] if mu > 0 else [1] * model.m
+        sides = [ThresholdSystem(model.n, tuple(zip(units, need))) for need in (lhs, rhs + rest)]
         return (k, *sides, reach)
 
-    ks = range(lo, hi + 1)
-    details = {"inconclusive": [k for k in ks if abs(k) > box_deg], "boxDeg": box_deg,
-               "boxC": box_c}
     return _level_report("local", {"model": model.to_json()}, lam, (lo, hi),
                          ((0, box_deg), (0, box_c)),
-                         (level(k) for k in ks if abs(k) <= box_deg), lambda: details)
+                         map(level, range(max(lo, -box_deg), min(hi, box_deg) + 1)),
+                         lambda count: {"inconclusive": [k for k in range(lo, hi + 1)
+                                                         if abs(k) > box_deg],
+                                        "boxDeg": box_deg, "boxC": box_c})

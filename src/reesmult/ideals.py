@@ -59,15 +59,16 @@ class MonomialIdeal(Record):
         gens = sorted({as_ints(g) for g in generators})
         if not gens:
             raise DomainError("zero ideal")
-        kept = []
+        kept, least = [], math.inf
         for g in gens:
             if len(g) != nvars:
                 raise DomainError("generator length does not match nvars")
             if min(g) < 0:
                 raise DomainError("generator exponents must be nonnegative")
-            # a proper divisor precedes its multiples in lex order, so one pass suffices
-            if not any(all(map(operator.le, h, g)) for h in kept):
+            # a proper divisor comes first in lex order and has a smaller degree
+            if (degree := sum(g)) <= least or not any(all(map(operator.le, h, g)) for h in kept):
                 kept.append(g)
+                least = min(least, degree)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "generators", tuple(kept))
 
@@ -334,20 +335,17 @@ def lct(a: MonomialIdeal) -> Fraction:
     """Log canonical threshold: smallest lam with multiplier ideal != R.
 
     Computed two ways, which must agree: the facet formula
-    min <(1,..,1), w_j> / c_j, and the first candidate at which the zero
-    exponent leaves the multiplier ideal.
+    min <(1,..,1), w_j> / c_j, and the multiplier ideal, which only shrinks as
+    lam grows and changes only at candidates t / c_j: it must lose the zero
+    exponent (be != R) at the formula and keep it at the largest candidate below.
     """
     if a.is_unit:
         raise DomainError("lct undefined for unit ideal")
     facets = newton_positive_facets(a)
     assert facets, "proper monomial ideal must have a positive Newton facet"
     formula = min(Fraction(sum(w), c) for w, c in facets)
-    # cross-check by candidate scan (the multiplier-ideal set is upward
-    # closed, so J = R iff it contains the zero exponent)
-    candidates = sorted(
-        {Fraction(t, c) for _, c in facets for t in range(1, math.floor(formula * c) + 1)}
-    )
-    first = next((x for x in candidates if not multiplier_ideal(a, x).is_full_ring()), None)
-    if first != formula:
-        raise AssertionError(f"lct computations disagree: formula {formula}, scan {first}")
+    below = max(Fraction(math.ceil(formula * c) - 1, c) for _, c in facets)
+    if multiplier_ideal(a, formula).is_full_ring() or (
+            below > 0 and not multiplier_ideal(a, below).is_full_ring()):
+        raise AssertionError(f"lct computations disagree: formula {formula}, below {below}")
     return formula

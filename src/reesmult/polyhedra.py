@@ -622,8 +622,24 @@ def _narrow(lo, hi, a, r):
     return (lo, hi) if r <= 0 else (hi + 1, hi)
 
 
-def _walk(system: ThresholdSystem, box, count: bool):
-    """The one lattice walk: ``lattice_runs``, or with ``count`` ``lattice_count``.
+class _Bounds(tuple):
+    """A box that ``checked_box`` has passed, and passes again at its rank."""
+
+
+def checked_box(box, rank: int, guard=None):
+    """``as_box(box, rank)`` within the volume guard (``point_guard()`` if None)."""
+    if type(box) is _Bounds and len(box) == rank:
+        return box
+    bounds = as_box(box, rank)
+    volume = math.prod(hi - lo + 1 for lo, hi in bounds)
+    guard = point_guard() if guard is None else guard
+    if volume > guard:
+        raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
+    return _Bounds(bounds)
+
+
+def _walk(system: ThresholdSystem, bounds: _Bounds, count: bool):
+    """The one lattice walk on checked bounds: ``lattice_runs``, or ``lattice_count``.
 
     A row with one nonzero entry, e_i or -e_i as normals are primitive, bounds
     one coordinate: it narrows the box and leaves the row list, after the volume
@@ -637,11 +653,6 @@ def _walk(system: ThresholdSystem, box, count: bool):
     level where its one row does, as one block, and memoises any other subtree
     for this call: its count depends only on its depth and ``rs``, not on the
     prefix, and the key holds None for each residual at most ``smin``."""
-    bounds = as_box(box, system.rank)
-    volume = math.prod(hi - lo + 1 for lo, hi in bounds)
-    guard = point_guard()
-    if volume > guard:
-        raise ResourceLimitError(f"box volume {volume} exceeds enumeration guard {guard}")
     if system.infeasible:
         return 0 if count else []
     last = system.rank - 1
@@ -747,13 +758,13 @@ def lattice_runs(system: ThresholdSystem, box):
     (``point_guard``) bounds the box as given, not the output; the walk
     then searches the box the unit rows narrow it to (see ``_walk``).
     """
-    return _walk(system, box, count=False)
+    return _walk(system, checked_box(box, system.rank), count=False)
 
 
 def lattice_count(system: ThresholdSystem, box):
     """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box))``
     from the same walk, checks and guard, with no run built (see ``_walk``)."""
-    return _walk(system, box, count=True)
+    return _walk(system, checked_box(box, system.rank), count=True)
 
 
 def lattice_points(system: ThresholdSystem, box):
@@ -786,6 +797,7 @@ def compare_systems(lhs: ThresholdSystem, rhs: ThresholdSystem, box):
     """``compare_runs`` of the two systems' runs in the box.  Equal systems,
     or equal reduced systems, cut out equal sets: then ``lhs`` is only
     counted, nothing listed.  Reduced systems are compared by their fields."""
+    box = checked_box(box, lhs.rank)
     if lhs == rhs or lhs._reduced_fields() == rhs._reduced_fields():
         count = lattice_count(lhs, box)
         return count, count, None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotNormalError
+from .errors import DomainError, NotNormalError, ResourceLimitError
 from .ideals import (
     CACHE_SIZE,
     OMEGA,
@@ -40,10 +40,12 @@ from .polyhedra import (
     as_fraction,
     as_ints,
     as_range,
+    checked_box,
     compare_systems,
     dot,
     interior_threshold,
     lattice_count,
+    point_guard,
     points_plus_cone,
     homogeneous_rays,
     unit_vectors,
@@ -156,11 +158,22 @@ class VerificationReport(Record):
 
 def _level_report(theorem, subject, lam, k_range, box, levels, details, required=()):
     """Decide each ``(k, lhs, rhs, box)`` of ``levels`` by ``compare_systems``,
-    then call ``details()``: the check holds iff every level is equal and every
-    detail named in ``required`` is true."""
-    compared = [(k, *compare_systems(lhs, rhs, level_box)) for k, lhs, rhs, level_box in levels]
+    then call ``details(count)`` with ``count`` ``lattice_count``: the check
+    holds iff every level is equal and every detail named in ``required`` is
+    true.  A range of more levels than ``point_guard()`` is refused first; the
+    guard is read once, and each distinct box checked once."""
+    size, checked = k_range[1] - k_range[0] + 1, {}
+    guard = point_guard() if size > 0 else None
+    if size > 0 and size > guard:
+        raise ResourceLimitError(f"level range of {size} levels exceeds enumeration guard {guard}")
+
+    def bounds(box, rank):
+        return checked.get(box) or checked.setdefault(box, checked_box(box, rank, guard))
+
+    compared = [(k, *compare_systems(lhs, rhs, bounds(level_box, lhs.rank)))
+                for k, lhs, rhs, level_box in levels]
     per_k = tuple(PerLevel(k, nl, nr, w is None, w) for k, nl, nr, w in compared)
-    details = details()
+    details = details(lambda system, box: lattice_count(system, bounds(box, system.rank)))
     return VerificationReport(
         theorem=theorem,
         subject=subject,
@@ -340,7 +353,7 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
 
     return _level_report("B.2", {"ideal": a.to_json()}, lam, (lo, hi), box,
                          map(level, range(lo, hi + 1)),
-                         lambda: {"thresholdsIdentical": all(identical)})
+                         lambda count: {"thresholdsIdentical": all(identical)})
 
 
 def rees_ideal_generators(a: MonomialIdeal):
@@ -366,8 +379,8 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     levels = ((n + 1, graded_piece(module, n + 1).system, decomposition_rhs_S(a, lam, n).system,
                box) for n in range(lo, hi + 1))
 
-    def details():  # the degree-0 piece is counted after the levels
-        return {"degreeZeroEmpty": lattice_count(graded_piece(module, 0).system, box) == 0}
+    def details(count):  # the degree-0 piece is counted after the levels
+        return {"degreeZeroEmpty": count(graded_piece(module, 0).system, box) == 0}
 
     return _level_report("B.1", {"ideal": a.to_json()}, lam, (lo, hi), box, levels, details,
                          ["degreeZeroEmpty"])
@@ -409,5 +422,5 @@ def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
         "rationalT": rational_t,
         "biconditional": rational_t == (rational_r and rational_s),
     }
-    return _level_report("A", {"ideal": a.to_json()}, lam, (0, 0), box, (), lambda: details,
+    return _level_report("A", {"ideal": a.to_json()}, lam, (0, 0), box, (), lambda count: details,
                          ["biconditional"])

@@ -54,6 +54,7 @@ from reesmult.ideals import (
     first_non_closed_power,
     integral_closure,
     minimalize,
+    multiplier_ideal,
     multiplier_module,
     newton,
     newton_positive_facets,
@@ -722,6 +723,17 @@ def facet_rows_by_rank(rows, rank):
             if matrix_rank([g for g in gens if dot(a, g) == 0]) == rank - 1]
 
 
+def minimal_generators_reference(gens):
+    """The minimal elements of ``gens`` under divisibility, sorted, by the
+    former two-filter pass: each new point drops the kept points it divides."""
+    kept = []
+    for g in sorted(set(gens)):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept if h != g):
+            kept = [h for h in kept if not all(a <= b for a, b in zip(g, h))]
+            kept.append(g)
+    return tuple(kept)
+
+
 def minimalize_reference(gens, nvars=None) -> MonomialIdeal:
     """Drop divisible generators and build the ideal; idempotent."""
     gens = [tuple(int(e) for e in g) for g in gens]
@@ -729,12 +741,21 @@ def minimalize_reference(gens, nvars=None) -> MonomialIdeal:
         raise DomainError("zero ideal")
     if nvars is None:
         nvars = len(gens[0])
-    kept = []
-    for g in sorted(set(gens)):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept if h != g):
-            kept = [h for h in kept if not all(a <= b for a, b in zip(g, h))]
-            kept.append(g)
-    return MonomialIdeal(nvars, tuple(kept))
+    return MonomialIdeal(nvars, minimal_generators_reference(gens))
+
+
+def lct_by_scan(a: MonomialIdeal, facets=None):
+    """The former cross-check of ``lct``: the first candidate t / c over the
+    positive facet thresholds c, up to the facet formula, at which the zero
+    exponent leaves the multiplier ideal (None if none does).  ``facets``
+    replaces ``newton_positive_facets(a)``, the multiplier ideal keeps the
+    true facets."""
+    facets = newton_positive_facets(a) if facets is None else facets
+    formula = min(Fraction(sum(w), c) for w, c in facets)
+    candidates = sorted(
+        {Fraction(t, c) for _, c in facets for t in range(1, math.floor(formula * c) + 1)}
+    )
+    return next((x for x in candidates if not multiplier_ideal(a, x).is_full_ring()), None)
 
 
 def integral_closure_by_minimalize(a: MonomialIdeal) -> MonomialIdeal:

@@ -339,6 +339,34 @@ class TestVerify:
         assert out == ""
         assert "enumeration guard" in err
 
+    @pytest.mark.parametrize("argv, levels", [
+        (("B2", "-i", XY, "--k", "0..1000000000000", "--box", "5"), 10 ** 12 + 1),
+        (("B1", "-i", XY, "--n", "0..1000000000000", "--box", "5"), 10 ** 12 + 1),
+        (("local", "-m", MODEL23, "--k", "-1000000000000..1000000000000"), 2 * 10 ** 12 + 1),
+    ], ids=("B2", "B1", "local"))
+    def test_level_range_over_guard_exit4(self, capsys, monkeypatch, argv, levels):
+        # the range is bounded before any level is built: B2 used to run for
+        # seconds and local to list every inconclusive degree until MemoryError
+        monkeypatch.delenv("REESMULT_MAX_POINTS", raising=False)
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "verify", argv[0], "--lambda", "1/2", *argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert err == (f"resource guard: level range of {levels} levels exceeds "
+                       "enumeration guard 100000000\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("B2", "-i", XY, "--box", "6"),
+        ("B1", "-i", XY, "--box", "6"),
+        ("local", "-m", MODEL23, "--box-c", "6", "--box-deg", "1"),
+    ], ids=("B2", "B1", "local"))
+    def test_level_box_over_guard_exit4(self, capsys, monkeypatch, argv):
+        # the cone of (x, y) passes a guard of 40; the 7^2 level box does not
+        monkeypatch.setenv("REESMULT_MAX_POINTS", "40")
+        code, out, err = run_main(capsys, "verify", argv[0], "--lambda", "1/2", *argv[1:])
+        assert (code, out) == (4, "")
+        assert err == "resource guard: box volume 49 exceeds enumeration guard 40\n"
+
     @pytest.mark.parametrize("flag", ["--box-deg", "--box-c"])
     def test_local_negative_box_exit3(self, capsys, flag):
         code, out, err = run_main(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,8 @@ from oracles import (
     integral_closure_by_minimalize,
     jumping_numbers_by_box,
     jumping_numbers_by_candidates,
+    lct_by_scan,
+    minimal_generators_reference,
     minimalize_reference,
     power_runs,
     scale,
@@ -120,6 +123,39 @@ class TestMinimalize:
             outcomes.add(len(gens) == len(expected.generators))
             assert MonomialIdeal(nvars, gens) == expected, gens
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_degree_filter_against_reference(self, seed):
+        # 1000 sets per seed, rank 1-6, entries up to 10^5: with repeats,
+        # zero vectors, multiples of members and equigenerated sets, whose
+        # minimality scan the degree filter skips
+        rng = random.Random(6300 + seed)
+        outcomes = {"dropped": 0, "all_kept": 0, "unit": 0, "equigenerated": 0}
+        for trial in range(1000):
+            nvars = rng.randint(1, 6)
+            top = rng.choice((3, 10, 10 ** 5))
+            size = rng.randint(1, 15)
+            if trial % 4 == 0:
+                # one total degree: points of the simplex of side `degree`
+                degree = rng.randint(0, top)
+                gens = []
+                for _ in range(size):
+                    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+                    gens.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [degree])))
+                outcomes["equigenerated"] += 1
+            else:
+                gens = [tuple(rng.randint(0, top) for _ in range(nvars)) for _ in range(size)]
+                gens += [tuple(e + rng.randint(0, 2) for e in g)
+                         for g in rng.choices(gens, k=rng.randint(0, 4))]
+            gens += rng.choices(gens, k=rng.randint(0, 3))
+            if rng.random() < 0.05:
+                gens.append((0,) * nvars)
+            rng.shuffle(gens)
+            want = minimal_generators_reference(gens)
+            assert MonomialIdeal(nvars, gens).generators == want, gens
+            outcomes["unit" if want == ((0,) * nvars,) else
+                     "all_kept" if len(want) == len(set(gens)) else "dropped"] += 1
+        assert min(outcomes.values()) >= 40, outcomes
 
     def test_longer_generator_refused(self):
         # the divisor (1, 0) must not hide that (1, 0, 5) has three entries
@@ -656,6 +692,62 @@ class TestLct:
     def test_unit(self):
         with pytest.raises(DomainError, match="lct undefined for unit ideal"):
             lct(UNIT2)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_calls_match_scan(self, seed):
+        # 250 seeded ideals of rank 1-4 per seed against the former scan
+        rng = random.Random(7100 + seed)
+        checked = 0
+        while checked < 250:
+            a = random_ideal(rng, rng.randint(1, 4), max_entry=7, max_gens=5)
+            if a.is_unit:
+                continue
+            assert lct(a) == lct_by_scan(a), a
+            checked += 1
+
+    def test_shifted_threshold_raises(self, monkeypatch):
+        # (x^2, y^3) has the one positive facet 3u + 2v >= 6: at 7 the formula
+        # reads 5/7, where the zero exponent is still in the multiplier ideal
+        assert newton_positive_facets(M_X2Y3) == [((3, 2), 6)]
+        monkeypatch.setattr(reesmult.ideals, "newton_positive_facets", lambda a: [((3, 2), 7)])
+        with pytest.raises(AssertionError, match=r"^lct computations disagree: formula 5/7"):
+            lct(M_X2Y3)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_shifted_threshold_against_scan(self, seed, monkeypatch):
+        # one threshold moved by one in the formula's facets but not in the
+        # multiplier ideal: the two calls refuse exactly when the scan's first
+        # candidate differs from the formula
+        rng = random.Random(7200 + seed)
+        true_facets = newton_positive_facets
+        outcomes = {True: 0, False: 0}
+        for _ in range(150):
+            a = random_ideal(rng, rng.randint(1, 4), max_entry=7, max_gens=5)
+            if a.is_unit:
+                continue
+            facets = list(true_facets(a))
+            i = rng.randrange(len(facets))
+            w, c = facets[i]
+            facets[i] = (w, c + 1 if c == 1 or rng.random() < 0.5 else c - 1)
+            formula = min(Fraction(sum(w), c) for w, c in facets)
+            disagree = lct_by_scan(a, facets) != formula
+            monkeypatch.setattr(reesmult.ideals, "newton_positive_facets", lambda a: facets)
+            try:
+                lct(a)
+                raised = False
+            except AssertionError:
+                raised = True
+            monkeypatch.undo()
+            assert raised == disagree, (a, facets)
+            outcomes[raised] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_large_exponents_answer_fast(self):
+        # the scan built every candidate below the formula: past 30 s here
+        a = minimalize([(1009, 0, 0), (0, 1013, 0), (0, 0, 1019)])
+        start = time.perf_counter()
+        assert lct(a) == Fraction(1, 1009) + Fraction(1, 1013) + Fraction(1, 1019)
+        assert time.perf_counter() - start < 1.0
 
     def test_first_ideal_jump(self):
         # lct is the first jump of the ideal version

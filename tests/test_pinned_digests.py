@@ -3,7 +3,8 @@
 ``perfbench/jobs.py``, must give the exit codes and the output digests
 pinned in ``perfbench/digests``.  The replayed ``facets`` jobs also check
 the number types: every facet threshold and every Newton vertex entry is
-an int.  Nothing under ``perfbench`` is written."""
+an int.  The replayed ``verify`` jobs also count the box checks.  Nothing
+under ``perfbench`` is written."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 import reesmult
-from reesmult import cli
+from reesmult import cli, polyhedra
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -53,6 +54,31 @@ def test_verify_jobs_match_pins():
         text, report = jobs.run(reesmult, "verify", job)
         assert jobs.check("verify", job, report) is None, (i, job)
         assert jobs.digest(text) == pins[i], (i, job)
+
+
+def test_verify_jobs_check_each_box_once(monkeypatch):
+    # every level of a report shares its box or one of a few, checked once
+    # each; a first replay builds the cones, whose scans check boxes of their own
+    replay = [jobs.job("verify", jobs.PINNED_SEED, i) for i in range(VERIFY_REPLAYED)]
+    for job in replay:
+        jobs.run(reesmult, "verify", job)
+    checked = []
+    as_box = polyhedra.as_box
+
+    def counting(box, rank):
+        checked.append(tuple(map(tuple, box)))
+        return as_box(box, rank)
+
+    monkeypatch.setattr(polyhedra, "as_box", counting)
+    monkeypatch.setattr(reesmult.rees, "as_box", counting)
+    total = 0
+    for i, job in enumerate(replay):
+        checked.clear()
+        jobs.run(reesmult, "verify", job)
+        assert len(checked) == len(set(checked)), (i, job)
+        total += len(checked)
+    # 950 checks; a check in every walk made 2750
+    assert total <= 1000, total
 
 
 def test_cli_jobs_match_pins(monkeypatch):

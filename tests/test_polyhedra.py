@@ -828,6 +828,25 @@ class TestLatticeCount:
             monkeypatch.delenv(POINT_GUARD_ENV)
         assert lattice_count(system, box) == len(brute_lattice_points(system, box))
 
+    @pytest.mark.parametrize("box, error, message", (
+        (((0.5, 2), (0, 2)), DomainError, "not a vector of integers: (0.5, 2)"),
+        (((0, 2),), DomainError, "box length does not match system rank"),
+        (cube(2, 0, 10), ResourceLimitError, "box volume 121 exceeds enumeration guard 120"),
+    ), ids=("float", "wrong_length", "over_guard"))
+    def test_compare_systems_checks_box_as_walks_do(self, box, error, message, monkeypatch):
+        # equal, equal reduced and different pairs: the box is checked before
+        # either side is counted or listed, with the walks' errors
+        monkeypatch.setenv(POINT_GUARD_ENV, "120")
+        row = ThresholdSystem(2, (((1, 0), 0), ((0, 1), 0), ((1, 1), 1)))
+        implied = ThresholdSystem(2, row.constraints + (((1, 2), 0),))
+        other = ThresholdSystem(2, (((1, 1), 2),))
+        calls = [lambda b: lattice_runs(row, b), lambda b: lattice_count(row, b)]
+        calls += [lambda b, rhs=rhs: compare_systems(row, rhs, b) for rhs in (row, implied, other)]
+        for call in calls:
+            with pytest.raises(error) as exc:
+                call(box)
+            assert str(exc.value) == message
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_property_against_oracle(self, data):

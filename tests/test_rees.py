@@ -11,7 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reesmult.errors import DomainError, NotNormalError
+import reesmult.hypersurface
+import reesmult.rees
+from reesmult import polyhedra
+from reesmult.errors import DomainError, NotNormalError, ParseError, ResourceLimitError
 from reesmult.hypersurface import LocalHypersurfaceModel, verify_local_decomposition
 from reesmult.ideals import (
     _multiplier_module,
@@ -23,6 +26,7 @@ from reesmult.ideals import (
     power,
 )
 from reesmult.polyhedra import (
+    POINT_GUARD_ENV,
     ThresholdSystem,
     as_fraction,
     compare_runs,
@@ -919,6 +923,96 @@ class TestSymbolicThresholdIdentity:
             for lam in (0, Fraction(1, 3), Fraction(3, 2)):
                 report = verify_theoremB_T(a, lam, (-2, 4))
                 assert report.details["thresholdsIdentical"]
+
+
+M23 = LocalHypersurfaceModel(2, 2, (2, 3))
+
+
+class TestWhereChecksRun:
+    """A verifier reads the guard once and bounds its level range by it
+    before it builds a level; each distinct level box is checked once, on
+    first use, so an empty range checks no box.  The cones are built first:
+    their normality scans walk boxes of their own."""
+
+    @pytest.fixture(autouse=True)
+    def cones(self):
+        for a in (M_XY, M_XY2):
+            rees_cone(a)
+
+    def test_empty_range_checks_nothing(self, monkeypatch):
+        # an over-guard box, then no readable guard at all
+        for guard in ("10", "x"):
+            monkeypatch.setenv(POINT_GUARD_ENV, guard)
+            report = verify_theoremB_T(M_XY, 0, (1, 0), cube(2, 0, 10 ** 6))
+            assert (report.per_k, report.overall) == ((), True)
+            report = verify_local_decomposition(M23, 0, box_deg=2, box_c=10 ** 6, k_range=(1, 0))
+            assert (report.per_k, report.details["inconclusive"], report.overall) == ((), [], True)
+
+    def test_degree_zero_count_checks_its_box(self, monkeypatch):
+        # B.1 counts its degree-zero piece on an empty range too, as before
+        monkeypatch.setenv(POINT_GUARD_ENV, "10")
+        with pytest.raises(ResourceLimitError, match=r"^box volume 16 exceeds enumeration guard 10$"):
+            verify_theoremB_S(M_XY, 0, (1, 0), cube(2, 0, 3))
+        monkeypatch.setenv(POINT_GUARD_ENV, "x")
+        with pytest.raises(ParseError):
+            verify_theoremB_S(M_XY, 0, (1, 0), cube(2, 0, 3))
+
+    def test_inconclusive_range_reads_the_guard_only(self, monkeypatch):
+        monkeypatch.setenv(POINT_GUARD_ENV, "10")
+        report = verify_local_decomposition(M23, 0, box_deg=2, box_c=10 ** 6, k_range=(5, 9))
+        assert report.per_k == () and report.details["inconclusive"] == [5, 6, 7, 8, 9]
+        monkeypatch.setenv(POINT_GUARD_ENV, "4")
+        with pytest.raises(ResourceLimitError,
+                           match=r"^level range of 5 levels exceeds enumeration guard 4$"):
+            verify_local_decomposition(M23, 0, box_deg=2, box_c=10 ** 6, k_range=(5, 9))
+
+    def test_level_range_bound(self, monkeypatch):
+        # a box of 9 points under a guard of 10: ten levels run, eleven are
+        # refused before a level is built, whatever the box
+        monkeypatch.setenv(POINT_GUARD_ENV, "10")
+        box = cube(2, 0, 2)
+        assert len(verify_theoremB_T(M_XY, 0, (0, 9), box).per_k) == 10
+        assert len(verify_theoremB_S(M_XY, 0, (0, 9), box).per_k) == 10
+        assert len(verify_local_decomposition(M23, 0, 5, 2, (-5, 4)).per_k) == 10
+
+        def unbuilt(*args):
+            raise AssertionError("level built")
+
+        monkeypatch.setattr(reesmult.rees, "graded_piece", unbuilt)
+        monkeypatch.setattr(reesmult.hypersurface, "ThresholdSystem", unbuilt)
+        message = r"^level range of 11 levels exceeds enumeration guard 10$"
+        for verify in (lambda: verify_theoremB_T(M_XY, 0, (0, 10), cube(2, 0, 10 ** 6)),
+                       lambda: verify_theoremB_S(M_XY, 0, (0, 10), cube(2, 0, 10 ** 6)),
+                       lambda: verify_local_decomposition(M23, 0, 5, 10 ** 6, (-5, 5)),
+                       lambda: verify_local_decomposition(M23, 0, 0, 2, (-5, 5))):
+            with pytest.raises(ResourceLimitError, match=message):
+                verify()
+
+    def test_guard_read_once_and_each_box_checked_once(self, monkeypatch):
+        reads, boxes = [], []
+        point_guard, as_box = polyhedra.point_guard, polyhedra.as_box
+
+        def reading():
+            reads.append(None)
+            return point_guard()
+
+        def checking(box, rank):
+            boxes.append(tuple(box))
+            return as_box(box, rank)
+
+        for module in (polyhedra, reesmult.rees):
+            monkeypatch.setattr(module, "point_guard", reading)
+        monkeypatch.setattr(polyhedra, "as_box", checking)
+        for verify, distinct in ((lambda: verify_theoremB_T(M_XY2, Fraction(1, 2), (-3, 6)), 1),
+                                 (lambda: verify_theoremB_S(M_XY2, Fraction(1, 2), (0, 5)), 1),
+                                 # one reach box for k <= 0, one per k > 0
+                                 (lambda: verify_local_decomposition(M23, 1, 4), 5)):
+            verify()  # the modules are built and cached
+            reads.clear()
+            boxes.clear()
+            verify()
+            assert len(reads) == 1
+            assert len(boxes) == len(set(boxes)) == distinct
 
 
 class TestReportSerialization:
