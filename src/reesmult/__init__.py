@@ -29,7 +29,6 @@ from .ideals import (
     jumping_numbers,
     lct,
     minimalize,
-    module_contains,
     multiplier_ideal,
     multiplier_module,
     newton,
@@ -43,8 +42,6 @@ from .polyhedra import (
     ThresholdSystem,
     cube,
     dual_cone,
-    irredundant_facets,
-    lattice_points,
     newton_from_points,
     primitive,
 )

@@ -25,7 +25,6 @@ from .polyhedra import (
     cube,
     dot,
     interior_threshold,
-    lattice_points,
     lattice_runs,
     newton_from_points,
     point_guard,
@@ -75,9 +74,6 @@ class MonomialIdeal(Record):
     @property
     def is_unit(self) -> bool:
         return self.generators == ((0,) * self.nvars,)
-
-    def contains_exponent(self, m) -> bool:
-        return any(all(e >= g for e, g in zip(m, gen)) for gen in self.generators)
 
     def max_entry(self) -> int:
         return max(e for g in self.generators for e in g)
@@ -172,9 +168,6 @@ class MonomialModule(Record):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "ambient", ambient)
-
-    def points(self, box):
-        return lattice_points(self.system, box)
 
     def is_full_ring(self) -> bool:
         """For RING ambient: the system is satisfied by the zero exponent.

@@ -240,17 +240,6 @@ def _facet_rows(rows, rank, zeros=None):
     return [i for i, f in enumerate(faces) if not any(f & g == f and f != g for g in faces)]
 
 
-def _homogenized(facets, rank):
-    """Integer rows of {(x, s) : <w, x> >= c s per facet, s >= 0}.
-
-    The cone is full-dimensional iff the polyhedron is, and then its
-    facets other than s >= 0 are exactly the polyhedron's.
-    """
-    rows = [tuple(e * h.threshold.denominator for e in h.normal) + (-h.threshold.numerator,)
-            for h in facets]
-    return rows + unit_vectors(rank + 1)[-1:]
-
-
 # ---------------------------------------------------------------------------
 # Halfspaces, cones, polyhedra.
 # ---------------------------------------------------------------------------
@@ -274,13 +263,6 @@ class HalfSpace(Record):
             threshold = as_rational(Fraction(threshold, g))
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "threshold", threshold)
-
-    def eval(self, point):
-        return dot(self.normal, point)
-
-    def holds(self, point, strict=False) -> bool:
-        v = self.eval(point)
-        return v > self.threshold if strict else v >= self.threshold
 
     def to_json(self):
         return {"normal": list(self.normal), "threshold": frac_str(self.threshold)}
@@ -319,16 +301,6 @@ class Cone(Record):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "facets", facets)
-
-    @property
-    def strongly_convex(self) -> bool:
-        """True iff the cone contains no line (equivalently its dual is full-dim)."""
-        return _facet_rows(self.rays, self.rank) is not None
-
-    def contains(self, point) -> bool:
-        if self.facets is None:
-            raise DomainError("cone has no facet representation")
-        return all(dot(h.normal, point) >= 0 for h in self.facets)
 
     def to_json(self):
         data = {"rank": self.rank, "rays": [list(r) for r in self.rays]}
@@ -449,10 +421,6 @@ class Polyhedron(Record):
         object.__setattr__(self, "recession", recession)
         object.__setattr__(self, "irredundant", irredundant)
 
-    def full_dimensional(self) -> bool:
-        """True iff a rational interior point exists (all facets strictly satisfiable)."""
-        return _facet_rows(_homogenized(self.facets, self.rank), self.rank + 1) is not None
-
     def to_json(self):
         data = {
             "rank": self.rank,
@@ -472,7 +440,11 @@ def irredundant_facets(p: Polyhedron) -> Polyhedron:
     if p.irredundant:
         return p
     facets = _sorted_facets(set(p.facets))
-    rows = _facet_rows(_homogenized(facets, p.rank), p.rank + 1)
+    # the cone {(x, s) : <w, x> >= c s per facet, s >= 0} is full-dimensional
+    # iff p is, and then its facets other than s >= 0 are exactly p's
+    cone = [tuple(e * h.threshold.denominator for e in h.normal) + (-h.threshold.numerator,)
+            for h in facets]
+    rows = _facet_rows(cone + unit_vectors(p.rank + 1)[-1:], p.rank + 1)
     if rows is None:
         raise DomainError("interior undefined: not full-dimensional")
     kept = tuple(facets[i] for i in rows if i < len(facets))

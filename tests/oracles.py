@@ -164,6 +164,11 @@ def _triple_dominates(p, q, r, x) -> bool:
     return s_lo <= s_hi
 
 
+def in_ideal(a: MonomialIdeal, m) -> bool:
+    """x^m lies in the monomial ideal a: some generator divides it."""
+    return any(all(e >= g for e, g in zip(m, gen)) for gen in a.generators)
+
+
 def in_hull_plus_orthant(x, points) -> bool:
     """x in conv(points) + R^n_{>=0}, exact, for rank <= 3.
 
@@ -442,7 +447,7 @@ def _facet_filter(halfspaces, points, rays, rank):
     """
     kept = []
     for h in halfspaces:
-        active_pts = [p for p in points if h.eval(p) == h.threshold]
+        active_pts = [p for p in points if dot(h.normal, p) == h.threshold]
         if not active_pts:
             continue
         active_rays = [r for r in rays if dot(h.normal, r) == 0]

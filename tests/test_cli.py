@@ -305,6 +305,15 @@ class TestVerify:
         assert out == ""
         assert "box lower bound exceeds upper bound" in err
 
+    def test_theorem_a_box_past_the_volume_guard(self, capsys):
+        # A lists no point in its box, so only B1 and B2 apply the volume guard
+        code, out, _ = run_main(capsys, "verify", "A", "-i", XY2, "--box", "1000000")
+        assert code == 0
+        assert json.loads(out)["box"] == [[0, 1000000], [0, 1000000]]
+        code, out, err = run_main(capsys, "verify", "B2", "-i", XY2, "--box", "1000000")
+        assert (code, out) == (4, "")
+        assert "exceeds enumeration guard" in err
+
     def test_local(self, capsys):
         code, out, _ = run_main(
             capsys, "verify", "local", "-m", MODEL23, "--lambda", "5/6"

@@ -75,6 +75,11 @@ def facet_pairs(obj):
     return [(h.normal, h.threshold) for h in obj.facets]
 
 
+def is_pointed(c):
+    """``c`` holds no line: the cone cut out by its rays is full-dimensional."""
+    return polyhedra._facet_rows(c.rays, c.rank) is not None
+
+
 class TestPrimitive:
     def test_gcd_division(self):
         assert primitive((2, 4, 6)) == (1, 2, 3)
@@ -256,7 +261,7 @@ class TestDualCone:
         d = dual_cone(Cone(2, ((1, 0),)))
         assert d.rays == ((0, -1), (0, 1), (1, 0))
         assert [h.normal for h in d.facets] == [(1, 0)]
-        assert not d.strongly_convex
+        assert not is_pointed(d)
 
     def test_dual_2112(self):
         # brute-force: box points pair >= 0 against the input rays iff they
@@ -266,7 +271,7 @@ class TestDualCone:
         assert d.rays == ((-1, 2), (2, -1))
         for m in itertools.product(range(-5, 6), repeat=2):
             in_dual_def = all(sum(a * b for a, b in zip(m, r)) >= 0 for r in c.rays)
-            by_facets = all(h.eval(m) >= 0 for h in d.facets)
+            by_facets = all(dot(h.normal, m) >= 0 for h in d.facets)
             assert in_dual_def == by_facets
 
     def test_rank_guard(self):
@@ -293,7 +298,7 @@ def random_pointed_cone(rng, rank):
         if matrix_rank(rays) != rank:
             continue
         c = Cone(rank, tuple(rays))
-        if c.strongly_convex:
+        if is_pointed(c):
             return c
 
 
@@ -310,15 +315,15 @@ class TestDualityInvolution:
             # the double dual contains the original rays, and its own rays
             # pair nonnegatively against the dual's generators
             for r in c.rays:
-                assert all(h.eval(r) >= 0 for h in d2.facets)
+                assert all(dot(h.normal, r) >= 0 for h in d2.facets)
             for r in d2.rays:
                 assert all(sum(a * b for a, b in zip(r, u)) >= 0 for u in d1.rays)
             box = [range(-3, 4)] * rank
             for m in itertools.product(*box):
                 in_dual = all(sum(a * b for a, b in zip(m, r)) >= 0 for r in c.rays)
-                assert in_dual == all(h.eval(m) >= 0 for h in d1.facets)
+                assert in_dual == all(dot(h.normal, m) >= 0 for h in d1.facets)
                 in_double = all(sum(a * b for a, b in zip(m, u)) >= 0 for u in d1.rays)
-                assert in_double == all(h.eval(m) >= 0 for h in d2.facets)
+                assert in_double == all(dot(h.normal, m) >= 0 for h in d2.facets)
 
 
 class TestIrredundantFacets:
@@ -407,7 +412,7 @@ class TestNewtonFromPoints:
         p = newton_from_points(pts, rank)
         hi = max(max(pt) for pt in pts) + 3
         for m in itertools.product(range(-2, hi + 1), repeat=rank):
-            by_facets = all(h.holds(m) for h in p.facets)
+            by_facets = all(dot(h.normal, m) >= h.threshold for h in p.facets)
             by_oracle = in_hull_plus_orthant(m, pts)
             assert by_facets == by_oracle, (pts, m)
 
@@ -1251,7 +1256,7 @@ class TestCompareSystemsDecision:
 
 
 class TestVertexCheck:
-    """The integer vertex test of ``Polyhedron`` against ``HalfSpace.holds``,
+    """The integer vertex test of ``Polyhedron`` against ``<normal, v> >= threshold``,
     on vertices exactly on a facet and 1/q inside or outside it."""
 
     def test_against_holds(self):
@@ -1270,7 +1275,7 @@ class TestVertexCheck:
                 # <w, v> = t + offset
                 v[j] = (t + offset - dot(w, v[:j] + [0] + v[j + 1:])) / w[j]
                 other = HalfSpace(unit_vectors(rank)[j], v[j] - rng.randint(0, 1))
-                ok = h.holds(v)
+                ok = dot(h.normal, v) >= h.threshold
                 seen[ok] += 1
                 try:
                     Polyhedron(rank, (other, h), vertices=(tuple(v),))
@@ -1293,7 +1298,9 @@ class TestFacetRemovalStrictness:
             hi_d = hi * d
             for m in itertools.product(range(lo, hi_d + 1), repeat=rank):
                 x = tuple(Fraction(e, d) for e in m)
-                if not removed.holds(x) and all(h.holds(x) for h in others):
+                if dot(removed.normal, x) < removed.threshold and all(
+                    dot(h.normal, x) >= h.threshold for h in others
+                ):
                     return x
         return None
 
@@ -1333,7 +1340,7 @@ def random_cone(rng, rank, pointed):
         if not pointed:
             rays.append(tuple(-e for e in rays[0]))
         c = Cone(rank, tuple(rays))
-        if c.strongly_convex == pointed:
+        if is_pointed(c) == pointed:
             return c
 
 
@@ -1377,11 +1384,11 @@ class TestDoubleDescriptionAgainstFM:
         rng = random.Random(5200 + 10 * rank + pointed)
         for _ in range(15):
             c = random_cone(rng, rank, pointed)
-            assert c.strongly_convex == fm_strongly_convex(c)
+            assert is_pointed(c) == fm_strongly_convex(c)
             got, want = dual_cone(c), fm_dual_cone(c)
             assert got.rays == want.rays, c.rays
             assert facet_pairs(got) == facet_pairs(want), c.rays
-            assert got.strongly_convex == fm_strongly_convex(got)
+            assert is_pointed(got) == fm_strongly_convex(got)
 
     @pytest.mark.parametrize("rank", (1, 2, 3, 4))
     def test_homogeneous_rays(self, rank):
@@ -1418,8 +1425,7 @@ class TestDoubleDescriptionAgainstFM:
             dup = rng.choice(rows)
             rows.append(HalfSpace(dup.normal, dup.threshold))
             p = Polyhedron(rank, tuple(rows))
-            assert p.full_dimensional() == fm_full_dimensional(p)
-            if not p.full_dimensional():
+            if not fm_full_dimensional(p):
                 with pytest.raises(DomainError):
                     irredundant_facets(p)
                 continue
@@ -1443,7 +1449,7 @@ class TestDoubleDescriptionAgainstFM:
         rank = data.draw(st.integers(2, 5))
         ray = st.tuples(*[st.integers(-4, 4)] * rank).filter(any)
         c = Cone(rank, tuple(data.draw(st.lists(ray, min_size=1, max_size=rank + 2))))
-        assume(c.strongly_convex)
+        assume(is_pointed(c))
         got, want = dual_cone(c), fm_dual_cone(c)
         assert got.rays == want.rays
         assert facet_pairs(got) == facet_pairs(want)
@@ -1462,7 +1468,7 @@ class TestDoubleDescriptionAgainstFM:
         assert time.perf_counter() - start < 1.0
         assert len(p.facets) == 31
         for h in p.facets:
-            assert all(h.holds(pt) for pt in pts)
+            assert all(dot(h.normal, pt) >= h.threshold for pt in pts)
 
 
 def random_row_set(rng, rank):
@@ -1754,7 +1760,7 @@ class TestOneDoubleDescription:
             pointed_dual = matrix_rank(c.rays) == c.rank
             assert runs == dd_calls[0] - before - pointed_dual, c
             assert got == want, c
-            seen.add((pointed_dual, c.strongly_convex))
+            seen.add((pointed_dual, is_pointed(c)))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_lineality_takes_a_second_run(self, dd_calls_per_ray_listing):
