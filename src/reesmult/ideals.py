@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .errors import DomainError, ResourceLimitError
 from .polyhedra import (
+    CACHE_SIZE,
     Polyhedron,
     ThresholdSystem,
     as_exponent,
@@ -34,10 +35,6 @@ from .serialize import Record, frac_str
 
 OMEGA = "OMEGA"
 RING = "RING"
-
-# lru_cache bound: room for the ideals and cones one computation reuses,
-# while a long-running process keeps finitely many results alive
-CACHE_SIZE = 256
 
 
 class MonomialIdeal(Record):

@@ -48,6 +48,10 @@ MAX_DUAL_RANK = 12
 # a run whose intermediate ray list outgrows this stops instead of hanging.
 MAX_DD_RAYS = 5000
 
+# lru_cache bound: room for the ideals, cones and counts one computation
+# reuses, while a long-running process keeps finitely many results alive
+CACHE_SIZE = 256
+
 
 def as_fraction(value) -> Fraction:
     """Coerce to an exact rational.  Floats are refused, always."""
@@ -623,8 +627,9 @@ def _walk(system: ThresholdSystem, bounds: _Bounds, count: bool):
     ``smax``), means the row holds on the whole subtree.  Count mode adds the
     values of a coordinate where every row does so, or the lines of a last
     level where its one row does, as one block, and memoises any other subtree
-    for this call: its count depends only on its depth and ``rs``, not on the
-    prefix, and the key holds None for each residual at most ``smin``."""
+    within this call: its count depends only on its depth and ``rs``, not on the
+    prefix, and the key holds None for each residual at most ``smin``.  That memo
+    ends with the call; ``lattice_count`` keeps whole counts across calls."""
     if system.infeasible:
         return 0 if count else []
     last = system.rank - 1
@@ -733,10 +738,18 @@ def lattice_runs(system: ThresholdSystem, box):
     return _walk(system, checked_box(box, system.rank), count=False)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _count(system: ThresholdSystem, bounds: _Bounds):
+    return _walk(system, bounds, count=True)
+
+
 def lattice_count(system: ThresholdSystem, box):
     """``sum(hi - lo + 1 for _, lo, hi in lattice_runs(system, box))``
-    from the same walk, checks and guard, with no run built (see ``_walk``)."""
-    return _walk(system, checked_box(box, system.rank), count=True)
+    from the same walk, checks and guard, with no run built (see ``_walk``).
+    The box is checked on every call, then the count is memoised across calls
+    on (system, checked box): level sets recur across lambda, theorems and subjects.
+    ``lattice_runs`` is not memoised, as its runs are mutable lists."""
+    return _count(system, checked_box(box, system.rank))
 
 
 def lattice_points(system: ThresholdSystem, box):

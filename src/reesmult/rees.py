@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .errors import DomainError, NotNormalError, ResourceLimitError
 from .ideals import (
-    CACHE_SIZE,
     OMEGA,
     MonomialIdeal,
     MonomialModule,
@@ -30,6 +29,7 @@ from .ideals import (
     omega_module,
 )
 from .polyhedra import (
+    CACHE_SIZE,
     Cone,
     HalfSpace,
     Polyhedron,

@@ -260,19 +260,28 @@ class TestVerifyLocal:
     def test_unit_rows_fold_at_the_root(self, monkeypatch):
         # every row of a local level is a unit row, so the walk folds each
         # into the box with one narrowing and counts the box at its root; the
-        # box 21^7 is over the default guard, which is the only bound left
+        # box 21^7 is over the default guard, which is the only bound left.
+        # Counts are memoised across calls, so only distinct level systems
+        # are walked: at lambda = 0 the levels k <= 0 are one system and box
         monkeypatch.setenv(POINT_GUARD_ENV, str(10 ** 12))
-        calls = []
-        narrow = polyhedra._narrow
+        polyhedra._count.cache_clear()
+        calls, counted = [], []
+        narrow, count = polyhedra._narrow, polyhedra.lattice_count
 
-        def counting(*args):
+        def narrowing(*args):
             calls.append(None)
             return narrow(*args)
 
-        monkeypatch.setattr(polyhedra, "_narrow", counting)
+        def counting(system, box):
+            counted.append((system, tuple(box)))
+            return count(system, box)
+
+        monkeypatch.setattr(polyhedra, "_narrow", narrowing)
+        monkeypatch.setattr(polyhedra, "lattice_count", counting)
         report = verify_local_decomposition(LocalHypersurfaceModel(7, 1, (3,)), 0)
-        assert report.overall and len(report.per_k) == 9
-        assert len(calls) == 7 * 9
+        assert report.overall and len(report.per_k) == len(counted) == 9
+        assert len(set(counted)) == 5
+        assert len(calls) == 7 * len(set(counted))
 
 
 def _same_report(model, lam, box_deg, box_c, k_range):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reesmult import polyhedra
-from reesmult.errors import DomainError, ResourceLimitError
+from reesmult.errors import DomainError, ParseError, ResourceLimitError
 from reesmult.hypersurface import LocalHypersurfaceModel
 from reesmult.ideals import (
     OMEGA,
@@ -918,6 +918,8 @@ class TestLatticeCount:
             systems = [graded_piece(module, k).system for k in range(-3, 7)]
             made = []
             for walk in (lattice_runs, lattice_count):
+                # counts are memoised across calls: start each pass cold
+                polyhedra._count.cache_clear()
                 calls.clear()
                 for system in systems:
                     walk(system, box)
@@ -1009,6 +1011,71 @@ class TestUnitRowProduct:
             emptied += count == 0
             negative += any(lo < 0 for lo, _ in box)
         assert min(emptied, negative) >= 100, (emptied, negative)
+
+
+class TestCountMemo:
+    """``lattice_count`` keeps counts across calls on (system, checked box).
+    A cold, a warm and a second-box count equal the reference walk's, and a
+    bad box or guard raises on a warm key as it does on a cold one."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_cold_warm_and_second_box(self, seed):
+        rng = random.Random(9400 + seed)
+        mixed = negative = infeasible = 0
+        for trial in range(2000):
+            rank = 1 + trial % 4
+            system = _fold_system(rng, rank)
+            boxes = [tuple((lo, lo + rng.randint(0, 5 if rank <= 3 else 3))
+                           for lo in (rng.randint(-4, 2) for _ in range(rank)))
+                     for _ in range(2)]
+            want = [oracles.walk_reference(system, box, True) for box in boxes]
+            polyhedra._count.cache_clear()
+            assert lattice_count(system, boxes[0]) == want[0], (system, boxes[0])
+            # warm: an equal system built anew, the box as lists
+            again = ThresholdSystem(rank, system.constraints, system.infeasible)
+            assert lattice_count(again, [list(r) for r in boxes[0]]) == want[0]
+            assert lattice_count(system, boxes[1]) == want[1], (system, boxes[1])
+            info = polyhedra._count.cache_info()
+            fresh = boxes[1] != boxes[0]
+            assert (info.hits, info.misses) == (2 - fresh, 1 + fresh)
+            mixed += any(min(w) < 0 < max(w) for w, _ in system.constraints)
+            negative += any(lo < 0 for box in boxes for lo, _ in box)
+            infeasible += system.infeasible
+        assert min(mixed, negative) >= 500 and infeasible >= 50, (mixed, negative, infeasible)
+
+    def test_refusals_on_a_warm_key(self, monkeypatch):
+        monkeypatch.delenv(POINT_GUARD_ENV, raising=False)
+        system = ThresholdSystem(2, (((1, 0), 0), ((1, -1), -3)))
+        box = cube(2, 0, 10)
+        polyhedra._count.cache_clear()
+        want = lattice_count(system, box)
+        assert want == len(brute_lattice_points(system, box))
+        assert lattice_count(system, box) == want
+        assert polyhedra._count.cache_info().hits == 1
+
+        def refused(error, message, bad_box=box):
+            with pytest.raises(error) as exc:
+                lattice_count(system, bad_box)
+            assert str(exc.value) == message
+
+        refused(ResourceLimitError, f"box volume {10001 ** 2} exceeds enumeration guard {10 ** 8}",
+                cube(2, 0, 10000))
+        monkeypatch.setenv(POINT_GUARD_ENV, "120")
+        refused(ResourceLimitError, "box volume 121 exceeds enumeration guard 120")
+        for bad in ("0", "-5", "12x", "1_0", " 5", "٥"):
+            monkeypatch.setenv(POINT_GUARD_ENV, bad)
+            refused(ParseError, f"{POINT_GUARD_ENV} must be a positive integer, got {bad!r}")
+        monkeypatch.delenv(POINT_GUARD_ENV)
+        # a float or Fraction box hashes as the cached int box does
+        refused(DomainError, "not a vector of integers: (0.0, 10.0)", ((0.0, 10.0), (0, 10)))
+        refused(DomainError, "not a vector of integers: (0, Fraction(10, 1))",
+                ((0, 10), (0, Fraction(10))))
+        refused(DomainError, "box length does not match system rank", cube(1, 0, 10))
+        refused(DomainError, "box length does not match system rank", cube(3, 0, 10))
+        refused(DomainError, "box lower bound exceeds upper bound", ((0, 10), (10, 0)))
+        assert lattice_count(system, box) == want
+        info = polyhedra._count.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
 
 def _verify_shaped(rng, box, rows):

@@ -228,9 +228,8 @@ class TestSliceOracle:
 class TestCaches:
     def test_bounded(self):
         for cached in (newton, extended_rees_cone, rees_cone, _graded_newton,
-                       _multiplier_module, _multiplier_module_general):
-            maxsize = cached.cache_info().maxsize
-            assert maxsize is not None and maxsize > 0
+                       _multiplier_module, _multiplier_module_general, polyhedra._count):
+            assert cached.cache_info().maxsize == polyhedra.CACHE_SIZE > 0
 
 
 class TestMemoisedModules:
