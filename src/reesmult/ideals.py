@@ -106,6 +106,7 @@ def _sums(a: MonomialIdeal, k: int):
 
 def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th power: minimalized k-fold sums of generators."""
+    k = as_int(k)
     if k < 1:
         raise DomainError("power exponent must be positive")
     return a if k == 1 else minimalize(_sums(a, k), a.nvars)
@@ -140,8 +141,7 @@ def first_non_closed_power(a: MonomialIdeal, bound=None):
     the point is a minimal generator of a^k).  Closedness of the first
     nvars - 1 powers implies normality, hence the default bound.
     """
-    if bound is None:
-        bound = max(a.nvars - 1, 1)
+    bound = max(a.nvars - 1, 1) if bound is None else as_int(bound)
     return next((k for k in range(1, bound + 1) if not _closure_points(a, k) <= _sums(a, k)), None)
 
 

@@ -622,14 +622,15 @@ def _walk(system: ThresholdSystem, bounds: _Bounds, count: bool):
     guard has read the box as given.  If no row is left (always so at rank 1),
     the narrowed box is the set.  Otherwise the walk fixes the coordinates
     before the last in order; ``rs[ci]`` is what row ci still needs from the
-    free coordinates.  A residual at most ``smin``, the least the free
-    coordinates can add to its row in the box (a suffix sum, as is the most,
-    ``smax``), means the row holds on the whole subtree.  Count mode adds the
-    values of a coordinate where every row does so, or the lines of a last
-    level where its one row does, as one block, and memoises any other subtree
+    free coordinates, and ``smax``, the most they can add to its row in the box
+    (a suffix sum), narrows each coordinate to the values whose subtree can meet
+    the set.  Count mode walks the same recursion, adds up each line's
+    ``hi - lo + 1`` where list mode keeps its run, and memoises each subtree
     within this call: its count depends only on its depth and ``rs``, not on the
-    prefix, and the key holds None for each residual at most ``smin``.  That memo
-    ends with the call; ``lattice_count`` keeps whole counts across calls."""
+    prefix.  A residual at most ``smin``, the least the free coordinates can
+    add, means the row holds on the whole subtree, so the key holds None for it.
+    That memo ends with the call; ``lattice_count`` keeps whole counts across
+    calls."""
     if system.infeasible:
         return 0 if count else []
     last = system.rank - 1
@@ -647,8 +648,6 @@ def _walk(system: ThresholdSystem, bounds: _Bounds, count: bool):
     if not ws:
         return math.prod(widths) if count else [
             (p, *bounds[last]) for p in product(*[range(lo, hi + 1) for lo, hi in bounds[:last]])]
-    # later[d]: the number of points of the box on the coordinates after d
-    later = [*accumulate(widths[:0:-1], operator.mul)][::-1]
     # smax[ci][d], smin[ci][d]: the most and least coordinates d.. can add to row ci
     back = bounds[::-1]
     smax = [[*accumulate([e * hi if e > 0 else e * lo for e, (lo, hi) in zip(w[::-1], back)])][::-1]
@@ -667,16 +666,8 @@ def _walk(system: ThresholdSystem, bounds: _Bounds, count: bool):
             # the values of this coordinate whose subtree can meet the set
             for w, r, s in zip(ws, rs, smax):
                 vlo, vhi = _narrow(vlo, vhi, w[depth], r - s[depth + 1])
-            found, vs = 0, range(vlo, vhi + 1)
-            if count:
-                # and those whose subtree lies in the set: counted as one block
-                blo, bhi = vlo, vhi
-                for w, r, s in zip(ws, rs, smin):
-                    blo, bhi = _narrow(blo, bhi, w[depth], r - s[depth + 1])
-                if blo <= bhi:
-                    found = (bhi - blo + 1) * later[depth]
-                    vs = [*range(vlo, blo), *range(bhi + 1, vhi + 1)]
-            for v in vs:
+            found = 0
+            for v in range(vlo, vhi + 1):
                 found += rec(depth + 1, prefix + (v,), [r - w[depth] * v for r, w in zip(rs, ws)])
         else:
             # the lines prefix + (v,): a constraint without the last coordinate
@@ -691,30 +682,19 @@ def _walk(system: ThresholdSystem, bounds: _Bounds, count: bool):
                     lo, hi = _narrow(lo, hi, wl, r)
                 else:
                     rows.append((wd, wl, r))
-            if count and len(rows) == 1 and lo <= hi:
-                # one row left: the lines it holds on whole are one block at one
-                # end of those it meets, and each other line counts to its bound
-                ((wd, wl, r),) = rows
-                vlo, vhi = _narrow(vlo, vhi, wd, r - max(wl * lo, wl * hi))
-                blo, bhi = _narrow(vlo, vhi, wd, r - min(wl * lo, wl * hi))
-                block = max(bhi - blo + 1, 0)
-                vs = range(vlo, vhi + 1 - block) if wd > 0 else range(vlo + block, vhi + 1)
-                found = block * (hi - lo + 1) + len(vs) * (hi + 1 if wl > 0 else 1 - lo)
-                found += sum([(wd * v - r) // abs(wl) for v in vs])
-            else:
-                vs = range(vlo, vhi + 1) if lo <= hi else range(0)
-                los, his = [lo] * len(vs), [hi] * len(vs)
-                for wd, wl, r in rows:
-                    if wl > 0:
-                        los = list(map(max, los, [-((wd * v - r) // wl) for v in vs]))
-                    else:
-                        his = list(map(min, his, [(r - wd * v) // wl for v in vs]))
-                if count:
-                    found = sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi)
+            vs = range(vlo, vhi + 1) if lo <= hi else range(0)
+            los, his = [lo] * len(vs), [hi] * len(vs)
+            for wd, wl, r in rows:
+                if wl > 0:
+                    los = list(map(max, los, [-((wd * v - r) // wl) for v in vs]))
                 else:
-                    found = 0
-                    runs.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his)
-                                if lo <= hi)
+                    his = list(map(min, his, [(r - wd * v) // wl for v in vs]))
+            if count:
+                found = sum(hi - lo + 1 for lo, hi in zip(los, his) if lo <= hi)
+            else:
+                found = 0
+                runs.extend((prefix + (v,), lo, hi) for v, lo, hi in zip(vs, los, his)
+                            if lo <= hi)
         if count:
             memo[key] = found
         return found

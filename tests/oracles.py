@@ -1234,9 +1234,9 @@ def verify_local_decomposition_by_runs(
 
 
 def walk_reference(system: ThresholdSystem, box, count: bool):
-    """The lattice walk before unit rows were folded into the box and
-    satisfied subtrees counted in bulk: ``lattice_runs``, or with ``count``
-    ``lattice_count``, as the library gave them.
+    """The lattice walk before unit rows were folded into the box:
+    ``lattice_runs``, or with ``count`` ``lattice_count``, as the library
+    gave them, with every row walked and none narrowing the box.
 
     The walk fixes coordinates in order; ``rs[ci]`` is what row ci still needs
     from the free coordinates.  A subtree's count depends only on its depth

@@ -197,6 +197,17 @@ class TestPower:
         with pytest.raises(DomainError):
             power(M_XY, 0)
 
+    @pytest.mark.parametrize("k", (2.0, Fraction(2), Fraction(3, 2)),
+                             ids=("float", "fraction", "non_integral_fraction"))
+    def test_non_integer_exponent_refused(self, k):
+        with pytest.raises(DomainError, match="not an integer"):
+            power(M_XY, k)
+
+    def test_bool_exponent_is_an_int(self):
+        assert power(M_X2Y3, True) is M_X2Y3
+        with pytest.raises(DomainError, match="must be positive"):
+            power(M_XY, False)
+
     def test_newton_scaling(self):
         # Newt(a^k) = k * Newt(a) as facet systems
         rng = random.Random(77)
@@ -259,6 +270,20 @@ class TestIsNormal:
 
     def test_bound_override(self):
         assert is_normal(M_XY, bound=4)
+
+    @pytest.mark.parametrize("bound", (3.0, Fraction(3), Fraction(3, 2)),
+                             ids=("float", "fraction", "non_integral_fraction"))
+    def test_non_integer_bound_refused(self, bound):
+        for scan in (is_normal, first_non_closed_power):
+            with pytest.raises(DomainError, match="not an integer"):
+                scan(M_XY, bound)
+
+    def test_bool_bound_is_an_int(self):
+        # closed, but its square is not: a bound of True scans k = 1 only
+        a = minimalize([(0, 3, 3), (1, 0, 3), (1, 2, 2), (2, 1, 0)])
+        assert first_non_closed_power(a, 2) == 2
+        assert first_non_closed_power(a, True) is None and is_normal(a, True)
+        assert first_non_closed_power(a, False) is None
 
     def test_matches_closure_oracle(self):
         rng = random.Random(5)

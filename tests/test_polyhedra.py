@@ -899,23 +899,10 @@ class TestLatticeCount:
         # the work the walk does, as a count that does not depend on the
         # host: the B.2 level systems of (x1..x4)^2 on their default box.
         # Folding the unit rows into the box lists them with 230-270 calls
-        # per lambda, and counting in bulk counts them with 160-228 (two
-        # calls bound each one-row last level's block)
-        a = minimalize([tuple(int(i == j) + int(i == k) for i in range(4))
-                        for j in range(4) for k in range(j, 4)], 4)
-        alg = extended_rees_cone(a)
-        calls = []
-        narrow = polyhedra._narrow
-
-        def counting(*args):
-            calls.append(None)
-            return narrow(*args)
-
-        monkeypatch.setattr(polyhedra, "_narrow", counting)
-        for lam in (Fraction(0), Fraction(1, 2), Fraction(5, 3)):
-            module = multiplier_module_principal(alg, alg.t_inverse(), lam)
-            box = default_box(a, lam + 6)
-            systems = [graded_piece(module, k).system for k in range(-3, 7)]
+        # per lambda, and the subtree memo counts them with 85-102
+        a = _square_of_maximal(4)
+        calls = _count_narrow_calls(monkeypatch)
+        for lam, systems, box in _b2_levels(a):
             made = []
             for walk in (lattice_runs, lattice_count):
                 # counts are memoised across calls: start each pass cold
@@ -924,7 +911,48 @@ class TestLatticeCount:
                 for system in systems:
                     walk(system, box)
                 made.append(len(calls))
-            assert made[0] <= 1000 and made[1] <= 300, (lam, made)
+            assert made[0] <= 300 and made[1] <= 120, (lam, made)
+
+    def test_count_past_listing_reach(self, monkeypatch):
+        # the B.2 level systems of (x1..x5)^2, five unit rows and the row
+        # m_1 + ... + m_5 >= t over boxes of 2.5-6.4 M points: the reference
+        # walk's counts, with 120-152 narrowing steps per lambda
+        a = _square_of_maximal(5)
+        calls = _count_narrow_calls(monkeypatch)
+        for lam, systems, box in _b2_levels(a):
+            polyhedra._count.cache_clear()
+            calls.clear()
+            counts = [lattice_count(system, box) for system in systems]
+            made = len(calls)
+            assert counts == [oracles.walk_reference(system, box, True) for system in systems]
+            assert min(counts) > 10 ** 6 and made <= 180, (lam, made)
+
+
+def _square_of_maximal(n):
+    return minimalize([tuple(int(i == j) + int(i == k) for i in range(n))
+                       for j in range(n) for k in range(j, n)], n)
+
+
+def _count_narrow_calls(monkeypatch):
+    """A list that grows by one on each ``polyhedra._narrow`` call."""
+    calls = []
+    narrow = polyhedra._narrow
+
+    def counting(*args):
+        calls.append(None)
+        return narrow(*args)
+
+    monkeypatch.setattr(polyhedra, "_narrow", counting)
+    return calls
+
+
+def _b2_levels(a):
+    """``(lam, systems, box)`` per lambda in 0, 1/2, 5/3: B.2's level systems
+    k = -3..6 of J(omega_T, t^-lam) on ``default_box(a, lam + 6)``."""
+    alg = extended_rees_cone(a)
+    for lam in (Fraction(0), Fraction(1, 2), Fraction(5, 3)):
+        module = multiplier_module_principal(alg, alg.t_inverse(), lam)
+        yield lam, [graded_piece(module, k).system for k in range(-3, 7)], default_box(a, lam + 6)
 
 
 def _fold_system(rng, rank):
@@ -952,8 +980,8 @@ def _check_walk(system, box):
 
 
 class TestWalkAgainstReference:
-    """The walk that folds unit rows into the box and counts satisfied
-    subtrees in bulk gives what the walk before it gave."""
+    """The walk that folds unit rows into the box gives what the walk
+    before it gave."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sweep(self, seed):
