@@ -24,7 +24,7 @@ from .polyhedra import (
     interior_threshold,
     unit_vectors,
 )
-from .rees import _level_report
+from .rees import VerificationReport, _level_report
 from .serialize import Record
 
 
@@ -40,9 +40,7 @@ class LocalHypersurfaceModel(Record):
         exps = as_ints(exps)
         if len(exps) != m or any(e < 1 for e in exps):
             raise DomainError("need m positive exponents")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "exps", exps)
+        self._set(n, m, exps)
 
     def to_json(self):
         return {"n": self.n, "m": self.m, "exps": list(self.exps)}
@@ -60,9 +58,7 @@ class LocalMonomial(Record):
         c = as_ints(c)
         if any(e < 0 for e in c):
             raise DomainError("negative s-exponent")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self._set(a, b, c)
 
 
 def _exponents(model: LocalHypersurfaceModel, c):
@@ -88,10 +84,7 @@ class DivisorData(Record):
     __slots__ = ("labels", "canonical", "div_x", "div_y")
 
     def __init__(self, labels, canonical, div_x, div_y):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "div_x", div_x)
-        object.__setattr__(self, "div_y", div_y)
+        self._set(labels, canonical, div_x, div_y)
 
 
 def divisor_data(model: LocalHypersurfaceModel) -> DivisorData:

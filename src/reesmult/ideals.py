@@ -65,8 +65,7 @@ class MonomialIdeal(Record):
             if (degree := sum(g)) <= least or not any(all(map(operator.le, h, g)) for h in kept):
                 kept.append(g)
                 least = min(least, degree)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "generators", tuple(kept))
+        self._set(nvars, tuple(kept))
 
     @property
     def is_unit(self) -> bool:
@@ -162,9 +161,7 @@ class MonomialModule(Record):
             raise DomainError(f"unknown ambient {ambient!r}")
         if system.rank != nvars:
             raise DomainError("system rank does not match nvars")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "ambient", ambient)
+        self._set(nvars, system, ambient)
 
     def is_full_ring(self) -> bool:
         """For RING ambient: the system is satisfied by the zero exponent.
@@ -184,6 +181,7 @@ class MonomialModule(Record):
 
 def omega_module(nvars: int) -> MonomialModule:
     """The canonical module omega_R = all exponents >= 1."""
+    nvars = as_int(nvars)
     units = tuple((u, 1) for u in unit_vectors(nvars))
     return MonomialModule(nvars, ThresholdSystem(nvars, units), OMEGA)
 
@@ -256,12 +254,7 @@ class JumpReport(Record):
     __slots__ = ("ideal", "lam_max", "jumps", "candidates", "box", "warnings")
 
     def __init__(self, ideal: MonomialIdeal, lam_max: Fraction, jumps, candidates, box, warnings):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "lam_max", lam_max)
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "warnings", warnings)
+        self._set(ideal, lam_max, jumps, candidates, box, warnings)
 
     def to_json(self):
         return {

@@ -265,8 +265,7 @@ class HalfSpace(Record):
         if g > 1:
             normal = tuple([e // g for e in normal])
             threshold = as_rational(Fraction(threshold, g))
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "threshold", threshold)
+        self._set(normal, threshold)
 
     def to_json(self):
         return {"normal": list(self.normal), "threshold": frac_str(self.threshold)}
@@ -302,9 +301,7 @@ class Cone(Record):
                 for r in rays:
                     if dot(h.normal, r) < 0:
                         raise DomainError("cone ray violates a declared facet")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "facets", facets)
+        self._set(rank, rays, facets)
 
     def to_json(self):
         data = {"rank": self.rank, "rays": [list(r) for r in self.rays]}
@@ -419,11 +416,7 @@ class Polyhedron(Record):
                 for h in facets:
                     if dot(h.normal, r) < 0:
                         raise DomainError("recession ray violates a facet direction")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "recession", recession)
-        object.__setattr__(self, "irredundant", irredundant)
+        self._set(rank, facets, vertices, recession, irredundant)
 
     def to_json(self):
         data = {
@@ -523,9 +516,7 @@ class ThresholdSystem(Record):
                 t = _ceil_div(t, g)
             if canon.get(normal, t) <= t:
                 canon[normal] = t
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "constraints", tuple(sorted(canon.items())))
-        object.__setattr__(self, "infeasible", infeasible)
+        self._set(rank, tuple(sorted(canon.items())), infeasible)
 
     def satisfies(self, m) -> bool:
         if self.infeasible:
@@ -536,6 +527,7 @@ class ThresholdSystem(Record):
         """Fix the last coordinate to k; constraints drop to rank - 1."""
         if self.rank < 2:
             raise DomainError("cannot substitute in a rank-1 system")
+        k = as_int(k)
         rows = tuple((w[:-1], t - w[-1] * k) for w, t in self.constraints)
         return ThresholdSystem(self.rank - 1, rows, self.infeasible)
 

@@ -26,7 +26,6 @@ from .ideals import (
     multiplier_module,
     newton,
     newton_positive_facets,
-    omega_module,
 )
 from .polyhedra import (
     CACHE_SIZE,
@@ -38,6 +37,7 @@ from .polyhedra import (
     as_box,
     as_exponent,
     as_fraction,
+    as_int,
     as_ints,
     as_range,
     checked_box,
@@ -67,11 +67,7 @@ class GradedToricAlgebra(Record):
     __slots__ = ("nvars", "kind", "cone", "rays", "source")
 
     def __init__(self, nvars: int, kind: str, cone: ThresholdSystem, rays, source: MonomialIdeal):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "source", source)
+        self._set(nvars, kind, cone, rays, source)
 
     @property
     def ambient_rank(self) -> int:
@@ -94,9 +90,7 @@ class GradedModuleSpec(Record):
     __slots__ = ("ambient_rank", "system", "description")
 
     def __init__(self, ambient_rank: int, system: ThresholdSystem, description: str):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "description", description)
+        self._set(ambient_rank, system, description)
 
     def to_json(self):
         data = self.system.to_json()
@@ -108,11 +102,7 @@ class PerLevel(Record):
     __slots__ = ("k", "lhs_count", "rhs_count", "equal", "witness")
 
     def __init__(self, k: int, lhs_count: int, rhs_count: int, equal: bool, witness):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lhs_count", lhs_count)
-        object.__setattr__(self, "rhs_count", rhs_count)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "witness", witness)
+        self._set(k, lhs_count, rhs_count, equal, witness)
 
     def to_json(self):
         return {
@@ -131,14 +121,7 @@ class VerificationReport(Record):
 
     def __init__(self, theorem: str, subject: dict, lam: Fraction, k_range, box, per_k,
                  overall: bool, details: dict):
-        object.__setattr__(self, "theorem", theorem)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "k_range", k_range)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "per_k", per_k)
-        object.__setattr__(self, "overall", overall)
-        object.__setattr__(self, "details", details)
+        self._set(theorem, subject, lam, k_range, box, per_k, overall, details)
 
     def to_json(self):
         data = {
@@ -313,16 +296,14 @@ def graded_piece(module: GradedModuleSpec, k: int) -> MonomialModule:
 
 def decomposition_rhs_T(a: MonomialIdeal, lam, k: int) -> MonomialModule:
     """Level-k term of the extended-Rees decomposition: the multiplier
-    module at exponent k + lam, with omega_R when k + lam <= 0."""
-    mu = k + as_fraction(lam)
-    if mu > 0:
-        return multiplier_module(a, mu)
-    return omega_module(a.nvars)
+    module at exponent max(k + lam, 0), so omega_R, the module at 0, when
+    k + lam <= 0."""
+    return multiplier_module(a, max(as_int(k) + as_fraction(lam), 0))
 
 
 def decomposition_rhs_S(a: MonomialIdeal, lam, n: int) -> MonomialModule:
     """Term at t-degree n+1 of the Rees decomposition (the sum starts at t^1)."""
-    if n < 0:
+    if (n := as_int(n)) < 0:
         raise DomainError("decomposition index must be nonnegative")
     return decomposition_rhs_T(a, lam, n + 1)
 

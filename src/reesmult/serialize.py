@@ -21,12 +21,23 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 class Record:
     """Immutable value over the fields ``__slots__``, compared, hashed and shown
-    field-wise; subclasses set each field once in ``__init__``."""
+    field-wise; subclasses write every field once, through ``self._set``, in
+    ``__init__``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def _set(self, *values):
+        """Write ``values`` into the fields in ``__slots__`` order; the count is checked
+        up front, as ``zip(strict=True)`` costs more per record."""
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{len(values)} values for the fields {self.__slots__}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -1,7 +1,9 @@
 """The package runs on the oldest Python that ``pyproject.toml`` admits:
 every module parses with that version's grammar, so syntax from a newer
 Python fails here and not only on an older interpreter.  Each record is
-built through its own ``__init__``, so no module uses ``object.__new__``."""
+built through its own ``__init__``, so no module uses ``object.__new__``,
+and writes its fields only there, through ``self._set``: no module reads
+``object.__setattr__``."""
 
 from __future__ import annotations
 
@@ -33,3 +35,22 @@ def test_no_record_built_around_its_constructor(path):
              if isinstance(node, ast.Attribute) and node.attr == "__new__"
              and isinstance(node.value, ast.Name) and node.value.id == "object"]
     assert not lines, f"{path.name} uses object.__new__ at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_fields_written_only_by_set_in_init(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {id(node.func) for init in ast.walk(tree)
+               if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+               for node in ast.walk(init)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "_set" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "self"}
+    setattr_lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                     and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    set_lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "_set"
+                 and id(node) not in allowed]
+    assert not setattr_lines, f"{path.name} reads object.__setattr__ at lines {setattr_lines}"
+    assert not set_lines, f"{path.name} uses _set outside self._set(...) in __init__ at {set_lines}"

@@ -9,11 +9,13 @@ import os
 import pickle
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import reesmult
 from reesmult.errors import DomainError
 from reesmult.hypersurface import (
     DivisorData,
@@ -21,7 +23,7 @@ from reesmult.hypersurface import (
     LocalMonomial,
     verify_local_decomposition,
 )
-from reesmult.ideals import OMEGA, JumpReport, MonomialIdeal, MonomialModule
+from reesmult.ideals import OMEGA, JumpReport, MonomialIdeal, MonomialModule, omega_module
 from reesmult.polyhedra import Cone, HalfSpace, Polyhedron, ThresholdSystem
 from reesmult.rees import (
     EXTENDED_REES,
@@ -29,6 +31,11 @@ from reesmult.rees import (
     GradedToricAlgebra,
     PerLevel,
     VerificationReport,
+    decomposition_rhs_S,
+    decomposition_rhs_T,
+    extended_rees_cone,
+    graded_piece,
+    multiplier_module_principal,
     verify_theoremA,
     verify_theoremB_S,
     verify_theoremB_T,
@@ -166,6 +173,29 @@ def test_unequal_across_classes():
     assert hash(A(1, 2)) == hash(B(1, 2)) == hash((1, 2))
 
 
+def test_set_refuses_a_wrong_value_count():
+    class Pair(Record):
+        __slots__ = ("x", "y")
+
+        def __init__(self, *values):
+            self._set(*values)
+
+    assert _fields(Pair(1, 2)) == (1, 2)
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Pair(*values)
+
+
+EXPORTED_FUNCTIONS = [value for value in vars(reesmult).values()
+                      if callable(value) and not isinstance(value, type)]
+
+
+@pytest.mark.parametrize("fn", EXPORTED_FUNCTIONS + [cls.__init__ for cls in MAKERS],
+                         ids=lambda fn: fn.__qualname__)
+def test_annotations_resolve(fn):
+    typing.get_type_hints(fn)  # a name missing from the module's globals raises NameError
+
+
 @RECORDS
 def test_signature_matches_the_dataclass(cls):
     params = list(inspect.signature(cls).parameters.values())
@@ -214,6 +244,11 @@ INTEGER_TAKERS = {
     "B.1 n_range": lambda x: verify_theoremB_S(XY2, 0, n_range=(zero(x), x)),
     "B.1 box": lambda x: verify_theoremB_S(XY2, 0, n_range=(0, 1), box=((zero(x), 4), (x, 4))),
     "A box": lambda x: verify_theoremA(XY2, 0, box=((zero(x), x), (x, 4))),
+    "omega_module": omega_module,
+    "graded_piece k": lambda x: graded_piece(
+        multiplier_module_principal(extended_rees_cone(XY2), (0, 0, -1), 0), x),
+    "B.2 level": lambda x: decomposition_rhs_T(XY2, 0, x),
+    "B.1 level": lambda x: decomposition_rhs_S(XY2, 0, x),
 }
 
 
@@ -249,3 +284,9 @@ def test_a_float_or_fraction_is_refused(name, value):
     INTEGER_TAKERS[name](1)
     with pytest.raises(DomainError, match="not an integer|not a vector of integers"):
         INTEGER_TAKERS[name](value)
+
+
+@pytest.mark.parametrize("name", ["omega_module", "graded_piece k", "B.2 level", "B.1 level"])
+def test_a_string_is_refused(name):
+    with pytest.raises(DomainError, match="not an integer"):
+        INTEGER_TAKERS[name]("1")

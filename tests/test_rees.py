@@ -21,6 +21,7 @@ from reesmult.ideals import (
     first_non_closed_power,
     integral_closure,
     minimalize,
+    multiplier_module,
     newton,
     omega_module,
     power,
@@ -509,6 +510,10 @@ class TestDecompositionRhs:
     def test_S_negative_index(self):
         with pytest.raises(DomainError):
             decomposition_rhs_S(M_XY, 0, -1)
+
+    def test_T_at_or_below_zero_is_the_memoised_omega(self):
+        for lam, k in ((0, 0), (0, -3), (Fraction(1, 2), -1), (Fraction(5, 2), -4)):
+            assert decomposition_rhs_T(M_XY2, lam, k) is multiplier_module(M_XY2, 0)
 
 
 class TestVerifyTheoremB:
