@@ -174,9 +174,14 @@ def verify_local_decomposition(
     snc_multiplier_section bounds one coordinate: sections are
     c'_i >= max(1, 1 + floor(lam * a_i) + k * a_i), the SNC side is
     c'_i >= 1 + floor(mu * a_i) for mu = k + lam > 0 (else 1), and both
-    need c'_i >= 1 past m.  The two sides are compared over the reachable
-    box by ``compare_systems``; they are the same system at every level,
-    so each level is counted and nothing is listed.
+    need c'_i >= 1 past m.  The section side is the slice at t = k of one
+    graded system over (c', t), rows c'_i >= 1 for every i and
+    c'_i - a_i t >= 1 + floor(lam * a_i) for i <= m, so it is built once
+    per lam and its levels come from ``substitute_last``'s memo; the SNC
+    side is built per level from its own formula.  The two sides are
+    compared over the reachable box by ``compare_systems``; they are the
+    same system at every level, so each level is counted and nothing is
+    listed.
     """
     lam = as_exponent(lam)
     box_deg = as_int(box_deg)
@@ -186,19 +191,19 @@ def verify_local_decomposition(
     lo, hi = as_range(k_range)
     units = unit_vectors(model.n)
     rest = [1] * (model.n - model.m)
-    base = [interior_threshold(lam, e) for e in model.exps]
 
-    def level(k):
-        a, mu = max(k, 0), k + lam
-        reach = tuple((a * e, a * e + box_c) for e in model.exps) + ((0, box_c),) * len(rest)
-        lhs = [max(1, b + k * e) for b, e in zip(base, model.exps)] + rest
-        rhs = [interior_threshold(mu, e) for e in model.exps] if mu > 0 else [1] * model.m
-        sides = [ThresholdSystem(model.n, tuple(zip(units, need))) for need in (lhs, rhs + rest)]
-        return (k, *sides, reach)
+    def levels():  # a generator: nothing is built before _level_report's range guard
+        graded = ThresholdSystem(model.n + 1, [(u + (0,), 1) for u in units] + [
+            (u + (-e,), interior_threshold(lam, e)) for u, e in zip(units, model.exps)])
+        for k in range(max(lo, -box_deg), min(hi, box_deg) + 1):
+            a, mu = max(k, 0), k + lam
+            reach = tuple((a * e, a * e + box_c) for e in model.exps) + ((0, box_c),) * len(rest)
+            rhs = [interior_threshold(mu, e) for e in model.exps] if mu > 0 else [1] * model.m
+            yield (k, graded.substitute_last(k),
+                   ThresholdSystem(model.n, tuple(zip(units, rhs + rest))), reach)
 
     return _level_report("local", {"model": model.to_json()}, lam, (lo, hi),
-                         ((0, box_deg), (0, box_c)),
-                         map(level, range(max(lo, -box_deg), min(hi, box_deg) + 1)),
+                         ((0, box_deg), (0, box_c)), levels(),
                          lambda count: {"inconclusive": [k for k in range(lo, hi + 1)
                                                          if abs(k) > box_deg],
                                         "boxDeg": box_deg, "boxC": box_c})

@@ -524,12 +524,12 @@ class ThresholdSystem(Record):
         return all(dot(w, m) >= t for w, t in self.constraints)
 
     def substitute_last(self, k: int) -> "ThresholdSystem":
-        """Fix the last coordinate to k; constraints drop to rank - 1."""
+        """Fix the last coordinate to k; constraints drop to rank - 1.  Memoised
+        on (system, k) once k is checked: the level systems of a graded module
+        depend on lambda only through floor(lambda c) + 1, so slices recur."""
         if self.rank < 2:
             raise DomainError("cannot substitute in a rank-1 system")
-        k = as_int(k)
-        rows = tuple((w[:-1], t - w[-1] * k) for w, t in self.constraints)
-        return ThresholdSystem(self.rank - 1, rows, self.infeasible)
+        return _slice(self, as_int(k))
 
     def normals(self):
         return tuple(w for w, _ in self.constraints)
@@ -559,6 +559,12 @@ class ThresholdSystem(Record):
         if self.infeasible:
             data["infeasible"] = True
         return data
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _slice(system: ThresholdSystem, k: int) -> ThresholdSystem:
+    rows = tuple((w[:-1], t - w[-1] * k) for w, t in system.constraints)
+    return ThresholdSystem(system.rank - 1, rows, system.infeasible)
 
 
 # ---------------------------------------------------------------------------

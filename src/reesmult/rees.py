@@ -297,8 +297,8 @@ def graded_piece(module: GradedModuleSpec, k: int) -> MonomialModule:
 def decomposition_rhs_T(a: MonomialIdeal, lam, k: int) -> MonomialModule:
     """Level-k term of the extended-Rees decomposition: the multiplier
     module at exponent max(k + lam, 0), so omega_R, the module at 0, when
-    k + lam <= 0."""
-    return multiplier_module(a, max(as_int(k) + as_fraction(lam), 0))
+    k + lam <= 0.  A negative lam is refused, as by every lam-taker."""
+    return multiplier_module(a, max(as_int(k) + as_exponent(lam), 0))
 
 
 def decomposition_rhs_S(a: MonomialIdeal, lam, n: int) -> MonomialModule:
@@ -327,7 +327,7 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     identical = []  # per level: equal thresholds on the normals both sides have
 
     def level(k):
-        lhs, rhs = graded_piece(module, k).system, decomposition_rhs_T(a, lam, k).system
+        lhs, rhs = module.system.substitute_last(k), decomposition_rhs_T(a, lam, k).system
         thresholds = dict(lhs.constraints)
         identical.append(all(thresholds.get(w, t) == t for w, t in rhs.constraints))
         return k, lhs, rhs, box
@@ -357,11 +357,11 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     if lo < 0:
         raise DomainError("decomposition index must be nonnegative")
     box = default_box(a, lam + max(hi + 1, 0)) if box is None else as_box(box, a.nvars)
-    levels = ((n + 1, graded_piece(module, n + 1).system, decomposition_rhs_S(a, lam, n).system,
+    levels = ((n + 1, module.system.substitute_last(n + 1), decomposition_rhs_S(a, lam, n).system,
                box) for n in range(lo, hi + 1))
 
     def details(count):  # the degree-0 piece is counted after the levels
-        return {"degreeZeroEmpty": count(graded_piece(module, 0).system, box) == 0}
+        return {"degreeZeroEmpty": count(module.system.substitute_last(0), box) == 0}
 
     return _level_report("B.1", {"ideal": a.to_json()}, lam, (lo, hi), box, levels, details,
                          ["degreeZeroEmpty"])

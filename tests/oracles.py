@@ -28,8 +28,9 @@ decided each jump candidate on its own derived boxes, the two-listing B.1,
 B.2 and local verifiers, the dual cone with a second double
 description for its rays, and the lattice walk that kept unit rows as
 rows, counted every satisfied subtree one value at a time and lifted
-rank 1 onto a dummy axis, and the principal pair's multiplier module read
-off its pairings with the rays.  ``scale`` and ``strict_interior_system``,
+rank 1 onto a dummy axis, the principal pair's multiplier module read
+off its pairings with the rays, and the unmemoised slice
+``substitute_last_reference``.  ``scale`` and ``strict_interior_system``,
 former library functions that only tests call, live there too.
 """
 
@@ -77,6 +78,7 @@ from reesmult.polyhedra import (
     _sorted_facets,
     as_exponent,
     as_fraction,
+    as_int,
     as_ints,
     compare_runs,
     cube,
@@ -1327,3 +1329,13 @@ def multiplier_module_principal_by_pairings(alg: GradedToricAlgebra, u, lam) -> 
         (w, math.floor(lam * p) + 1) for (w, _), p in zip(alg.cone.constraints, pairings)))
     tail = "T" if alg.kind == EXTENDED_REES else "S"
     return GradedModuleSpec(alg.ambient_rank, system, f"MULT_{tail}({frac_str(lam)})")
+
+
+def substitute_last_reference(system: ThresholdSystem, k) -> ThresholdSystem:
+    """``ThresholdSystem.substitute_last`` as it was before its memo: the last
+    coordinate fixed to k, rebuilt and made canonical on every call."""
+    if system.rank < 2:
+        raise DomainError("cannot substitute in a rank-1 system")
+    k = as_int(k)
+    rows = tuple((w[:-1], t - w[-1] * k) for w, t in system.constraints)
+    return ThresholdSystem(system.rank - 1, rows, system.infeasible)

@@ -24,7 +24,13 @@ from reesmult.hypersurface import (
 )
 from reesmult.ideals import minimalize
 from reesmult import polyhedra
-from reesmult.polyhedra import POINT_GUARD_ENV, dot
+from reesmult.polyhedra import (
+    POINT_GUARD_ENV,
+    ThresholdSystem,
+    dot,
+    interior_threshold,
+    unit_vectors,
+)
 from reesmult.rees import extended_rees_cone
 from reesmult.serialize import dumps_canonical
 
@@ -282,6 +288,41 @@ class TestVerifyLocal:
         assert report.overall and len(report.per_k) == len(counted) == 9
         assert len(set(counted)) == 5
         assert len(calls) == 7 * len(set(counted))
+
+
+
+class TestGradedSections:
+    """The section side of each local level is the slice at t = k of one
+    graded system per call, and equals the unit system the verifier built
+    level by level before: c'_i >= max(1, floor(lam a_i) + 1 + k a_i) for
+    i <= m, c'_i >= 1 past m."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_slices_are_the_unit_systems(self, n, monkeypatch):
+        sliced, slice_ = [], polyhedra._slice
+
+        def recording(system, k):
+            sliced.append((system, k, slice_(system, k)))
+            return sliced[-1][2]
+
+        monkeypatch.setattr(polyhedra, "_slice", recording)
+        rng = random.Random(3300 + n)
+        units = unit_vectors(n)
+        for m in range(1, n + 1):
+            for _ in range(3):
+                exps = tuple(rng.randint(1, 5) for _ in range(m))
+                # lambda in [0, 2] at every breakpoint t / a_i and every midpoint
+                steps = sorted({Fraction(t, e) for e in exps for t in range(2 * e + 1)})
+                model = LocalHypersurfaceModel(n, m, exps)
+                for lam in steps + [(a + b) / 2 for a, b in zip(steps, steps[1:])]:
+                    sliced.clear()
+                    verify_local_decomposition(model, lam, box_deg=8, box_c=1, k_range=(-8, 8))
+                    assert [k for _, k, _ in sliced] == list(range(-8, 9))
+                    assert len({system for system, _, _ in sliced}) == 1
+                    for _, k, got in sliced:
+                        need = [max(1, interior_threshold(lam, e) + k * e) for e in exps]
+                        want = ThresholdSystem(n, tuple(zip(units, need + [1] * (n - m))))
+                        assert got == want, (model, lam, k)
 
 
 def _same_report(model, lam, box_deg, box_c, k_range):

@@ -68,6 +68,7 @@ from oracles import (
     strict_interior_points,
     strict_interior_system,
     subset_homogeneous_rays,
+    substitute_last_reference,
 )
 
 
@@ -1195,6 +1196,89 @@ class TestThresholdSystem:
         sys = ThresholdSystem(2, (((0, 1), 1),))
         piece = sys.substitute_last(0)
         assert piece.infeasible
+
+
+def _graded_system(rng, rank):
+    """A random rank-``rank`` system for slicing: rows of one head at several
+    multiples and last entries, which merge after the gcd division with
+    thresholds whose order flips with k; zero-head rows (0,..,0, s; t) of
+    both signs of s, infeasible at some k only; free rows; and sometimes the
+    infeasible flag."""
+    rows = []
+    head = tuple(rng.randint(-2, 2) for _ in range(rank - 1))
+    if any(head):
+        for _ in range(rng.randint(0, 3)):
+            c = rng.randint(1, 3)
+            rows.append((tuple(c * e for e in head) + (rng.randint(-4, 4),), rng.randint(-8, 8)))
+    for _ in range(rng.randint(0, 2)):
+        rows.append(((0,) * (rank - 1) + (rng.choice((-2, -1, 1, 2)),), rng.randint(-8, 8)))
+    for _ in range(rng.randint(0, 3)):
+        w = tuple(rng.randint(-3, 3) for _ in range(rank))
+        if any(w):
+            rows.append((w, rng.randint(-8, 8)))
+    return ThresholdSystem(rank, tuple(rows), rng.random() < 0.1)
+
+
+def _crossing(system, levels):
+    """True when two rows of ``system`` slice to one primitive head, and no one
+    of them is the strongest at every level: the merge depends on k."""
+    groups = {}
+    for w, t in system.constraints:
+        if any(w[:-1]):
+            g = math.gcd(*w[:-1])
+            groups.setdefault(primitive(w[:-1]), []).append((g, w[-1], t))
+    for rows in groups.values():
+        strongest = set(range(len(rows)))
+        for k in levels:
+            tops = [-((s * k - t) // g) for g, s, t in rows]
+            strongest &= {j for j, top in enumerate(tops) if top == max(tops)}
+        if not strongest:
+            return True
+    return False
+
+
+class TestSliceMemo:
+    """``substitute_last`` is memoised on (system, k) once k is checked; every
+    slice equals the unmemoised reference, cold and on a hit, and a bad k or a
+    rank-1 system is refused on a warm key too."""
+
+    LEVELS = range(-6, 9)
+
+    def test_against_the_reference(self):
+        rng = random.Random(3200)
+        seen = dict.fromkeys(("crossing", "zero_head_pos", "zero_head_neg", "flag",
+                              "infeasible_at_some_k"), 0)
+        for trial in range(2000):
+            system = _graded_system(rng, 2 + trial % 4)
+            polyhedra._slice.cache_clear()
+            cold = {k: system.substitute_last(k) for k in self.LEVELS}
+            assert polyhedra._slice.cache_info().misses == len(self.LEVELS)
+            equal = ThresholdSystem(system.rank, [(list(w), t) for w, t in system.constraints],
+                                    system.infeasible)
+            for k in self.LEVELS:
+                want = substitute_last_reference(system, k)
+                assert cold[k] == want and equal.substitute_last(k) is cold[k], (system, k)
+            assert polyhedra._slice.cache_info().hits == len(self.LEVELS)
+            zero_heads = [w[-1] for w, _ in system.constraints if not any(w[:-1])]
+            seen["crossing"] += _crossing(system, self.LEVELS)
+            seen["zero_head_pos"] += any(s > 0 for s in zero_heads)
+            seen["zero_head_neg"] += any(s < 0 for s in zero_heads)
+            seen["flag"] += system.infeasible
+            seen["infeasible_at_some_k"] += any(cold[k].infeasible for k in self.LEVELS) \
+                and not all(cold[k].infeasible for k in self.LEVELS)
+        assert min(seen.values()) >= 100, seen
+
+    def test_refusals_on_a_warm_key(self):
+        system = ThresholdSystem(3, (((1, 1, -2), 1), ((1, 0, 0), 1)))
+        piece = system.substitute_last(1)  # (system, 1) is now a warm key
+        for k in (Fraction(1, 2), Fraction(1), 1.0, "1"):
+            with pytest.raises(DomainError, match="not an integer"):
+                system.substitute_last(k)
+        assert system.substitute_last(True) is piece
+        rank1 = piece.substitute_last(0)
+        for k in (0, 1, True):
+            with pytest.raises(DomainError, match="^cannot substitute in a rank-1 system$"):
+                rank1.substitute_last(k)
 
 
 def _unit_heavy_system(rng, rank):

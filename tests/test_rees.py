@@ -229,7 +229,8 @@ class TestSliceOracle:
 class TestCaches:
     def test_bounded(self):
         for cached in (newton, extended_rees_cone, rees_cone, _graded_newton,
-                       _multiplier_module, _multiplier_module_general, polyhedra._count):
+                       _multiplier_module, _multiplier_module_general, polyhedra._count,
+                       polyhedra._slice):
             assert cached.cache_info().maxsize == polyhedra.CACHE_SIZE > 0
 
 
@@ -514,6 +515,19 @@ class TestDecompositionRhs:
     def test_T_at_or_below_zero_is_the_memoised_omega(self):
         for lam, k in ((0, 0), (0, -3), (Fraction(1, 2), -1), (Fraction(5, 2), -4)):
             assert decomposition_rhs_T(M_XY2, lam, k) is multiplier_module(M_XY2, 0)
+
+    def test_negative_lambda_is_refused(self):
+        # k + lambda >= 0 here, and the module at k + lambda may be cached
+        for warm in (False, True):
+            _multiplier_module.cache_clear()
+            if warm:
+                for lam in (Fraction(5, 2), 0, 1, 3):
+                    multiplier_module(M_XY2, lam)
+            for rhs, lam, k in ((decomposition_rhs_T, Fraction(-1, 2), 3),
+                                (decomposition_rhs_T, -1, 1), (decomposition_rhs_T, "-1/2", 0),
+                                (decomposition_rhs_S, -3, 0), (decomposition_rhs_S, -1, 2)):
+                with pytest.raises(DomainError, match="^lambda must be nonnegative$"):
+                    rhs(M_XY2, lam, k)
 
 
 class TestVerifyTheoremB:
@@ -986,6 +1000,9 @@ class TestWhereChecksRun:
 
         monkeypatch.setattr(reesmult.rees, "graded_piece", unbuilt)
         monkeypatch.setattr(reesmult.hypersurface, "ThresholdSystem", unbuilt)
+        # B.1 and B.2 slice their module directly, and local its graded system
+        polyhedra._slice.cache_clear()
+        monkeypatch.setattr(polyhedra, "_slice", unbuilt)
         message = r"^level range of 11 levels exceeds enumeration guard 10$"
         for verify in (lambda: verify_theoremB_T(M_XY, 0, (0, 10), cube(2, 0, 10 ** 6)),
                        lambda: verify_theoremB_S(M_XY, 0, (0, 10), cube(2, 0, 10 ** 6)),
