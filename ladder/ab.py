@@ -16,12 +16,15 @@ benchmark processes cannot promise.
 It prints per tree the median over rounds of the round's job p50 and p90 (in
 ms, nearest rank), the ratio B/A of those p50s, the rounds each tree won and
 the exact two-sided sign-test p-value of the wins, then the same as one JSON
-line.  Exit status 1 if an output differs.
+line, which also names each tree's short git sha (``nogit`` outside a git
+checkout).  With ``--out DIR`` that line is also written to
+``DIR/BENCH_<sha A>_vs_<sha B>.json``; without it nothing is written.  Exit
+status 1 if an output differs.
 
 Run from the root of a checkout, giving the roots of two checkouts (A is the
 baseline, B the change):
 
-    python3 ladder/ab.py ../parent . --workload verify --jobs 3000 --rounds 10
+    python3 ladder/ab.py ../parent . --workload verify --jobs 3000 --rounds 10 --out .
 
 The jobs come from this checkout's ``perfbench/jobs.py``; nothing there is
 written.  This tool does not replace ``perfbench/run.py``, which judges a
@@ -35,6 +38,7 @@ import importlib.util
 import json
 import math
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -73,6 +77,16 @@ def summarize(rounds):
     out.update(ratio_p50=out["p50_ms_b"] / out["p50_ms_a"], rounds=len(rounds),
                wins_a=wins_a, wins_b=wins_b, sign_p=sign_test(wins_a, wins_b))
     return out
+
+
+def short_sha(tree):
+    """``git rev-parse --short HEAD`` in ``tree``, or ``nogit`` if that fails."""
+    try:
+        done = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "nogit"
+    return done.stdout.strip() or "nogit"
 
 
 def load(tree, name):
@@ -130,6 +144,8 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=3000)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", metavar="DIR",
+                        help="also write the JSON line to DIR/BENCH_<sha A>_vs_<sha B>.json")
     args = parser.parse_args(argv)
     if args.jobs < 1 or args.rounds < 1:
         parser.error("--jobs and --rounds must be positive")
@@ -145,7 +161,8 @@ def main(argv=None):
     result = summarize(rounds)
     result.update(workload=args.workload, jobs=args.jobs, seed=args.seed,
                   pinned_checked=sum(i in pins for i in range(args.jobs)),
-                  mismatches=len(problems))
+                  mismatches=len(problems), sha_a=short_sha(args.tree_a),
+                  sha_b=short_sha(args.tree_b))
     for name, tree in zip("AB", (args.tree_a, args.tree_b)):
         side = name.lower()
         print(f"tree {name} {tree}: p50 {result[f'p50_ms_{side}']:.4f} ms  "
@@ -153,7 +170,12 @@ def main(argv=None):
     print(f"B/A p50 {result['ratio_p50']:.4f}  sign-test p {result['sign_p']:.4g}  "
           f"over {result['rounds']} rounds of {args.jobs} {args.workload} jobs; "
           f"{result['pinned_checked']} pinned digests checked, {len(problems)} mismatches")
-    print(json.dumps(result, sort_keys=True))
+    line = json.dumps(result, sort_keys=True)
+    print(line)
+    if args.out is not None:
+        out = Path(args.out) / f"BENCH_{result['sha_a']}_vs_{result['sha_b']}.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(line + "\n", encoding="utf-8")
     return 1 if problems else 0
 
 

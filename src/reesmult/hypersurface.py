@@ -13,8 +13,12 @@ exactly one form.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+
 from .errors import DomainError
 from .polyhedra import (
+    CACHE_SIZE,
     ThresholdSystem,
     as_exponent,
     as_fraction,
@@ -153,6 +157,14 @@ def snc_multiplier_section(model: LocalHypersurfaceModel, cprime, mu) -> bool:
     return True
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _snc_level(model: LocalHypersurfaceModel, p: int, q: int) -> ThresholdSystem:
+    # the SNC side at mu = p/q in lowest terms; every mu <= 0 is keyed (0, 1), so c' >= 1
+    mu = Fraction(p, q)
+    rhs = [interior_threshold(mu, e) for e in model.exps] + [1] * (model.n - model.m)
+    return ThresholdSystem(model.n, tuple(zip(unit_vectors(model.n), rhs)))
+
+
 def verify_local_decomposition(
     model: LocalHypersurfaceModel,
     lam,
@@ -178,7 +190,8 @@ def verify_local_decomposition(
     graded system over (c', t), rows c'_i >= 1 for every i and
     c'_i - a_i t >= 1 + floor(lam * a_i) for i <= m, so it is built once
     per lam and its levels come from ``substitute_last``'s memo; the SNC
-    side is built per level from its own formula.  The two sides are
+    side still comes from its own formula, memoised on (model, mu) with
+    mu = (kq + p)/q for lam = p/q in lowest terms.  The two sides are
     compared over the reachable box by ``compare_systems``; they are the
     same system at every level, so each level is counted and nothing is
     listed.
@@ -189,18 +202,17 @@ def verify_local_decomposition(
     if box_deg < 0 or box_c < 0:
         raise DomainError("box_deg and box_c must be nonnegative")
     lo, hi = as_range(k_range)
-    units = unit_vectors(model.n)
-    rest = [1] * (model.n - model.m)
+    units, p, q = unit_vectors(model.n), lam.numerator, lam.denominator
 
     def levels():  # a generator: nothing is built before _level_report's range guard
         graded = ThresholdSystem(model.n + 1, [(u + (0,), 1) for u in units] + [
             (u + (-e,), interior_threshold(lam, e)) for u, e in zip(units, model.exps)])
         for k in range(max(lo, -box_deg), min(hi, box_deg) + 1):
-            a, mu = max(k, 0), k + lam
-            reach = tuple((a * e, a * e + box_c) for e in model.exps) + ((0, box_c),) * len(rest)
-            rhs = [interior_threshold(mu, e) for e in model.exps] if mu > 0 else [1] * model.m
+            a, num = max(k, 0), k * q + p  # k + lam = num/q, in lowest terms
+            reach = tuple((a * e, a * e + box_c) for e in model.exps) + (
+                (0, box_c),) * (model.n - model.m)
             yield (k, graded.substitute_last(k),
-                   ThresholdSystem(model.n, tuple(zip(units, rhs + rest))), reach)
+                   _snc_level(model, num, q) if num > 0 else _snc_level(model, 0, 1), reach)
 
     return _level_report("local", {"model": model.to_json()}, lam, (lo, hi),
                          ((0, box_deg), (0, box_c)), levels(),

@@ -192,16 +192,19 @@ def multiplier_module(a: MonomialIdeal, lam) -> MonomialModule:
     For lam > 0, <w, m> >= floor(lam * c) + 1 per Newton facet (w, c):
     scaling by lam keeps the facets irredundant.  For lam = 0 the scaled
     polyhedron is the orthant, so the module is omega_R.  Memoised on
-    ``(a, lam)`` once lam is checked: a float equal to a cached Fraction
-    is still refused.
+    ``(a, p, q)``, lam = p/q in lowest terms, once lam is checked: a float
+    equal to a cached Fraction is still refused.
     """
-    return _multiplier_module(a, as_exponent(lam))
+    lam = as_exponent(lam)
+    return _multiplier_module(a, lam.numerator, lam.denominator)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _multiplier_module(a: MonomialIdeal, lam: Fraction) -> MonomialModule:
-    if lam == 0:
+def _multiplier_module(a: MonomialIdeal, p: int, q: int) -> MonomialModule:
+    # the module at p/q >= 0 in lowest terms; every exponent <= 0 is keyed (0, 1)
+    if p == 0:
         return omega_module(a.nvars)
+    lam = Fraction(p, q)
     constraints = tuple(
         (h.normal, interior_threshold(lam, h.threshold)) for h in newton(a).facets
     )

@@ -539,15 +539,7 @@ class ThresholdSystem(Record):
         rows m_i >= u_i (w >= 0 not a unit, u_i present where w_i > 0, t <= sum
         w_i u_i).  Equal reduced systems cut out equal sets; unequal prove nothing.
         ``compare_systems`` compares their ``_reduced_fields``, building neither."""
-        return ThresholdSystem(*self._reduced_fields())
-
-    def _reduced_fields(self):
-        """The fields of ``reduced()``, its rows canonical already: equal fields, equal systems."""
-        units = {w.index(1): t for w, t in self.constraints if min(w) >= 0 and sum(w) == 1}
-        kept = [(w, t) for w, t in self.constraints if min(w) < 0 or sum(w) == 1
-                or any(e and i not in units for i, e in enumerate(w))
-                or t > sum(e * units[i] for i, e in enumerate(w) if e)]
-        return self.rank, kept, self.infeasible
+        return ThresholdSystem(*_reduced_fields(self))
 
     def to_json(self):
         data = {
@@ -565,6 +557,18 @@ class ThresholdSystem(Record):
 def _slice(system: ThresholdSystem, k: int) -> ThresholdSystem:
     rows = tuple((w[:-1], t - w[-1] * k) for w, t in system.constraints)
     return ThresholdSystem(system.rank - 1, rows, system.infeasible)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _reduced_fields(system: ThresholdSystem):
+    """The fields of ``system.reduced()``, its rows canonical already: equal
+    fields, equal systems.  Memoised on the system, as the verifiers compare
+    the same level systems across lambda."""
+    units = {w.index(1): t for w, t in system.constraints if min(w) >= 0 and sum(w) == 1}
+    kept = tuple((w, t) for w, t in system.constraints if min(w) < 0 or sum(w) == 1
+                 or any(e and i not in units for i, e in enumerate(w))
+                 or t > sum(e * units[i] for i, e in enumerate(w) if e))
+    return system.rank, kept, system.infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +765,7 @@ def compare_systems(lhs: ThresholdSystem, rhs: ThresholdSystem, box):
     or equal reduced systems, cut out equal sets: then ``lhs`` is only
     counted, nothing listed.  Reduced systems are compared by their fields."""
     box = checked_box(box, lhs.rank)
-    if lhs == rhs or lhs._reduced_fields() == rhs._reduced_fields():
+    if lhs == rhs or _reduced_fields(lhs) == _reduced_fields(rhs):
         count = lattice_count(lhs, box)
         return count, count, None
     return compare_runs(lattice_runs(lhs, box), lattice_runs(rhs, box))

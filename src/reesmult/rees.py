@@ -21,6 +21,7 @@ from .ideals import (
     OMEGA,
     MonomialIdeal,
     MonomialModule,
+    _multiplier_module,
     default_box,
     first_non_closed_power,
     multiplier_module,
@@ -294,11 +295,17 @@ def graded_piece(module: GradedModuleSpec, k: int) -> MonomialModule:
     )
 
 
+def _rhs_T(a: MonomialIdeal, p: int, q: int, k: int) -> MonomialModule:
+    # lam = p/q in lowest terms, so k + lam = (kq + p)/q is in lowest terms too
+    return _multiplier_module(a, k * q + p, q) if k * q + p > 0 else _multiplier_module(a, 0, 1)
+
+
 def decomposition_rhs_T(a: MonomialIdeal, lam, k: int) -> MonomialModule:
     """Level-k term of the extended-Rees decomposition: the multiplier
     module at exponent max(k + lam, 0), so omega_R, the module at 0, when
     k + lam <= 0.  A negative lam is refused, as by every lam-taker."""
-    return multiplier_module(a, max(as_int(k) + as_exponent(lam), 0))
+    k, lam = as_int(k), as_exponent(lam)
+    return _rhs_T(a, lam.numerator, lam.denominator, k)
 
 
 def decomposition_rhs_S(a: MonomialIdeal, lam, n: int) -> MonomialModule:
@@ -312,22 +319,25 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     """Graded decomposition of the extended-Rees multiplier module.
 
     LHS: level-k piece of the cone-model multiplier module of t^-1.
-    RHS: the base-ring multiplier module at exponent k + lam.  The two
-    routes share no code past the Newton facets.  Each level is decided
-    by ``compare_systems``: equal reduced systems decide it on all of Z^n
-    and one count of the left side gives both counts, with nothing listed.
+    RHS: the base-ring multiplier module at exponent k + lam, looked up in
+    ``multiplier_module``'s memo by the key (kq + p, q) for lam = p/q in
+    lowest terms, so no level reads lam or builds a Fraction.  The two
+    routes share no code past the Newton facets.  Each level is decided by
+    ``compare_systems``: equal reduced systems decide it on all of Z^n and
+    one count of the left side gives both counts, with nothing listed.
     The threshold identity c*k + floor(lam*c) + 1 = floor((k+lam)*c) + 1
     is checked per facet as thresholdsIdentical.
     """
     lam = as_fraction(lam)
     alg = extended_rees_cone(a)
     module = multiplier_module_principal(alg, alg.t_inverse(), lam)
+    p, q = lam.numerator, lam.denominator
     lo, hi = as_range(k_range)
     box = default_box(a, lam + max(hi, 0)) if box is None else as_box(box, a.nvars)
     identical = []  # per level: equal thresholds on the normals both sides have
 
     def level(k):
-        lhs, rhs = module.system.substitute_last(k), decomposition_rhs_T(a, lam, k).system
+        lhs, rhs = module.system.substitute_last(k), _rhs_T(a, p, q, k).system
         thresholds = dict(lhs.constraints)
         identical.append(all(thresholds.get(w, t) == t for w, t in rhs.constraints))
         return k, lhs, rhs, box
@@ -346,9 +356,9 @@ def rees_ideal_generators(a: MonomialIdeal):
 def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> VerificationReport:
     """Graded decomposition of the Rees multiplier module.
 
-    Levels are decided by ``compare_systems``, as in ``verify_theoremB_T``.
-    Also asserts, by counting it, that the t-degree-0 piece is empty in the
-    box: the decomposition starts at t^1.
+    Levels are decided by ``compare_systems``, and their right sides looked
+    up, as in ``verify_theoremB_T``.  Also asserts, by counting it, that the
+    t-degree-0 piece is empty in the box: the decomposition starts at t^1.
     """
     lam = as_fraction(lam)
     alg = rees_cone(a)
@@ -357,8 +367,9 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     if lo < 0:
         raise DomainError("decomposition index must be nonnegative")
     box = default_box(a, lam + max(hi + 1, 0)) if box is None else as_box(box, a.nvars)
-    levels = ((n + 1, module.system.substitute_last(n + 1), decomposition_rhs_S(a, lam, n).system,
-               box) for n in range(lo, hi + 1))
+    p, q = lam.numerator, lam.denominator
+    levels = ((n + 1, module.system.substitute_last(n + 1), _rhs_T(a, p, q, n + 1).system, box)
+              for n in range(lo, hi + 1))
 
     def details(count):  # the degree-0 piece is counted after the levels
         return {"degreeZeroEmpty": count(module.system.substitute_last(0), box) == 0}

@@ -29,8 +29,11 @@ B.2 and local verifiers, the dual cone with a second double
 description for its rays, and the lattice walk that kept unit rows as
 rows, counted every satisfied subtree one value at a time and lifted
 rank 1 onto a dummy axis, the principal pair's multiplier module read
-off its pairings with the rays, and the unmemoised slice
-``substitute_last_reference``.  ``scale`` and ``strict_interior_system``,
+off its pairings with the rays, the unmemoised slice
+``substitute_last_reference``, the B.2 right side on a ``Fraction``
+exponent ``decomposition_rhs_T_reference``, the unmemoised
+``reduced_fields_reference`` and the per-level SNC system
+``snc_level_reference``.  ``scale`` and ``strict_interior_system``,
 former library functions that only tests call, live there too.
 """
 
@@ -51,6 +54,7 @@ from reesmult.hypersurface import (
 from reesmult.ideals import (
     JumpReport,
     MonomialIdeal,
+    MonomialModule,
     default_box,
     first_non_closed_power,
     integral_closure,
@@ -84,6 +88,7 @@ from reesmult.polyhedra import (
     cube,
     dot,
     homogeneous_rays,
+    interior_threshold,
     irredundant_facets,
     lattice_runs,
     orthant,
@@ -1339,3 +1344,28 @@ def substitute_last_reference(system: ThresholdSystem, k) -> ThresholdSystem:
     k = as_int(k)
     rows = tuple((w[:-1], t - w[-1] * k) for w, t in system.constraints)
     return ThresholdSystem(system.rank - 1, rows, system.infeasible)
+
+
+def decomposition_rhs_T_reference(a: MonomialIdeal, lam, k) -> MonomialModule:
+    """``decomposition_rhs_T`` as it was before its integer key: the multiplier
+    module at the ``Fraction`` exponent max(k + lam, 0)."""
+    return multiplier_module(a, max(as_int(k) + as_exponent(lam), 0))
+
+
+def reduced_fields_reference(system: ThresholdSystem):
+    """``ThresholdSystem._reduced_fields`` as it was before its memo, a method
+    that rebuilt the kept rows as a list on every call."""
+    units = {w.index(1): t for w, t in system.constraints if min(w) >= 0 and sum(w) == 1}
+    kept = [(w, t) for w, t in system.constraints if min(w) < 0 or sum(w) == 1
+            or any(e and i not in units for i, e in enumerate(w))
+            or t > sum(e * units[i] for i, e in enumerate(w) if e)]
+    return system.rank, kept, system.infeasible
+
+
+def snc_level_reference(model: LocalHypersurfaceModel, lam, k) -> ThresholdSystem:
+    """The local verifier's SNC system at level k as it was built per level,
+    from the ``Fraction`` mu = k + lam: c'_i >= 1 + floor(mu a_i) for i <= m
+    when mu > 0, else c'_i >= 1, and c'_i >= 1 past m."""
+    mu, units = as_int(k) + as_exponent(lam), unit_vectors(model.n)
+    rhs = [interior_threshold(mu, e) for e in model.exps] if mu > 0 else [1] * model.m
+    return ThresholdSystem(model.n, tuple(zip(units, rhs + [1] * (model.n - model.m))))

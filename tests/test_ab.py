@@ -1,12 +1,13 @@
 """``ladder/ab.py``, the paired replay of two trees: its percentile, ratio,
-round wins and sign test on fixed timings, its output checks on a stand-in
-for the workload, and one small replay of this tree against itself, whose
-times are not asserted."""
+round wins and sign test on fixed timings, its output checks and the file
+``--out`` writes on a stand-in for the workload, and one small replay of this
+tree against itself, whose times are not asserted."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -76,3 +77,42 @@ def test_replay_of_this_tree_against_itself(ab, capsys):
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (result["mismatches"], result["pinned_checked"], result["rounds"]) == (0, 4, 1)
     assert result["wins_a"] + result["wins_b"] <= 1
+
+
+def _stand_in(ab, monkeypatch):
+    """Replace the perfbench jobs and the tree import by a three-job stand-in
+    whose outputs agree, so a replay runs in microseconds."""
+    jobs = SimpleNamespace(job=lambda workload, seed, i: i,
+                           run=lambda rm, workload, job: (f"{workload} {job}", None),
+                           digest=lambda text: text,
+                           pinned_digests=lambda workload, seed: {0: "verify 0"})
+    monkeypatch.setattr(ab, "_perfbench_jobs", lambda: jobs)
+    monkeypatch.setattr(ab, "load", lambda tree, name: name)
+
+
+def test_out_writes_the_json_line_under_both_shas(ab, monkeypatch, capsys, tmp_path):
+    _stand_in(ab, monkeypatch)
+    tree_a, tree_b, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+    tree_a.mkdir()
+    tree_b.mkdir()
+    git = ["git", "-C", str(tree_a), "-c", "user.name=t", "-c", "user.email=t@t"]
+    try:
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git is not available")
+    sha = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert ab.short_sha(tree_a) == sha and ab.short_sha(tree_b) == "nogit"
+    argv = [str(tree_a), str(tree_b), "--jobs", "3", "--rounds", "2"]
+    assert ab.main(argv) == 0
+    assert not out.exists()
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert ab.main(argv + ["--out", str(out)]) == 0
+    written = list(out.iterdir())
+    assert [p.name for p in written] == [f"BENCH_{sha}_vs_nogit.json"]
+    result = json.loads(written[0].read_text(encoding="utf-8"))
+    assert written[0].read_text(encoding="utf-8") == capsys.readouterr().out.splitlines()[-1] + "\n"
+    assert (result["sha_a"], result["sha_b"], result["jobs"], result["rounds"]) == (sha, "nogit", 3, 2)
+    assert (result["mismatches"], result["pinned_checked"]) == (0, 1)
+    assert json.loads(line).keys() == result.keys()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reesmult import hypersurface
 from reesmult.errors import DomainError
 from reesmult.hypersurface import (
     LocalHypersurfaceModel,
@@ -34,7 +35,11 @@ from reesmult.polyhedra import (
 from reesmult.rees import extended_rees_cone
 from reesmult.serialize import dumps_canonical
 
-from oracles import local_decomposition_by_points, verify_local_decomposition_by_runs
+from oracles import (
+    local_decomposition_by_points,
+    snc_level_reference,
+    verify_local_decomposition_by_runs,
+)
 
 M23 = LocalHypersurfaceModel(2, 2, (2, 3))
 M11 = LocalHypersurfaceModel(1, 1, (1,))
@@ -323,6 +328,41 @@ class TestGradedSections:
                         need = [max(1, interior_threshold(lam, e) + k * e) for e in exps]
                         want = ThresholdSystem(n, tuple(zip(units, need + [1] * (n - m))))
                         assert got == want, (model, lam, k)
+
+
+class TestSncLevels:
+    """The SNC side of each local level is ``_snc_level(model, p, q)``, memoised
+    on mu = k + lam = p/q in lowest terms with every mu <= 0 keyed (0, 1), and
+    equals the system the verifier built level by level from the ``Fraction``
+    mu before."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_against_the_reference(self, n, monkeypatch):
+        snc, seen = hypersurface._snc_level, []
+
+        def recording(model, p, q):
+            seen.append((p, q, snc(model, p, q)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(hypersurface, "_snc_level", recording)
+        rng = random.Random(3500 + n)
+        for m in range(1, n + 1):
+            for _ in range(4):
+                exps = tuple(rng.randint(1, 5) for _ in range(m))
+                # lambda in [0, 3] at every breakpoint t / a_i and every midpoint
+                steps = sorted({Fraction(t, e) for e in exps for t in range(3 * e + 1)})
+                model = LocalHypersurfaceModel(n, m, exps)
+                snc.cache_clear()
+                for lam in steps + [(a + b) / 2 for a, b in zip(steps, steps[1:])]:
+                    seen.clear()
+                    verify_local_decomposition(model, lam, box_deg=8, box_c=1, k_range=(-8, 8))
+                    assert len(seen) == 17
+                    for k, (p, q, got) in zip(range(-8, 9), seen):
+                        mu = k + lam
+                        assert (p, q) == ((mu.numerator, mu.denominator) if mu > 0 else (0, 1))
+                        assert got == snc_level_reference(model, lam, k), (model, lam, k)
+                        equal = LocalHypersurfaceModel(n, m, list(exps))
+                        assert snc(equal, p, q) is got
 
 
 def _same_report(model, lam, box_deg, box_c, k_range):

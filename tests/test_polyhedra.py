@@ -64,6 +64,7 @@ from oracles import (
     in_hull_plus_orthant,
     kernel_basis,
     matrix_rank,
+    reduced_fields_reference,
     scale,
     strict_interior_points,
     strict_interior_system,
@@ -1359,6 +1360,34 @@ class TestReduced:
                     box = cube(rank, -3, 4)
                     assert brute_lattice_points(s1, box) == brute_lattice_points(s2, box), (s1, s2)
         assert certified >= 50
+
+
+class TestReducedFieldsMemo:
+    """``_reduced_fields`` is memoised on the system; its fields equal the
+    unmemoised reference, cold and on a hit from an equal system, and
+    ``reduced()`` is the system they give."""
+
+    def test_against_the_reference(self):
+        rng = random.Random(3400)
+        seen = dict.fromkeys(("zero_head", "unit", "flag", "dropped"), 0)
+        for trial in range(2000):
+            rank = 2 + trial % 4
+            system = (_graded_system if trial % 2 else _unit_heavy_system)(rng, rank)
+            rank_, kept, infeasible = reduced_fields_reference(system)
+            want = (rank_, tuple(kept), infeasible)
+            polyhedra._reduced_fields.cache_clear()
+            cold = polyhedra._reduced_fields(system)
+            assert cold == want and polyhedra._reduced_fields.cache_info().misses == 1, system
+            equal = ThresholdSystem(rank, [(list(w), t) for w, t in system.constraints],
+                                    system.infeasible)
+            assert polyhedra._reduced_fields(equal) is cold
+            assert polyhedra._reduced_fields.cache_info().hits == 1
+            assert system.reduced() == ThresholdSystem(rank, kept, infeasible)
+            seen["zero_head"] += any(not any(w[:-1]) for w, _ in system.constraints)
+            seen["unit"] += any(min(w) >= 0 and sum(w) == 1 for w, _ in system.constraints)
+            seen["flag"] += system.infeasible
+            seen["dropped"] += len(kept) < len(system.constraints)
+        assert min(seen.values()) >= 100, seen
 
 
 def _implied_row(rng, system):

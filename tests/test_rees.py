@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reesmult
 import reesmult.hypersurface
 import reesmult.rees
 from reesmult import polyhedra
@@ -46,6 +49,7 @@ from reesmult.rees import (
     GradedToricAlgebra,
     _graded_newton,
     _multiplier_module_general,
+    _rhs_T,
     _validate_slices,
     canonical_module,
     decomposition_rhs_S,
@@ -65,6 +69,7 @@ from reesmult.rees import (
 
 from oracles import (
     cone_by_irredundant_facets,
+    decomposition_rhs_T_reference,
     first_mismatch,
     in_ideal,
     multiplier_module_principal_by_pairings,
@@ -230,8 +235,29 @@ class TestCaches:
     def test_bounded(self):
         for cached in (newton, extended_rees_cone, rees_cone, _graded_newton,
                        _multiplier_module, _multiplier_module_general, polyhedra._count,
-                       polyhedra._slice):
+                       polyhedra._slice, polyhedra._reduced_fields,
+                       reesmult.hypersurface._snc_level):
             assert cached.cache_info().maxsize == polyhedra.CACHE_SIZE > 0
+
+    def test_every_cache_is_bounded(self):
+        # every module-level object with ``cache_info`` in the package, so a cache
+        # added later is checked without a hand list; the two rank-keyed caches
+        # hold one entry per rank and are the only unbounded ones
+        unbounded = {"_unit_tuple", "orthant"}
+        found = {}
+        for info in pkgutil.iter_modules(reesmult.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            module = importlib.import_module(f"reesmult.{info.name}")
+            for name, value in vars(module).items():
+                if callable(getattr(value, "cache_info", None)):
+                    found.setdefault(value.__qualname__, value)
+        assert {"_count", "_slice", "_reduced_fields", "_snc_level", "_multiplier_module",
+                "_multiplier_module_general", "newton", "extended_rees_cone"} <= set(found)
+        assert unbounded <= set(found)
+        for name, cached in found.items():
+            want = None if name in unbounded else polyhedra.CACHE_SIZE
+            assert cached.cache_info().maxsize == want, name
 
 
 class TestMemoisedModules:
@@ -528,6 +554,73 @@ class TestDecompositionRhs:
                                 (decomposition_rhs_S, -3, 0), (decomposition_rhs_S, -1, 2)):
                 with pytest.raises(DomainError, match="^lambda must be nonnegative$"):
                     rhs(M_XY2, lam, k)
+
+
+def _random_ideal(rng, rank):
+    """An ideal of 1-3 generators with entries 0-3 in ``rank`` variables,
+    sometimes the unit ideal."""
+    return minimalize([tuple(rng.randint(0, 3) for _ in range(rank))
+                       for _ in range(rng.randint(1, 3))], rank)
+
+
+def _breakpoints_and_midpoints(thresholds, top):
+    """Every t/c in [0, top] over the ``thresholds`` c, and the midpoint of
+    each pair of neighbours."""
+    points = sorted({Fraction(t, c) for c in thresholds for t in range(top * c + 1)} | {0})
+    return points + [(x + y) / 2 for x, y in zip(points, points[1:])]
+
+
+class TestRhsKeyedByLambda:
+    """The B.1 and B.2 right sides are looked up by the integer key
+    (kq + p, q) for lam = p/q: the module the ``Fraction`` exponent
+    max(k + lam, 0) gave, by the floor formula, and omega_R's one memoised
+    object where k + lam <= 0."""
+
+    LEVELS = range(-6, 9)
+
+    def test_against_the_fraction_exponent(self):
+        rng = random.Random(3300)
+        seen = {"negative": 0, "zero": 0, "positive": 0, "unit": 0}
+        for trial in range(500):
+            a = _random_ideal(rng, 1 + trial % 4)
+            _multiplier_module.cache_clear()
+            facets = newton(a).facets
+            omega, checked = multiplier_module(a, 0), set()
+            lams = _breakpoints_and_midpoints({h.threshold for h in facets if h.threshold > 0}, 3)
+            for lam in lams:
+                p, q = lam.numerator, lam.denominator
+                for k in self.LEVELS:
+                    got = _rhs_T(a, p, q, k)
+                    assert decomposition_rhs_T_reference(a, lam, k) is got, (a, lam, k)
+                    assert decomposition_rhs_T(a, lam, k) is got
+                    if k >= 1:
+                        assert decomposition_rhs_S(a, lam, k - 1) is got
+                    mu = k + lam
+                    if mu <= 0:
+                        assert got is omega
+                    elif mu not in checked:  # the floor formula, once per exponent
+                        checked.add(mu)
+                        assert got.system == ThresholdSystem(a.nvars, [
+                            (h.normal, math.floor(mu * h.threshold) + 1) for h in facets])
+                    seen["negative" if mu < 0 else "zero" if mu == 0 else "positive"] += 1
+            seen["unit"] += a.is_unit
+        assert min(seen.values()) >= 10, seen
+
+    def test_refusals_on_a_warm_key(self):
+        half = multiplier_module(M_XY2, Fraction(1, 2))
+        three_halves = decomposition_rhs_T(M_XY2, Fraction(1, 2), 1)
+        assert decomposition_rhs_S(M_XY2, Fraction(1, 2), 0) is three_halves
+        assert multiplier_module(M_XY2, "1/2") is half
+        assert decomposition_rhs_T(M_XY2, "1/2", 1) is three_halves
+        for lam, error in ((0.5, "no floating point"), ("0.5", "rationals must be p/q"),
+                           ("1/2.0", "rationals must be p/q"), (-0.5, "no floating point"),
+                           ("-1/2", "lambda must be nonnegative")):
+            with pytest.raises((DomainError, ParseError), match=error):
+                multiplier_module(M_XY2, lam)
+            with pytest.raises((DomainError, ParseError), match=error):
+                decomposition_rhs_T(M_XY2, lam, 1)
+            with pytest.raises((DomainError, ParseError), match=error):
+                decomposition_rhs_S(M_XY2, lam, 0)
 
 
 class TestVerifyTheoremB:
