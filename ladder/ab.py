@@ -16,10 +16,10 @@ benchmark processes cannot promise.
 It prints per tree the median over rounds of the round's job p50 and p90 (in
 ms, nearest rank), the ratio B/A of those p50s, the rounds each tree won and
 the exact two-sided sign-test p-value of the wins, then the same as one JSON
-line, which also names each tree's short git sha (``nogit`` outside a git
-checkout).  With ``--out DIR`` that line is also written to
-``DIR/BENCH_<sha A>_vs_<sha B>.json``; without it nothing is written.  Exit
-status 1 if an output differs.
+line, which also names each tree's short git sha (``<sha>-dirty`` if its
+``src/`` has uncommitted changes, ``nogit`` outside a git checkout).  With
+``--out DIR`` that line is also written to ``DIR/BENCH_<sha A>_vs_<sha
+B>.json``; without it nothing is written.  Exit status 1 if an output differs.
 
 Run from the root of a checkout, giving the roots of two checkouts (A is the
 baseline, B the change):
@@ -80,13 +80,21 @@ def summarize(rounds):
 
 
 def short_sha(tree):
-    """``git rev-parse --short HEAD`` in ``tree``, or ``nogit`` if that fails."""
+    """``git rev-parse --short HEAD`` in ``tree``, as ``<sha>-dirty`` when
+    ``git status --porcelain -- src`` lists an uncommitted change under
+    ``src/`` (the code timed is then not that commit's), or ``nogit`` if git
+    fails."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
     try:
-        done = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
-                              capture_output=True, text=True, check=True)
+        sha, dirty = git("rev-parse", "--short", "HEAD"), git("status", "--porcelain", "--", "src")
     except (OSError, subprocess.CalledProcessError):
         return "nogit"
-    return done.stdout.strip() or "nogit"
+    if not sha:
+        return "nogit"
+    return f"{sha}-dirty" if dirty else sha
 
 
 def load(tree, name):

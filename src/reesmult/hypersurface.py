@@ -4,7 +4,9 @@ Torus-invariant divisor data, the canonical divisor, section membership
 for the floor-threshold twist of the canonical module, the regrading of
 monomials into t-degrees, and the local verification that the section
 conditions on the hypersurface side coincide, degree by degree, with
-the simple-normal-crossing multiplier conditions on the base.
+the simple-normal-crossing multiplier conditions on the base.  The model
+is the extended Rees algebra of the principal ideal (s_1^{a_1}...s_m^{a_m}),
+so that verification is Theorem B.2 on it, run through ``rees``.
 
 Normal form: the relation xy = f rewrites every monomial so that
 min(x-degree, y-degree) = 0, which gives each monomial of the ring
@@ -13,22 +15,17 @@ exactly one form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
 from .errors import DomainError
+from .ideals import MonomialIdeal
 from .polyhedra import (
-    CACHE_SIZE,
-    ThresholdSystem,
     as_exponent,
     as_fraction,
     as_int,
     as_ints,
     as_range,
     interior_threshold,
-    unit_vectors,
 )
-from .rees import VerificationReport, _level_report
+from .rees import VerificationReport, _level_report, extended_rees_cone, multiplier_module_general
 from .serialize import Record
 
 
@@ -157,14 +154,6 @@ def snc_multiplier_section(model: LocalHypersurfaceModel, cprime, mu) -> bool:
     return True
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _snc_level(model: LocalHypersurfaceModel, p: int, q: int) -> ThresholdSystem:
-    # the SNC side at mu = p/q in lowest terms; every mu <= 0 is keyed (0, 1), so c' >= 1
-    mu = Fraction(p, q)
-    rhs = [interior_threshold(mu, e) for e in model.exps] + [1] * (model.n - model.m)
-    return ThresholdSystem(model.n, tuple(zip(unit_vectors(model.n), rhs)))
-
-
 def verify_local_decomposition(
     model: LocalHypersurfaceModel,
     lam,
@@ -181,20 +170,17 @@ def verify_local_decomposition(
     (recorded); degrees |k| > box_deg have no monomials at all and are
     reported inconclusive rather than silently passing.
 
-    In regraded coordinates c' (injective on normal forms, so counts and
-    witnesses carry over) every condition of is_section and
-    snc_multiplier_section bounds one coordinate: sections are
-    c'_i >= max(1, 1 + floor(lam * a_i) + k * a_i), the SNC side is
-    c'_i >= 1 + floor(mu * a_i) for mu = k + lam > 0 (else 1), and both
-    need c'_i >= 1 past m.  The section side is the slice at t = k of one
-    graded system over (c', t), rows c'_i >= 1 for every i and
-    c'_i - a_i t >= 1 + floor(lam * a_i) for i <= m, so it is built once
-    per lam and its levels come from ``substitute_last``'s memo; the SNC
-    side still comes from its own formula, memoised on (model, mu) with
-    mu = (kq + p)/q for lam = p/q in lowest terms.  The two sides are
-    compared over the reachable box by ``compare_systems``; they are the
-    same system at every level, so each level is counted and nothing is
-    listed.
+    The model is the extended Rees algebra R[ft, t^-1] of the SNC ideal
+    (f), f = s_1^{a_1}...s_m^{a_m}, with x = ft and y = t^-1, and regrade
+    is its coordinate map (c', k); it is injective on normal forms, so
+    counts and witnesses carry over.  So this is Theorem B.2 on (f): the
+    section side of level k is the slice at t = k of the multiplier module
+    of t^-1 on ``extended_rees_cone((f))``, built by the call B.2 makes,
+    and the SNC side is the base-ring multiplier module of (f) at k + lam,
+    which ``_level_report`` looks up from ``newton((f))``.  Both are
+    c'_i >= max(1, 1 + floor(lam a_i) + k a_i) for i <= m and c'_i >= 1
+    past m, the conditions of is_section and snc_multiplier_section, so
+    each level is counted over the reachable box and nothing is listed.
     """
     lam = as_exponent(lam)
     box_deg = as_int(box_deg)
@@ -202,20 +188,18 @@ def verify_local_decomposition(
     if box_deg < 0 or box_c < 0:
         raise DomainError("box_deg and box_c must be nonnegative")
     lo, hi = as_range(k_range)
-    units, p, q = unit_vectors(model.n), lam.numerator, lam.denominator
+    snc = MonomialIdeal(model.n, [model.exps + (0,) * (model.n - model.m)])
 
     def levels():  # a generator: nothing is built before _level_report's range guard
-        graded = ThresholdSystem(model.n + 1, [(u + (0,), 1) for u in units] + [
-            (u + (-e,), interior_threshold(lam, e)) for u, e in zip(units, model.exps)])
+        alg = extended_rees_cone(snc)
+        module = multiplier_module_general(alg, (alg.t_inverse(),), lam)
         for k in range(max(lo, -box_deg), min(hi, box_deg) + 1):
-            a, num = max(k, 0), k * q + p  # k + lam = num/q, in lowest terms
-            reach = tuple((a * e, a * e + box_c) for e in model.exps) + (
-                (0, box_c),) * (model.n - model.m)
-            yield (k, graded.substitute_last(k),
-                   _snc_level(model, num, q) if num > 0 else _snc_level(model, 0, 1), reach)
+            a = max(k, 0)
+            yield k, module.system.substitute_last(k), tuple(
+                (a * e, a * e + box_c) for e in model.exps) + ((0, box_c),) * (model.n - model.m)
 
-    return _level_report("local", {"model": model.to_json()}, lam, (lo, hi),
+    return _level_report("local", {"model": model.to_json()}, snc, lam, (lo, hi),
                          ((0, box_deg), (0, box_c)), levels(),
-                         lambda count: {"inconclusive": [k for k in range(lo, hi + 1)
-                                                         if abs(k) > box_deg],
-                                        "boxDeg": box_deg, "boxC": box_c})
+                         lambda count, sides: {"inconclusive": [k for k in range(lo, hi + 1)
+                                                                if abs(k) > box_deg],
+                                               "boxDeg": box_deg, "boxC": box_c})

@@ -141,6 +141,8 @@ def first_non_closed_power(a: MonomialIdeal, bound=None):
     nvars - 1 powers implies normality, hence the default bound.
     """
     bound = max(a.nvars - 1, 1) if bound is None else as_int(bound)
+    if len(a.generators) == 1:  # (g)^k = (kg) is principal, so integrally closed
+        return None
     return next((k for k in range(1, bound + 1) if not _closure_points(a, k) <= _sums(a, k)), None)
 
 

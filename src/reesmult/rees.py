@@ -140,12 +140,14 @@ class VerificationReport(Record):
         return data
 
 
-def _level_report(theorem, subject, lam, k_range, box, levels, details, required=()):
-    """Decide each ``(k, lhs, rhs, box)`` of ``levels`` by ``compare_systems``,
-    then call ``details(count)`` with ``count`` ``lattice_count``: the check
-    holds iff every level is equal and every detail named in ``required`` is
-    true.  A range of more levels than ``point_guard()`` is refused first; the
-    guard is read once, and each distinct box checked once."""
+def _level_report(theorem, subject, a, lam, k_range, box, levels, details, required=()):
+    """Decide each ``(k, lhs, box)`` of ``levels`` against its right side, the
+    base-ring multiplier module of ``a`` at k + lam (``_rhs_T``), by
+    ``compare_systems``; then call ``details(count, sides)`` with ``count``
+    ``lattice_count`` and ``sides`` the compared ``(lhs, rhs)`` per level: the
+    check holds iff every level is equal and every detail named in
+    ``required`` is true.  A range of more levels than ``point_guard()`` is
+    refused first; the guard is read once, and each distinct box checked once."""
     size, checked = k_range[1] - k_range[0] + 1, {}
     guard = point_guard() if size > 0 else None
     if size > 0 and size > guard:
@@ -154,10 +156,13 @@ def _level_report(theorem, subject, lam, k_range, box, levels, details, required
     def bounds(box, rank):
         return checked.get(box) or checked.setdefault(box, checked_box(box, rank, guard))
 
-    compared = [(k, *compare_systems(lhs, rhs, bounds(level_box, lhs.rank)))
-                for k, lhs, rhs, level_box in levels]
+    p, q = lam.numerator, lam.denominator
+    sides = [(k, lhs, _rhs_T(a, p, q, k).system, bounds(level_box, lhs.rank))
+             for k, lhs, level_box in levels]
+    compared = [(k, *compare_systems(lhs, rhs, b)) for k, lhs, rhs, b in sides]
     per_k = tuple(PerLevel(k, nl, nr, w is None, w) for k, nl, nr, w in compared)
-    details = details(lambda system, box: lattice_count(system, bounds(box, system.rank)))
+    details = details(lambda system, box: lattice_count(system, bounds(box, system.rank)),
+                      [(lhs, rhs) for _, lhs, rhs, _ in sides])
     return VerificationReport(
         theorem=theorem,
         subject=subject,
@@ -318,11 +323,11 @@ def decomposition_rhs_S(a: MonomialIdeal, lam, n: int) -> MonomialModule:
 def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> VerificationReport:
     """Graded decomposition of the extended-Rees multiplier module.
 
-    LHS: level-k piece of the cone-model multiplier module of t^-1.
-    RHS: the base-ring multiplier module at exponent k + lam, looked up in
-    ``multiplier_module``'s memo by the key (kq + p, q) for lam = p/q in
-    lowest terms, so no level reads lam or builds a Fraction.  The two
-    routes share no code past the Newton facets.  Each level is decided by
+    LHS: level-k piece of the cone-model multiplier module of t^-1, the
+    general pair of the one generator t^-1.  RHS: the base-ring multiplier
+    module at exponent k + lam, which ``_level_report`` looks up by the
+    integer key (kq + p, q) for lam = p/q in lowest terms.  The two routes
+    share no code past the Newton facets.  Each level is decided by
     ``compare_systems``: equal reduced systems decide it on all of Z^n and
     one count of the left side gives both counts, with nothing listed.
     The threshold identity c*k + floor(lam*c) + 1 = floor((k+lam)*c) + 1
@@ -330,21 +335,18 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     """
     lam = as_fraction(lam)
     alg = extended_rees_cone(a)
-    module = multiplier_module_principal(alg, alg.t_inverse(), lam)
-    p, q = lam.numerator, lam.denominator
+    module = multiplier_module_general(alg, (alg.t_inverse(),), lam)
     lo, hi = as_range(k_range)
     box = default_box(a, lam + max(hi, 0)) if box is None else as_box(box, a.nvars)
-    identical = []  # per level: equal thresholds on the normals both sides have
 
-    def level(k):
-        lhs, rhs = module.system.substitute_last(k), _rhs_T(a, p, q, k).system
-        thresholds = dict(lhs.constraints)
-        identical.append(all(thresholds.get(w, t) == t for w, t in rhs.constraints))
-        return k, lhs, rhs, box
+    def details(count, sides):  # per level: equal thresholds on the normals both sides have
+        shared = [(dict(lhs.constraints), rhs.constraints) for lhs, rhs in sides]
+        return {"thresholdsIdentical": all(lt.get(w, t) == t for lt, rows in shared
+                                           for w, t in rows)}
 
-    return _level_report("B.2", {"ideal": a.to_json()}, lam, (lo, hi), box,
-                         map(level, range(lo, hi + 1)),
-                         lambda count: {"thresholdsIdentical": all(identical)})
+    return _level_report("B.2", {"ideal": a.to_json()}, a, lam, (lo, hi), box,
+                         ((k, module.system.substitute_last(k), box) for k in range(lo, hi + 1)),
+                         details)
 
 
 def rees_ideal_generators(a: MonomialIdeal):
@@ -356,9 +358,10 @@ def rees_ideal_generators(a: MonomialIdeal):
 def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> VerificationReport:
     """Graded decomposition of the Rees multiplier module.
 
-    Levels are decided by ``compare_systems``, and their right sides looked
-    up, as in ``verify_theoremB_T``.  Also asserts, by counting it, that the
-    t-degree-0 piece is empty in the box: the decomposition starts at t^1.
+    LHS: level-(n+1) piece of the cone-model multiplier module of aS.  RHS:
+    the base-ring multiplier module at n + 1 + lam, looked up and compared by
+    ``_level_report`` as in ``verify_theoremB_T``.  Also asserts, by counting
+    it, that the t-degree-0 piece is empty in the box: the sum starts at t^1.
     """
     lam = as_fraction(lam)
     alg = rees_cone(a)
@@ -367,14 +370,12 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     if lo < 0:
         raise DomainError("decomposition index must be nonnegative")
     box = default_box(a, lam + max(hi + 1, 0)) if box is None else as_box(box, a.nvars)
-    p, q = lam.numerator, lam.denominator
-    levels = ((n + 1, module.system.substitute_last(n + 1), _rhs_T(a, p, q, n + 1).system, box)
-              for n in range(lo, hi + 1))
+    levels = ((n + 1, module.system.substitute_last(n + 1), box) for n in range(lo, hi + 1))
 
-    def details(count):  # the degree-0 piece is counted after the levels
+    def details(count, sides):  # the degree-0 piece is counted after the levels
         return {"degreeZeroEmpty": count(module.system.substitute_last(0), box) == 0}
 
-    return _level_report("B.1", {"ideal": a.to_json()}, lam, (lo, hi), box, levels, details,
+    return _level_report("B.1", {"ideal": a.to_json()}, a, lam, (lo, hi), box, levels, details,
                          ["degreeZeroEmpty"])
 
 
@@ -414,5 +415,5 @@ def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
         "rationalT": rational_t,
         "biconditional": rational_t == (rational_r and rational_s),
     }
-    return _level_report("A", {"ideal": a.to_json()}, lam, (0, 0), box, (), lambda count: details,
-                         ["biconditional"])
+    return _level_report("A", {"ideal": a.to_json()}, a, lam, (0, 0), box, (),
+                         lambda count, sides: details, ["biconditional"])

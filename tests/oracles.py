@@ -32,8 +32,9 @@ rank 1 onto a dummy axis, the principal pair's multiplier module read
 off its pairings with the rays, the unmemoised slice
 ``substitute_last_reference``, the B.2 right side on a ``Fraction``
 exponent ``decomposition_rhs_T_reference``, the unmemoised
-``reduced_fields_reference`` and the per-level SNC system
-``snc_level_reference``.  ``scale`` and ``strict_interior_system``,
+``reduced_fields_reference``, the per-level SNC system
+``snc_level_reference`` and the hand-built graded section system of the
+local verifier ``section_system_reference``.  ``scale`` and ``strict_interior_system``,
 former library functions that only tests call, live there too.
 """
 
@@ -1369,3 +1370,12 @@ def snc_level_reference(model: LocalHypersurfaceModel, lam, k) -> ThresholdSyste
     mu, units = as_int(k) + as_exponent(lam), unit_vectors(model.n)
     rhs = [interior_threshold(mu, e) for e in model.exps] if mu > 0 else [1] * model.m
     return ThresholdSystem(model.n, tuple(zip(units, rhs + [1] * (model.n - model.m))))
+
+
+def section_system_reference(model: LocalHypersurfaceModel, lam) -> ThresholdSystem:
+    """The local verifier's graded section system over (c', t) as it was built
+    by hand, once per lam: c'_i >= 1 for every i and
+    c'_i - a_i t >= 1 + floor(lam a_i) for i <= m."""
+    lam, units = as_exponent(lam), unit_vectors(model.n)
+    return ThresholdSystem(model.n + 1, [(u + (0,), 1) for u in units] + [
+        (u + (-e,), interior_threshold(lam, e)) for u, e in zip(units, model.exps)])

@@ -116,3 +116,28 @@ def test_out_writes_the_json_line_under_both_shas(ab, monkeypatch, capsys, tmp_p
     assert (result["sha_a"], result["sha_b"], result["jobs"], result["rounds"]) == (sha, "nogit", 3, 2)
     assert (result["mismatches"], result["pinned_checked"]) == (0, 1)
     assert json.loads(line).keys() == result.keys()
+
+
+def test_short_sha_marks_uncommitted_source_edits(ab, tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    (tree / "src" / "mod.py").write_text("x = 1\n", encoding="utf-8")
+    git = ["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t"]
+    try:
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["add", "-A"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "x"], check=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git is not available")
+    sha = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert ab.short_sha(tree) == sha
+    (tree / "notes.txt").write_text("outside src\n", encoding="utf-8")
+    assert ab.short_sha(tree) == sha
+    (tree / "src" / "mod.py").write_text("x = 2\n", encoding="utf-8")
+    assert ab.short_sha(tree) == f"{sha}-dirty"
+    subprocess.run(git + ["checkout", "-q", "--", "src"], check=True)
+    assert ab.short_sha(tree) == sha
+    (tree / "src" / "new.py").write_text("y = 1\n", encoding="utf-8")
+    assert ab.short_sha(tree) == f"{sha}-dirty"
+    assert ab.short_sha(tmp_path / "elsewhere") == "nogit"

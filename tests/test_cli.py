@@ -405,6 +405,14 @@ class TestOtherCommands:
         assert code == 0
         assert {"normal": [0, 0, 1], "threshold": "0"} in json.loads(out)["facets"]
 
+    def test_principal_cone_skips_the_normality_scan(self, capsys):
+        # (s^20) in 6 variables is principal, so normal; a scan of its powers
+        # would exceed the enumeration guard and exit 4
+        code, out, err = run_main(capsys, "rees-cone", "-i",
+                                  '{"nvars":6,"generators":[[20,20,20,20,20,20]]}')
+        assert (code, err) == (0, "")
+        assert {"normal": [1, 0, 0, 0, 0, 0, -20], "threshold": "0"} in json.loads(out)["facets"]
+
     def test_canonical(self, capsys):
         code, out, _ = run_main(capsys, "canonical", "-i", XY2, "--algebra", "ext-rees")
         assert code == 0

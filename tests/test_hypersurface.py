@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reesmult import hypersurface
+from reesmult import rees
 from reesmult.errors import DomainError
 from reesmult.hypersurface import (
     LocalHypersurfaceModel,
@@ -23,7 +23,7 @@ from reesmult.hypersurface import (
     snc_multiplier_section,
     verify_local_decomposition,
 )
-from reesmult.ideals import minimalize
+from reesmult.ideals import MonomialIdeal, minimalize
 from reesmult import polyhedra
 from reesmult.polyhedra import (
     POINT_GUARD_ENV,
@@ -32,11 +32,12 @@ from reesmult.polyhedra import (
     interior_threshold,
     unit_vectors,
 )
-from reesmult.rees import extended_rees_cone
+from reesmult.rees import extended_rees_cone, multiplier_module_general
 from reesmult.serialize import dumps_canonical
 
 from oracles import (
     local_decomposition_by_points,
+    section_system_reference,
     snc_level_reference,
     verify_local_decomposition_by_runs,
 )
@@ -298,7 +299,8 @@ class TestVerifyLocal:
 
 class TestGradedSections:
     """The section side of each local level is the slice at t = k of one
-    graded system per call, and equals the unit system the verifier built
+    graded system per call, the multiplier module of t^-1 on the extended
+    Rees cone of the SNC ideal, and equals the unit system the verifier built
     level by level before: c'_i >= max(1, floor(lam a_i) + 1 + k a_i) for
     i <= m, c'_i >= 1 past m."""
 
@@ -307,8 +309,11 @@ class TestGradedSections:
         sliced, slice_ = [], polyhedra._slice
 
         def recording(system, k):
-            sliced.append((system, k, slice_(system, k)))
-            return sliced[-1][2]
+            got = slice_(system, k)
+            # the cone's own slice check slices the cone, whose thresholds are all 0
+            if any(t for _, t in system.constraints):
+                sliced.append((system, k, got))
+            return got
 
         monkeypatch.setattr(polyhedra, "_slice", recording)
         rng = random.Random(3300 + n)
@@ -329,22 +334,35 @@ class TestGradedSections:
                         want = ThresholdSystem(n, tuple(zip(units, need + [1] * (n - m))))
                         assert got == want, (model, lam, k)
 
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_cone_module_is_the_section_system(self, n):
+        # every model with exponents <= 3 at lambda = t/6, 0 <= t <= 18: the
+        # module of t^-1 on the cone of (f) is the former hand-built system
+        for m in range(1, n + 1):
+            for exps in itertools.product(range(1, 4), repeat=m):
+                model = LocalHypersurfaceModel(n, m, exps)
+                alg = extended_rees_cone(MonomialIdeal(n, [exps + (0,) * (n - m)]))
+                for t in range(19):
+                    lam = Fraction(t, 6)
+                    got = multiplier_module_general(alg, (alg.t_inverse(),), lam).system
+                    assert got == section_system_reference(model, lam), (model, lam)
+
 
 class TestSncLevels:
-    """The SNC side of each local level is ``_snc_level(model, p, q)``, memoised
-    on mu = k + lam = p/q in lowest terms with every mu <= 0 keyed (0, 1), and
-    equals the system the verifier built level by level from the ``Fraction``
-    mu before."""
+    """The SNC side of each local level is the base-ring multiplier module of
+    the SNC ideal (f) at k + lam, looked up by ``rees._level_report``, and
+    equals the system the verifier built level by level from the
+    ``Fraction`` mu = k + lam before."""
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_against_the_reference(self, n, monkeypatch):
-        snc, seen = hypersurface._snc_level, []
+        rhs, seen = rees._rhs_T, []
 
-        def recording(model, p, q):
-            seen.append((p, q, snc(model, p, q)))
-            return seen[-1][2]
+        def recording(a, p, q, k):
+            seen.append((k, rhs(a, p, q, k)))
+            return seen[-1][1]
 
-        monkeypatch.setattr(hypersurface, "_snc_level", recording)
+        monkeypatch.setattr(rees, "_rhs_T", recording)
         rng = random.Random(3500 + n)
         for m in range(1, n + 1):
             for _ in range(4):
@@ -352,17 +370,12 @@ class TestSncLevels:
                 # lambda in [0, 3] at every breakpoint t / a_i and every midpoint
                 steps = sorted({Fraction(t, e) for e in exps for t in range(3 * e + 1)})
                 model = LocalHypersurfaceModel(n, m, exps)
-                snc.cache_clear()
                 for lam in steps + [(a + b) / 2 for a, b in zip(steps, steps[1:])]:
                     seen.clear()
                     verify_local_decomposition(model, lam, box_deg=8, box_c=1, k_range=(-8, 8))
-                    assert len(seen) == 17
-                    for k, (p, q, got) in zip(range(-8, 9), seen):
-                        mu = k + lam
-                        assert (p, q) == ((mu.numerator, mu.denominator) if mu > 0 else (0, 1))
-                        assert got == snc_level_reference(model, lam, k), (model, lam, k)
-                        equal = LocalHypersurfaceModel(n, m, list(exps))
-                        assert snc(equal, p, q) is got
+                    assert [k for k, _ in seen] == list(range(-8, 9))
+                    for k, got in seen:
+                        assert got.system == snc_level_reference(model, lam, k), (model, lam, k)
 
 
 def _same_report(model, lam, box_deg, box_c, k_range):

@@ -285,6 +285,21 @@ class TestIsNormal:
         assert first_non_closed_power(a, True) is None and is_normal(a, True)
         assert first_non_closed_power(a, False) is None
 
+    def test_principal_ideals_are_not_scanned(self, monkeypatch):
+        # (g)^k = (kg) is principal, so closed: no closure is listed, even where
+        # the scan's box of k times the generator would exceed the guard
+        def unlisted(a, k):
+            raise AssertionError("closure points listed")
+
+        monkeypatch.setattr(reesmult.ideals, "_closure_points", unlisted)
+        for a in (UNIT2, minimalize([(0,)]), minimalize([(3,)]), minimalize([(2, 0, 5)]),
+                  minimalize([(20,) * 6])):
+            for bound in (None, 1, 5, 40):
+                assert first_non_closed_power(a, bound) is None, (a, bound)
+                assert is_normal(a, bound), (a, bound)
+        with pytest.raises(DomainError, match="not an integer"):
+            first_non_closed_power(minimalize([(3,)]), 1.5)
+
     def test_matches_closure_oracle(self):
         rng = random.Random(5)
         # closed, but its square is not

@@ -235,8 +235,7 @@ class TestCaches:
     def test_bounded(self):
         for cached in (newton, extended_rees_cone, rees_cone, _graded_newton,
                        _multiplier_module, _multiplier_module_general, polyhedra._count,
-                       polyhedra._slice, polyhedra._reduced_fields,
-                       reesmult.hypersurface._snc_level):
+                       polyhedra._slice, polyhedra._reduced_fields):
             assert cached.cache_info().maxsize == polyhedra.CACHE_SIZE > 0
 
     def test_every_cache_is_bounded(self):
@@ -252,7 +251,7 @@ class TestCaches:
             for name, value in vars(module).items():
                 if callable(getattr(value, "cache_info", None)):
                     found.setdefault(value.__qualname__, value)
-        assert {"_count", "_slice", "_reduced_fields", "_snc_level", "_multiplier_module",
+        assert {"_count", "_slice", "_reduced_fields", "_multiplier_module",
                 "_multiplier_module_general", "newton", "extended_rees_cone"} <= set(found)
         assert unbounded <= set(found)
         for name, cached in found.items():
@@ -1092,8 +1091,8 @@ class TestWhereChecksRun:
             raise AssertionError("level built")
 
         monkeypatch.setattr(reesmult.rees, "graded_piece", unbuilt)
-        monkeypatch.setattr(reesmult.hypersurface, "ThresholdSystem", unbuilt)
-        # B.1 and B.2 slice their module directly, and local its graded system
+        monkeypatch.setattr(reesmult.hypersurface, "extended_rees_cone", unbuilt)
+        # B.1, B.2 and local slice their module directly
         polyhedra._slice.cache_clear()
         monkeypatch.setattr(polyhedra, "_slice", unbuilt)
         message = r"^level range of 11 levels exceeds enumeration guard 10$"
