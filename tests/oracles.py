@@ -34,8 +34,9 @@ off its pairings with the rays, the unmemoised slice
 exponent ``decomposition_rhs_T_reference``, the unmemoised
 ``reduced_fields_reference``, the per-level SNC system
 ``snc_level_reference`` and the hand-built graded section system of the
-local verifier ``section_system_reference``.  ``scale`` and ``strict_interior_system``,
-former library functions that only tests call, live there too.
+local verifier ``section_system_reference``.  ``scale`` and
+``strict_interior_system``, former library functions that only tests
+call, live there too.
 """
 
 from __future__ import annotations
