@@ -2,13 +2,14 @@
 monomial ideal.
 
 The extended Rees algebra R[at, t^-1] of a normal monomial ideal is the
-semigroup algebra of a full-dimensional cone in rank n+1 (last
-coordinate = t-degree); the Rees algebra adds the constraint k >= 0.
-On these models the canonical module is the strict interior of the
-cone, multiplier modules come from floor-threshold systems on the cone
-facets, and the graded decomposition of both multiplier modules reduces
-to an identity of integer threshold systems that this module verifies
-level by level against the base-ring Newton computation.
+semigroup algebra of the cone in rank n+1 (last coordinate = t-degree)
+that the exponents of its generators x_i, g t (g in a) and t^-1 span;
+the Rees algebra R[at] drops t^-1.  On these models the canonical module
+is the strict interior of the cone, a pair's multiplier module that of
+lam * (conv(gens) + cone), each read off one double description of
+generators, and the graded decomposition of both multiplier modules
+reduces to an identity of integer threshold systems that this module
+verifies level by level against the base-ring Newton computation.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ from .ideals import (
     first_non_closed_power,
     multiplier_module,
     newton,
-    newton_positive_facets,
 )
 from .polyhedra import (
     CACHE_SIZE,
-    Cone,
-    HalfSpace,
-    Polyhedron,
     ThresholdSystem,
-    _facet_rows,
+    _dd,
     as_box,
     as_exponent,
     as_fraction,
@@ -47,8 +44,6 @@ from .polyhedra import (
     interior_threshold,
     lattice_count,
     point_guard,
-    points_plus_cone,
-    homogeneous_rays,
     unit_vectors,
 )
 from .serialize import Record, frac_str
@@ -60,9 +55,10 @@ EXTENDED_REES = "EXTENDED_REES"
 class GradedToricAlgebra(Record):
     """Cone model of a Rees-type algebra, graded by the last coordinate.
 
-    ``cone`` is the H-representation of the dual cone (all thresholds 0,
-    irredundant); ``rays`` are the primitive generators of the primal
-    cone, i.e. exactly the facet normals, in matching order.
+    ``cone`` is the H-representation (all thresholds 0, irredundant) of the
+    cone that the exponents of the algebra's generators span, which ``source``
+    and ``kind`` give (``_algebra_generators``); ``rays`` are the primitive
+    generators of its dual cone, i.e. exactly the facet normals, in order.
     """
 
     __slots__ = ("nvars", "kind", "cone", "rays", "source")
@@ -179,7 +175,7 @@ def _validate_slices(alg: GradedToricAlgebra):
     """Level k of the cone must cut out a^k on all of Z^n: its reduced system
     must be that of {<w, m> >= k c} over the Newton facets of a for k >= 1
     (``extended_rees_cone`` compared those points with a^k), of the orthant
-    for k <= 0."""
+    for k <= 0: the Newton facets are a route independent of the generators."""
     a, n = alg.source, alg.nvars
     facets = [(h.normal, h.threshold) for h in newton(a).facets]
     units = [(u, 0) for u in unit_vectors(n)]
@@ -192,11 +188,20 @@ def _validate_slices(alg: GradedToricAlgebra):
             )
 
 
-def _cone_model(a: MonomialIdeal, kind: str, rows) -> GradedToricAlgebra:
-    """The model of a on the full-dimensional cone {x : <r, x> >= 0 for r in
-    rows}: its facet rows, read off one ``_dd``, then checked slice by slice."""
-    rows = [rows[i] for i in _facet_rows(rows, a.nvars + 1)]
-    system = ThresholdSystem(a.nvars + 1, tuple((w, 0) for w in rows))
+def _algebra_generators(a: MonomialIdeal, kind: str):
+    """Exponents of the algebra's generators: x_i as (e_i, 0), g t as (g, 1)
+    per generator g of a, and t^-1 as (0, ..., 0, -1) for the extended kind."""
+    gens = [u + (0,) for u in unit_vectors(a.nvars)] + [g + (1,) for g in a.generators]
+    return gens + [(0,) * a.nvars + (-1,)] if kind == EXTENDED_REES else gens
+
+
+def _cone_model(a: MonomialIdeal, kind: str) -> GradedToricAlgebra:
+    """The model of a on the cone its algebra generators span: its facet
+    normals are the extreme rays of one ``_dd`` of them (no lineality, as
+    they span), then checked slice by slice.  Level k >= 0 of the cone is
+    conv(k g) + orthant = k Newt(a), a level k < 0 the orthant."""
+    _, rays, _ = _dd(_algebra_generators(a, kind), a.nvars + 1)
+    system = ThresholdSystem(a.nvars + 1, tuple((r, 0) for r in rays))
     alg = GradedToricAlgebra(a.nvars, kind, system, system.normals(), a)
     _validate_slices(alg)
     return alg
@@ -204,24 +209,21 @@ def _cone_model(a: MonomialIdeal, kind: str, rows) -> GradedToricAlgebra:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def extended_rees_cone(a: MonomialIdeal) -> GradedToricAlgebra:
-    """Cone of R[at, t^-1]: {m >= 0} and <w_j, m> >= c_j k per Newton facet."""
+    """Cone of R[at, t^-1]: spanned by (e_i, 0), (g, 1) and (0, -1)."""
     k = first_non_closed_power(a, max(a.nvars - 1, 3))  # and each power the slice check reads
     if k is not None:
         raise NotNormalError(
             "extended Rees algebra is not toric: ideal not normal "
             f"(closure differs at power {k})"
         )
-    rows = [u + (0,) for u in unit_vectors(a.nvars)]
-    rows += [w + (-c,) for w, c in newton_positive_facets(a)]
-    return _cone_model(a, EXTENDED_REES, rows)
+    return _cone_model(a, EXTENDED_REES)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def rees_cone(a: MonomialIdeal) -> GradedToricAlgebra:
-    """Cone of R[at]: the extended cone intersected with {k >= 0}, so the
-    extended cone's normality check covers it."""
-    rows = list(extended_rees_cone(a).rays) + unit_vectors(a.nvars + 1)[-1:]
-    return _cone_model(a, REES, rows)
+    """Cone of R[at]: spanned by (e_i, 0) and (g, 1); normality is the extended cone's check."""
+    extended_rees_cone(a)
+    return _cone_model(a, REES)
 
 
 def canonical_module(alg: GradedToricAlgebra) -> GradedModuleSpec:
@@ -246,30 +248,21 @@ def principal_divisor_pairings(alg: GradedToricAlgebra, u) -> list:
 
 def multiplier_module_principal(alg: GradedToricAlgebra, u, lam) -> GradedModuleSpec:
     """Multiplier module of a principal monomial pair on the cone model: the
-    general pair of the one generator u, as u + C has the cone's facets with
-    thresholds <u, v_i>, so facet/ray i asks <m, v_i> >= 1 + floor(lam * <u, v_i>)."""
+    general pair of the one generator u, whose one ``_dd`` gives u + C the
+    cone's facets, so ray i asks <m, v_i> >= 1 + floor(lam * <u, v_i>)."""
     lam = as_exponent(lam)
     principal_divisor_pairings(alg, u)
     return multiplier_module_general(alg, (u,), lam)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _graded_newton(alg: GradedToricAlgebra, gens) -> Polyhedron:
-    normals = alg.cone.normals()
-    recession = Cone(
-        alg.ambient_rank,
-        homogeneous_rays(list(normals), alg.ambient_rank),
-        tuple(HalfSpace(w, 0) for w in normals),
-    )
-    return points_plus_cone(gens, recession, alg.ambient_rank)
 
 
 def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModuleSpec:
     """Multiplier module of the pair cut out by monomials ``gens`` on the
     cone model: strict interior of lam * (conv(gens) + cone), that is
     floor(lam * c) + 1 per facet (w, c) for lam > 0 and the canonical
-    module's system, the cone's strict interior, for lam = 0.  Memoised on
-    ``(alg, gens, lam)`` once gens and lam are canonical."""
+    module's system, the cone's strict interior, for lam = 0.  The facets
+    are read from the generators of ``alg.source`` and ``alg.kind``, which
+    span ``alg.cone`` for every algebra the two cone builders return.
+    Memoised on ``(alg, gens, lam)`` once gens and lam are canonical."""
     lam = as_exponent(lam)
     return _multiplier_module_general(alg, tuple(sorted({as_ints(g) for g in gens})), lam)
 
@@ -282,13 +275,17 @@ def _multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModu
             raise DomainError("generator length does not match ambient rank")
         if not alg.cone.satisfies(g):
             raise DomainError("generator outside cone")
-    # built at lam = 0 too: it rejects an empty generator list
-    newt = _graded_newton(alg, gens)
+    if not gens:
+        raise DomainError("no generating points")
     if lam == 0:
         system = canonical_module(alg).system
     else:
+        # facets (w, c), w != 0: rays of {<w, r> >= 0 per algebra generator r,
+        # <w, g> >= c per g}; each holds a g, so w is primitive and c an int
+        rows = [r + (0,) for r in _algebra_generators(alg.source, alg.kind)]
+        _, rays, _ = _dd(rows + [g + (-1,) for g in gens], alg.ambient_rank + 1)
         system = ThresholdSystem(alg.ambient_rank, tuple(
-            (h.normal, interior_threshold(lam, h.threshold)) for h in newt.facets))
+            (r[:-1], interior_threshold(lam, r[-1])) for r in rays if any(r[:-1])))
     tail = "T" if alg.kind == EXTENDED_REES else "S"
     return GradedModuleSpec(alg.ambient_rank, system, f"MULT_{tail}({frac_str(lam)})")
 

@@ -33,8 +33,10 @@ off its pairings with the rays, the unmemoised slice
 ``substitute_last_reference``, the B.2 right side on a ``Fraction``
 exponent ``decomposition_rhs_T_reference``, the unmemoised
 ``reduced_fields_reference``, the per-level SNC system
-``snc_level_reference`` and the hand-built graded section system of the
-local verifier ``section_system_reference``.  ``scale`` and
+``snc_level_reference``, the hand-built graded section system of the
+local verifier ``section_system_reference``, the cone models built from
+Newton facet rows ``cone_by_facet_rows_reference`` and the graded Newton
+polyhedron of a pair ``graded_newton_reference``.  ``scale`` and
 ``strict_interior_system``, former library functions that only tests
 call, live there too.
 """
@@ -45,7 +47,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from reesmult.errors import DomainError, ResourceLimitError
+from reesmult.errors import DomainError, NotNormalError, ResourceLimitError
 from reesmult.hypersurface import (
     LocalHypersurfaceModel,
     LocalMonomial,
@@ -95,6 +97,7 @@ from reesmult.polyhedra import (
     lattice_runs,
     orthant,
     point_guard,
+    points_plus_cone,
     primitive,
     unit_vectors,
 )
@@ -1380,3 +1383,39 @@ def section_system_reference(model: LocalHypersurfaceModel, lam) -> ThresholdSys
     lam, units = as_exponent(lam), unit_vectors(model.n)
     return ThresholdSystem(model.n + 1, [(u + (0,), 1) for u in units] + [
         (u + (-e,), interior_threshold(lam, e)) for u, e in zip(units, model.exps)])
+
+
+def cone_by_facet_rows_reference(a: MonomialIdeal, kind: str) -> GradedToricAlgebra:
+    """The cone models as they were built from Newton facet rows, after the
+    normality scan: the extended cone keeps the rows (e_i, 0) and (w, -c) per
+    positive Newton facet that ``_facet_rows`` marks as facets, the Rees cone
+    those of the extended cone's facet rows with e_{n+1} added."""
+    k = first_non_closed_power(a, max(a.nvars - 1, 3))
+    if k is not None:
+        raise NotNormalError(
+            "extended Rees algebra is not toric: ideal not normal "
+            f"(closure differs at power {k})"
+        )
+    n = a.nvars
+    if kind == REES:
+        rows = list(cone_by_facet_rows_reference(a, EXTENDED_REES).rays) + unit_vectors(n + 1)[-1:]
+    else:
+        rows = [u + (0,) for u in unit_vectors(n)] + [w + (-c,) for w, c in newton_positive_facets(a)]
+    rows = [rows[i] for i in _facet_rows(rows, n + 1)]
+    system = ThresholdSystem(n + 1, tuple((w, 0) for w in rows))
+    alg = GradedToricAlgebra(n, kind, system, system.normals(), a)
+    _validate_slices(alg)
+    return alg
+
+
+def graded_newton_reference(alg: GradedToricAlgebra, gens) -> Polyhedron:
+    """conv(gens) + cone as the library built it before the module was read
+    off the algebra's generators: the cone's rays listed from its facet
+    normals, then ``points_plus_cone``."""
+    normals = alg.cone.normals()
+    recession = Cone(
+        alg.ambient_rank,
+        homogeneous_rays(list(normals), alg.ambient_rank),
+        tuple(HalfSpace(w, 0) for w in normals),
+    )
+    return points_plus_cone(gens, recession, alg.ambient_rank)

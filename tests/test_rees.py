@@ -7,6 +7,7 @@ import itertools
 import math
 import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,6 @@ from reesmult.rees import (
     EXTENDED_REES,
     REES,
     GradedToricAlgebra,
-    _graded_newton,
     _multiplier_module_general,
     _rhs_T,
     _validate_slices,
@@ -68,9 +68,11 @@ from reesmult.rees import (
 )
 
 from oracles import (
+    cone_by_facet_rows_reference,
     cone_by_irredundant_facets,
     decomposition_rhs_T_reference,
     first_mismatch,
+    graded_newton_reference,
     in_ideal,
     multiplier_module_principal_by_pairings,
     pair_rational_by_box,
@@ -233,7 +235,7 @@ class TestSliceOracle:
 
 class TestCaches:
     def test_bounded(self):
-        for cached in (newton, extended_rees_cone, rees_cone, _graded_newton,
+        for cached in (newton, extended_rees_cone, rees_cone,
                        _multiplier_module, _multiplier_module_general, polyhedra._count,
                        polyhedra._slice, polyhedra._reduced_fields):
             assert cached.cache_info().maxsize == polyhedra.CACHE_SIZE > 0
@@ -805,15 +807,15 @@ def test_cone_records_hold_ints():
     for a in _random_normal_ideals(26, 60, (1, 2, 3, 4), lambda n: 3):
         for alg in (extended_rees_cone(a), rees_cone(a)):
             assert ints(t for _, t in alg.cone.constraints), (a, alg.kind)
-            newt = _graded_newton(alg, rees_ideal_generators(a))
+            newt = graded_newton_reference(alg, rees_ideal_generators(a))
             assert ints(h.threshold for h in newt.facets), (a, alg.kind)
             assert ints(e for v in newt.vertices for e in v), (a, alg.kind)
         assert ints(h.threshold for h in dual_cone(orthant(a.nvars)).facets), a
 
 
 class TestOneBuildPath:
-    """The Rees cone is the extended cone cut by k >= 0: one build path, one
-    normality scan per ideal, the same records as the two former builds."""
+    """Both cones come from one build path from the algebra's generators, with
+    one normality scan per ideal: the same records as the two former builds."""
 
     def test_matches_two_builds_in_either_order(self):
         ideals = _random_normal_ideals(24, 300, (1, 2, 3, 4), lambda n: 2)
@@ -826,6 +828,37 @@ class TestOneBuildPath:
                 rees_cone.cache_clear()
                 first(a)
                 assert (extended_rees_cone(a), rees_cone(a)) == want, (a, first)
+
+    def test_against_facet_rows(self):
+        # each cone is one ``_dd`` of its algebra's generators: the cone the
+        # Newton facet rows cut out, on distinct ideals of rank 1-5
+        rng = random.Random(35)
+        ideals = [minimalize([(0,) * n]) for n in range(1, 6)]
+        ideals += [minimalize([tuple(rng.randint(0, 5) for _ in range(n))])
+                   for n in range(1, 6) for _ in range(10)]
+        seen, normal = set(), set()
+        while len(normal) < 1000 or ideals:
+            if ideals:
+                a = ideals.pop()
+            else:
+                n = rng.randint(1, 5)
+                top = 5 if n < 3 else 3 if n < 4 else 2
+                gens = [tuple(rng.randint(0, top) for _ in range(n))
+                        for _ in range(rng.randint(1, 4))]
+                a = minimalize(gens, n)
+            if a in seen:
+                continue
+            seen.add(a)
+            try:
+                want = [cone_by_facet_rows_reference(a, kind) for kind in (EXTENDED_REES, REES)]
+            except NotNormalError as exc:
+                with pytest.raises(NotNormalError, match=re.escape(str(exc))):
+                    rees_cone(a)
+                continue
+            normal.add(a)
+            assert [extended_rees_cone(a), rees_cone(a)] == want, a
+        assert {a.nvars for a in normal} == {1, 2, 3, 4, 5}
+        assert sum(len(a.generators) == 1 for a in normal) > 50
 
     def test_non_normal_same_error(self):
         rng = random.Random(25)
@@ -863,6 +896,33 @@ class TestOneBuildPath:
         assert calls == [a]
 
 
+def test_cone_models_list_no_facets(monkeypatch):
+    """With the Newton polyhedra warm, cold cone builds, B.2, B.1, A and the
+    local verifier call neither ``homogeneous_rays``, ``_facet_rows`` nor
+    ``points_plus_cone``: each cone and each module on it is one ``_dd``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("facet listing called")
+
+    ideals = [M_XY, M_XY2, M_XYZ, minimalize([(3, 0), (1, 1), (0, 2)]), UNIT2]
+    model = LocalHypersurfaceModel(3, 2, (2, 3))
+    for a in ideals + [minimalize([(2, 3, 0)])]:  # the local verifier's SNC ideal
+        newton(a)
+    for name in ("homogeneous_rays", "_facet_rows", "points_plus_cone"):
+        monkeypatch.setattr(polyhedra, name, refuse)
+    for a in ideals:
+        for first in (extended_rees_cone, rees_cone):
+            for cached in (extended_rees_cone, rees_cone, _multiplier_module_general):
+                cached.cache_clear()
+            first(a)
+        for lam in (0, Fraction(1, 2), Fraction(5, 2)):
+            assert verify_theoremB_T(a, lam, (-2, 3)).overall, (a, lam)
+            assert verify_theoremB_S(a, lam, (0, 2)).overall, (a, lam)
+            assert verify_theoremA(a, lam).details["biconditional"], (a, lam)
+    for cached in (extended_rees_cone, _multiplier_module_general):
+        cached.cache_clear()
+    assert verify_local_decomposition(model, Fraction(1, 2), 2).overall
+
+
 class TestPairRationalityAgainstBox:
     def test_matches_box_test(self):
         # rank-3 boxes are kept small: the reference lists every pair box
@@ -884,6 +944,12 @@ class TestPairRationalityAgainstBox:
                 assert general.system.normals() == rees.cone.normals(), (a, lam)
 
 
+def _assert_module_by_reference(alg, gens, lam):
+    want = strict_interior_system(scale(graded_newton_reference(alg, gens), lam))
+    got = multiplier_module_general(alg, gens, lam).system
+    assert got == want, (alg.source, alg.kind, gens, lam)
+
+
 class TestMultiplierModuleGeneralAgainstScaledNewton:
     def test_random_normal_ideals(self):
         # the thresholds read off the facets, and the canonical module at 0,
@@ -897,9 +963,38 @@ class TestMultiplierModuleGeneralAgainstScaledNewton:
                     gen_sets.append((alg.t_inverse(),))
                 for gens in gen_sets:
                     for lam in (0, Fraction(1, 3), 1, Fraction(5, 2)):
-                        want = strict_interior_system(scale(_graded_newton(alg, gens), lam))
-                        got = multiplier_module_general(alg, gens, lam).system
-                        assert got == want, (a, alg.kind, gens, lam)
+                        _assert_module_by_reference(alg, gens, lam)
+
+    def test_random_monomial_sets(self):
+        # any 1-4 monomials of the algebra as the pair, not only the library's
+        # pairs, at 0 and at every breakpoint and midpoint in [0, 3]
+        rng, cases = random.Random(36), 0
+        for a in _random_normal_ideals(36, 40, (1, 2, 3), lambda n: 2):
+            for alg in (extended_rees_cone(a), rees_cone(a)):
+                gens = tuple(_cone_monomials(alg, rng, rng.randint(1, 4)))
+                newt = graded_newton_reference(alg, gens)  # floor(lam c) steps at t/|c|
+                thresholds = {abs(h.threshold) for h in newt.facets if h.threshold}
+                for lam in _breakpoints_and_midpoints(thresholds, 3):
+                    _assert_module_by_reference(alg, gens, lam)
+                    cases += 1
+        assert cases > 1000
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        n = data.draw(st.integers(1, 3))
+        gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=3))
+        a = integral_closure(minimalize(gens, n))
+        try:
+            ext = extended_rees_cone(a)
+        except DomainError:
+            assume(False)
+        alg = data.draw(st.sampled_from((ext, rees_cone(a))))
+        pair = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n, st.integers(-3, 3)),
+                                  min_size=1, max_size=4))
+        pair = tuple(u for u in pair if alg.cone.satisfies(u))
+        assume(pair)
+        _assert_module_by_reference(alg, pair, data.draw(st.fractions(0, 3, max_denominator=6)))
 
 
 def test_decisions_list_no_runs(monkeypatch):
