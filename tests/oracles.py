@@ -1397,11 +1397,11 @@ def cone_by_facet_rows_reference(a: MonomialIdeal, kind: str) -> GradedToricAlge
             f"(closure differs at power {k})"
         )
     n = a.nvars
-    if kind == REES:
-        rows = list(cone_by_facet_rows_reference(a, EXTENDED_REES).rays) + unit_vectors(n + 1)[-1:]
-    else:
-        rows = [u + (0,) for u in unit_vectors(n)] + [w + (-c,) for w, c in newton_positive_facets(a)]
+    rows = [u + (0,) for u in unit_vectors(n)] + [w + (-c,) for w, c in newton_positive_facets(a)]
     rows = [rows[i] for i in _facet_rows(rows, n + 1)]
+    if kind == REES:
+        rows += unit_vectors(n + 1)[-1:]
+        rows = [rows[i] for i in _facet_rows(rows, n + 1)]
     system = ThresholdSystem(n + 1, tuple((w, 0) for w in rows))
     alg = GradedToricAlgebra(n, kind, system, system.normals(), a)
     _validate_slices(alg)
