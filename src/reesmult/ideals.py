@@ -137,8 +137,9 @@ def first_non_closed_power(a: MonomialIdeal, bound=None):
 
     The k-fold sums generate a^k, which lies in its closure, so a^k is
     closed iff each minimal point of k Newt(a) is a sum (if a^k is closed,
-    the point is a minimal generator of a^k).  Closedness of the first
-    nvars - 1 powers implies normality, hence the default bound.
+    the point is a minimal generator of a^k).  Closed powers up to nvars - 1
+    imply normality (Reid, Roberts and Vitulli, Comm. Algebra 31, 2003),
+    hence the default bound.
     """
     bound = max(a.nvars - 1, 1) if bound is None else as_int(bound)
     if len(a.generators) == 1:  # (g)^k = (kg) is principal, so integrally closed

@@ -534,13 +534,6 @@ class ThresholdSystem(Record):
     def normals(self):
         return tuple(w for w, _ in self.constraints)
 
-    def reduced(self) -> "ThresholdSystem":
-        """The same lattice set without each row <w, m> >= t implied by the unit
-        rows m_i >= u_i (w >= 0 not a unit, u_i present where w_i > 0, t <= sum
-        w_i u_i).  Equal reduced systems cut out equal sets; unequal prove nothing.
-        ``compare_systems`` compares their ``_reduced_fields``, building neither."""
-        return ThresholdSystem(*_reduced_fields(self))
-
     def to_json(self):
         data = {
             "rank": self.rank,
@@ -561,9 +554,11 @@ def _slice(system: ThresholdSystem, k: int) -> ThresholdSystem:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _reduced_fields(system: ThresholdSystem):
-    """The fields of ``system.reduced()``, its rows canonical already: equal
-    fields, equal systems.  Memoised on the system, as the verifiers compare
-    the same level systems across lambda."""
+    """The fields (rank, rows, flag) of the same lattice set without each row
+    <w, m> >= t implied by the unit rows m_i >= u_i (w >= 0 not a unit, u_i
+    present where w_i > 0, t <= sum w_i u_i), its rows canonical already.
+    Equal fields cut out equal sets; unequal prove nothing.  Memoised on the
+    system, as the verifiers compare the same level systems across lambda."""
     units = {w.index(1): t for w, t in system.constraints if min(w) >= 0 and sum(w) == 1}
     kept = tuple((w, t) for w, t in system.constraints if min(w) < 0 or sum(w) == 1
                  or any(e and i not in units for i, e in enumerate(w))

@@ -21,7 +21,8 @@ minimality check, the closure that minimalized every run start, the
 and the ray listing built on it, the ``Fraction`` rank test for facets
 and full-dimensionality, the quadratic ``minimalize``, the
 point-by-point local verifier, the closure-based normality test, the
-generator-based and the run-based cone slice checks, the cone models
+generator-based and the run-based cone slice checks and the one that
+compared the reduced systems of a few levels, the cone models
 built one kind at a time through ``irredundant_facets``, the box test of
 pair rationality, the box scan for jumping numbers and the search that
 decided each jump candidate on its own derived boxes, the two-listing B.1,
@@ -32,7 +33,8 @@ rank 1 onto a dummy axis, the principal pair's multiplier module read
 off its pairings with the rays, the unmemoised slice
 ``substitute_last_reference``, the B.2 right side on a ``Fraction``
 exponent ``decomposition_rhs_T_reference``, the unmemoised
-``reduced_fields_reference``, the per-level SNC system
+``reduced_fields_reference``, the former ``ThresholdSystem.reduced``
+``reduced_system``, the per-level SNC system
 ``snc_level_reference``, the hand-built graded section system of the
 local verifier ``section_system_reference``, the cone models built from
 Newton facet rows ``cone_by_facet_rows_reference`` and the graded Newton
@@ -932,6 +934,28 @@ def validate_slices_by_runs(alg: GradedToricAlgebra):
     box = cube(a.nvars, 0, a.max_entry() * 3 + 2)
     for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
         if lattice_runs(alg.cone.substitute_last(k), box) != power_runs(a, k, box):
+            raise AssertionError(
+                f"internal: level-{k} slice of the {alg.kind} cone of "
+                f"{a.to_json()} does not match a^{k}"
+            )
+
+
+def reduced_system(system: ThresholdSystem) -> ThresholdSystem:
+    """The system of ``polyhedra._reduced_fields``: the same lattice set
+    without each row the unit rows imply (once ``ThresholdSystem.reduced``)."""
+    return ThresholdSystem(*polyhedra._reduced_fields(system))
+
+
+def validate_slices_by_levels(alg: GradedToricAlgebra):
+    """Level k of the cone must cut out a^k on all of Z^n: its reduced system
+    must be that of {<w, m> >= k c} over the Newton facets of a for k >= 1,
+    of the orthant for k <= 0, at k = -2..3 (0..3 on the Rees cone)."""
+    a, n = alg.source, alg.nvars
+    facets = [(h.normal, h.threshold) for h in newton(a).facets]
+    units = [(u, 0) for u in unit_vectors(n)]
+    for k in range(-2 if alg.kind == EXTENDED_REES else 0, 4):
+        want = ThresholdSystem(n, tuple([(w, k * c) for w, c in facets] if k >= 1 else units))
+        if reduced_system(alg.cone.substitute_last(k)) != reduced_system(want):
             raise AssertionError(
                 f"internal: level-{k} slice of the {alg.kind} cone of "
                 f"{a.to_json()} does not match a^{k}"

@@ -352,6 +352,8 @@ class TestClosedPowerScan:
             if i % 2:
                 a = integral_closure(a)
             first = first_non_closed_power_by_runs(a, max(n - 1, 3))
+            # closed powers up to n - 1 imply normality: a larger bound finds nothing more
+            assert first_non_closed_power(a) == first_non_closed_power(a, max(n - 1, 3)), a
             for bound in scan_bounds(a):
                 want = expected_at(first, a, bound)
                 assert first_non_closed_power(a, bound) == want, (a, bound)

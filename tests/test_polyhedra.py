@@ -65,6 +65,7 @@ from oracles import (
     kernel_basis,
     matrix_rank,
     reduced_fields_reference,
+    reduced_system,
     scale,
     strict_interior_points,
     strict_interior_system,
@@ -1297,15 +1298,16 @@ def _unit_heavy_system(rng, rank):
 
 
 class TestReduced:
-    """``ThresholdSystem.reduced`` drops only rows its unit rows imply, so
-    equal reduced systems are equal sets of the whole lattice."""
+    """The reduction ``_reduced_fields`` (``reduced_system``) drops only rows
+    the unit rows imply, so equal reduced systems are equal sets of the whole
+    lattice."""
 
     def test_drops_rows_at_the_unit_bound(self):
         omega = ThresholdSystem(2, (((1, 0), 1), ((0, 1), 1)))
-        assert ThresholdSystem(2, omega.constraints + (((1, 1), 2),)).reduced() == omega
-        assert ThresholdSystem(2, omega.constraints + (((1, 2), 3),)).reduced() == omega
+        assert reduced_system(ThresholdSystem(2, omega.constraints + (((1, 1), 2),))) == omega
+        assert reduced_system(ThresholdSystem(2, omega.constraints + (((1, 2), 3),))) == omega
         above = ThresholdSystem(2, omega.constraints + (((1, 1), 3),))
-        assert above.reduced() == above
+        assert reduced_system(above) == above
 
     def test_keeps_rows_the_units_do_not_imply(self):
         for rows in (
@@ -1314,9 +1316,9 @@ class TestReduced:
             (((1, 0), 0), ((0, 1), 0)),  # the unit rows themselves
         ):
             system = ThresholdSystem(2, rows)
-            assert system.reduced() == system
+            assert reduced_system(system) == system
         infeasible = ThresholdSystem(1, (((1,), 0), ((0,), 1)))
-        assert infeasible.reduced().infeasible
+        assert reduced_system(infeasible).infeasible
 
     def test_same_points_as_original(self):
         rng = random.Random(4100)
@@ -1324,20 +1326,20 @@ class TestReduced:
         for _ in range(400):
             rank = rng.randint(1, 3)
             system = _unit_heavy_system(rng, rank)
-            reduced = system.reduced()
+            reduced = reduced_system(system)
             dropped += len(system.constraints) - len(reduced.constraints)
             box = cube(rank, -3, 4)
             assert brute_lattice_points(reduced, box) == brute_lattice_points(system, box), system
         assert dropped >= 50
 
     def test_equals_the_constructed_system(self):
-        # reduced() keeps a subset of canonical rows; on the same 400 systems,
+        # the reduction keeps a subset of canonical rows; on the same 400 systems,
         # and on an infeasible one, it is the constructor's value for them
         rng = random.Random(4100)
         systems = [_unit_heavy_system(rng, rng.randint(1, 3)) for _ in range(400)]
         systems.append(ThresholdSystem(2, (((1, 0), 0), ((0, 1), 1), ((0, 0), 1))))
         for system in systems:
-            reduced = system.reduced()
+            reduced = reduced_system(system)
             built = ThresholdSystem(system.rank, reduced.constraints, system.infeasible)
             assert type(reduced) is ThresholdSystem
             assert (reduced.rank, reduced.constraints, reduced.infeasible) == (
@@ -1355,7 +1357,7 @@ class TestReduced:
             extra = _unit_heavy_system(rng, rank).constraints[-1:]
             s2 = ThresholdSystem(rank, s1.constraints + extra)
             for s2 in (s2, _shifted(rng, s1)):
-                if s1.reduced() == s2.reduced():
+                if reduced_system(s1) == reduced_system(s2):
                     certified += s1 != s2
                     box = cube(rank, -3, 4)
                     assert brute_lattice_points(s1, box) == brute_lattice_points(s2, box), (s1, s2)
@@ -1365,7 +1367,7 @@ class TestReduced:
 class TestReducedFieldsMemo:
     """``_reduced_fields`` is memoised on the system; its fields equal the
     unmemoised reference, cold and on a hit from an equal system, and
-    ``reduced()`` is the system they give."""
+    ``reduced_system`` is the system they give."""
 
     def test_against_the_reference(self):
         rng = random.Random(3400)
@@ -1382,7 +1384,7 @@ class TestReducedFieldsMemo:
                                     system.infeasible)
             assert polyhedra._reduced_fields(equal) is cold
             assert polyhedra._reduced_fields.cache_info().hits == 1
-            assert system.reduced() == ThresholdSystem(rank, kept, infeasible)
+            assert reduced_system(system) == ThresholdSystem(rank, kept, infeasible)
             seen["zero_head"] += any(not any(w[:-1]) for w, _ in system.constraints)
             seen["unit"] += any(min(w) >= 0 and sum(w) == 1 for w, _ in system.constraints)
             seen["flag"] += system.infeasible
@@ -1402,7 +1404,7 @@ def _implied_row(rng, system):
 
 class TestCompareSystemsDecision:
     """``compare_systems`` counts a pair alone exactly when ``lhs == rhs`` or
-    ``lhs.reduced() == rhs.reduced()``, and decides it without building a
+    ``reduced_system(lhs) == reduced_system(rhs)``, and decides it without building a
     ``ThresholdSystem``."""
 
     def test_decision_matches_reduced_equality(self, monkeypatch):
@@ -1434,7 +1436,7 @@ class TestCompareSystemsDecision:
             want = compare_runs(lattice_runs(s1, box), lattice_runs(s2, box))
             listed.clear()
             assert compare_systems(s1, s2, box) == want, (s1, s2)
-            certified = s1 == s2 or s1.reduced() == s2.reduced()
+            certified = s1 == s2 or reduced_system(s1) == reduced_system(s2)
             assert (listed == []) == certified, (s1, s2)
             kinds["equal" if s1 == s2 else "reduced" if certified else "differ"] += 1
             kinds["infeasible"] += s1.infeasible or s2.infeasible

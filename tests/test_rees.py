@@ -76,8 +76,10 @@ from oracles import (
     in_ideal,
     multiplier_module_principal_by_pairings,
     pair_rational_by_box,
+    reduced_system,
     scale,
     strict_interior_system,
+    validate_slices_by_levels,
     validate_slices_by_runs,
     validate_slices_reference,
     verify_theoremB_S_by_runs,
@@ -196,9 +198,10 @@ class TestSliceOracle:
                 _validate_slices(bad)
 
     def test_matches_reference_check(self):
-        # the symbolic check, the former run check and the generator check
-        # agree on every cone and on every cone with one threshold raised by
-        # 1; lowered by 1, the symbolic check raises wherever the run check does
+        # on every cone with one threshold raised by 1, the facet identity
+        # raises exactly where the former run check and the generator check
+        # raise, and those two say the same; lowered by 1, the identity
+        # raises wherever the run check does
         rng = random.Random(13)
         checked = 0
         while checked < 25:
@@ -228,9 +231,67 @@ class TestSliceOracle:
                         except AssertionError as exc:
                             verdicts.append(str(exc))
                     if step == 1:
-                        assert verdicts[0] == verdicts[1] == verdicts[2], (a, alg.kind, i)
+                        assert verdicts[1] == verdicts[2], (a, alg.kind, i)
+                        assert (verdicts[0] is None) == (verdicts[1] is None), (a, alg.kind, i)
                     else:
                         assert verdicts[0] is not None or verdicts[1] is None, (a, alg.kind, i)
+
+    @staticmethod
+    def _with_rows(alg, rows):
+        return GradedToricAlgebra(alg.nvars, alg.kind, ThresholdSystem(alg.ambient_rank, rows),
+                                  alg.rays, alg.source)
+
+    def test_identity_matches_level_check(self):
+        # the facet identity against the former check of the levels -2..3 on
+        # both cones of the unit ideals, one-generator ideals and 1000 normal
+        # seeded ideals of rank 1-5, every second one a closure: both accept
+        # each cone and refute it with one threshold raised by 1, and the
+        # identity refutes it with one facet row dropped
+        rng = random.Random(36)
+        ideals = [minimalize([(0,) * n]) for n in range(1, 6)]
+        ideals += [minimalize([tuple(rng.randint(0, 5) for _ in range(n))])
+                   for n in range(1, 6) for _ in range(4)]
+        seen, normal, i = set(), 0, 0
+        while normal < 1000 or ideals:
+            if ideals:
+                a = ideals.pop()
+            else:
+                n, i = 1 + i % 5, i + 1
+                a = minimalize([tuple(rng.randint(0, (5, 5, 4, 3, 2)[n - 1]) for _ in range(n))
+                                for _ in range(rng.randint(1, 3 if n == 5 else 4))], n)
+                a = integral_closure(a) if i % 2 else a
+            if a in seen:
+                continue
+            seen.add(a)
+            try:
+                algs = (extended_rees_cone(a), rees_cone(a))
+            except NotNormalError:
+                continue
+            normal += 1
+            for alg in algs:
+                _validate_slices(alg)
+                validate_slices_by_levels(alg)
+                rows = alg.cone.constraints
+                for j, (w, t) in enumerate(rows):
+                    raised = self._with_rows(alg, rows[:j] + ((w, t + 1),) + rows[j + 1:])
+                    for check in (_validate_slices, validate_slices_by_levels):
+                        with pytest.raises(AssertionError, match="does not match a\\^"):
+                            check(raised)
+                    with pytest.raises(AssertionError, match="does not match a\\^"):
+                        _validate_slices(self._with_rows(alg, rows[:j] + rows[j + 1:]))
+        assert {a.nvars for a in seen} == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("ideal", [M_XY, minimalize([(2, 0, 0), (1, 1, 0), (0, 1, 1)]),
+                                       minimalize([(3,)])])
+    def test_rees_cone_without_grading_row(self, ideal):
+        # dropping t >= 0 leaves every level k >= 0 as it was and makes each
+        # level k < 0 nonempty, a level the former check of the Rees cone never read
+        alg = rees_cone(ideal)
+        grading = (0,) * ideal.nvars + (1,)
+        bad = self._with_rows(alg, [(w, t) for w, t in alg.cone.constraints if w != grading])
+        validate_slices_by_levels(bad)
+        with pytest.raises(AssertionError, match="does not match a\\^"):
+            _validate_slices(bad)
 
 
 class TestCaches:
@@ -895,6 +956,15 @@ class TestOneBuildPath:
         rees_cone(a)
         assert calls == [a]
 
+    def test_large_exponent_scans_to_n_minus_1(self):
+        # (x, y)^4000 is normal; a scan to k = 3 would list a box of
+        # 12001^2 points at k = 3, past the enumeration guard
+        a = minimalize([(i, 4000 - i) for i in range(4001)], 2)
+        extended_rees_cone.cache_clear()
+        rees_cone.cache_clear()
+        assert rees_cone(a).cone.constraints == (
+            ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 1, -4000), 0))
+
 
 def test_cone_models_list_no_facets(monkeypatch):
     """With the Newton polyhedra warm, cold cone builds, B.2, B.1, A and the
@@ -1054,7 +1124,7 @@ class TestCompareLevel:
         units = (((1, 0), 0), ((0, 1), 0))
         s1 = ThresholdSystem(2, units + (((1, 1), 1),))
         s2 = ThresholdSystem(2, units + (((2, 1), 1), ((1, 2), 1)))
-        assert s1.reduced() != s2.reduced()
+        assert reduced_system(s1) != reduced_system(s2)
         want = compare_runs(lattice_runs(s1, self.BOX), lattice_runs(s2, self.BOX))
         listed, counted = _record_walks(monkeypatch)
         assert compare_systems(s1, s2, self.BOX) == want == (48, 48, None)
