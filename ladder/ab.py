@@ -99,7 +99,10 @@ def short_sha(tree):
 
 def load(tree, name):
     """Import ``<tree>/src/reesmult`` as the package ``name``; its relative
-    imports then resolve inside that tree."""
+    imports then resolve inside that tree.  Modules left under ``name`` by an
+    earlier load are dropped first, or the new package would bind them."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
     init = Path(tree).resolve() / "src" / "reesmult" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])

@@ -181,28 +181,34 @@ def _dd(rows, rank):
     each ray on its negative side to each adjacent ray on its positive
     side, then drops the negative ones.  Adjacency is the combinatorial
     test on zero-set bitmasks over the rows so far: no third ray vanishes
-    on every row both vanish on.  Rays are primitive and unique modulo the
+    on every row both vanish on; distinct rays, extreme modulo the
+    lineality, have distinct zero sets, so ``zr != zp and zr != zn`` skips
+    exactly the pair itself.  Rays are primitive and unique modulo the
     (non-unique) lineality basis.  Returns the lineality basis, the rays
     and, per ray, the bitmask of the rows that vanish on it.
     """
+    mul = operator.mul
     lin = unit_vectors(rank)
     rays = []  # (ray, bitmask of the rows added so far that vanish on it)
     for i, a in enumerate(rows):
         bit = 1 << i
-        pairs = [dot(a, l) for l in lin]
-        k = next((j for j, d in enumerate(pairs) if d), None)
-        if k is not None:
-            pivot, s = lin.pop(k), pairs.pop(k)
+        s = 0  # the pivot's pairing with a, if a is nonzero on the lineality
+        for k, pivot in enumerate(lin):
+            if s := sum(map(mul, a, pivot)):
+                break
+        if s:
             if s < 0:
                 pivot, s = _neg(pivot), -s
-            # move everything else onto <a, x> = 0 along the pivot; what is on it stays
-            lin = [_combine(s, l, -d, pivot) if d else l for l, d in zip(lin, pairs)]
-            rays = [(_combine(s, r, -d, pivot) if (d := dot(a, r)) else r, z | bit) for r, z in rays]
+            # move the vectors after the pivot onto <a, x> = 0 along it; the rest are on it
+            lin = lin[:k] + [_combine(s, l, -d, pivot) if (d := sum(map(mul, a, l))) else l
+                             for l in lin[k + 1:]]
+            rays = [(_combine(s, r, -d, pivot) if (d := sum(map(mul, a, r))) else r, z | bit)
+                    for r, z in rays]
             rays.append((pivot, bit - 1))
             continue
         pos, neg, kept = [], [], []
         for r, z in rays:
-            v = dot(a, r)
+            v = sum(map(mul, a, r))
             if v > 0:
                 pos.append((r, z, v))
                 kept.append((r, z))
@@ -216,13 +222,15 @@ def _dd(rows, rank):
         for p, zp, vp in pos:
             for n, zn, vn in neg:
                 z = zp & zn
-                if z.bit_count() < need or any(
-                    z & zr == z and zr != zp and zr != zn for zr in masks
-                ):
+                if z.bit_count() < need:
                     continue
-                kept.append((_combine(vp, n, -vn, p), z | bit))
-                if len(kept) > MAX_DD_RAYS:
-                    raise ResourceLimitError(f"double description exceeds {MAX_DD_RAYS} rays")
+                for zr in masks:
+                    if z & zr == z and zr != zp and zr != zn:
+                        break
+                else:
+                    kept.append((_combine(vp, n, -vn, p), z | bit))
+                    if len(kept) > MAX_DD_RAYS:
+                        raise ResourceLimitError(f"double description exceeds {MAX_DD_RAYS} rays")
         rays = kept
     return lin, [r for r, _ in rays], [z for _, z in rays]
 
@@ -238,7 +246,12 @@ def _facet_rows(rows, rank, zeros=None):
     """
     if zeros is None:
         _, _, zeros = _dd(rows, rank)
-    faces = [sum(1 << j for j, z in enumerate(zeros) if z >> i & 1) for i in range(len(rows))]
+    faces = [0] * len(rows)  # per row, the bitmask of the rays it vanishes on
+    for j, z in enumerate(zeros):
+        while z:
+            i = z.bit_length() - 1
+            faces[i] |= 1 << j
+            z ^= 1 << i
     if (1 << len(zeros)) - 1 in faces:
         return None
     return [i for i, f in enumerate(faces) if not any(f & g == f and f != g for g in faces)]

@@ -17,6 +17,7 @@ from .errors import ParseError
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 class Record:
@@ -96,5 +97,6 @@ def parse_int(text: str) -> int:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, no whitespace drift."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON: sorted keys, fixed separators, no whitespace drift.  The
+    circular check is off: every ``to_json`` builds a fresh tree, which cannot hold itself."""
+    return _ENCODER.encode(obj)

@@ -586,6 +586,18 @@ def dd_reference(rows, rank):
     return lin, [r for r, _ in rays], [z for _, z in rays]
 
 
+def facet_rows_reference(rows, rank, zeros=None):
+    """``polyhedra._facet_rows`` as it was before its faces were built by
+    walking the set bits of each zero mask: one rows × rays generator, which
+    tests every row's bit in every mask."""
+    if zeros is None:
+        _, _, zeros = _dd(rows, rank)
+    faces = [sum(1 << j for j, z in enumerate(zeros) if z >> i & 1) for i in range(len(rows))]
+    if (1 << len(zeros)) - 1 in faces:
+        return None
+    return [i for i, f in enumerate(faces) if not any(f & g == f and f != g for g in faces)]
+
+
 def frac_str_reference(value) -> str:
     """Format an exact rational as "p/q" ("p" when q = 1)."""
     f = Fraction(value)

@@ -1,13 +1,14 @@
 """``ladder/ab.py``, the paired replay of two trees: its percentile, ratio,
 round wins and sign test on fixed timings, its output checks and the file
 ``--out`` writes on a stand-in for the workload, and one small replay of this
-tree against itself, whose times are not asserted."""
+tree against itself per workload, whose times are not asserted."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -77,6 +78,22 @@ def test_replay_of_this_tree_against_itself(ab, capsys):
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (result["mismatches"], result["pinned_checked"], result["rounds"]) == (0, 4, 1)
     assert result["wins_a"] + result["wins_b"] <= 1
+
+
+def test_load_again_binds_its_own_submodules(ab, monkeypatch):
+    monkeypatch.setattr(sys, "modules", dict(sys.modules))
+    first = ab.load(ROOT, "tree_reload")
+    second = ab.load(ROOT, "tree_reload")
+    assert second is not first and second.serialize is not first.serialize
+    assert second.polyhedra.Cone is second.Cone
+
+
+def test_facets_replay_of_this_tree_against_itself(ab, capsys):
+    assert ab.main([str(ROOT), str(ROOT), "--workload", "facets", "--jobs", "8",
+                    "--rounds", "1"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (result["workload"], result["mismatches"], result["pinned_checked"]) == ("facets", 0, 8)
+    assert result["rounds"] == 1 and result["wins_a"] + result["wins_b"] <= 1
 
 
 def _stand_in(ab, monkeypatch):

@@ -54,6 +54,7 @@ from oracles import (
     dd_reference,
     dual_cone_by_two_runs,
     facet_rows_by_rank,
+    facet_rows_reference,
     first_mismatch,
     fm_dual_cone,
     fm_full_dimensional,
@@ -1765,6 +1766,39 @@ class TestDoubleDescriptionAgainstReference:
                 for _ in range(rng.randint(1, 6))]
             assert polyhedra._dd(rows, rank + 1) == dd_reference(rows, rank + 1), rows
 
+    def test_rays_of_pointed_cones_and_their_duals(self):
+        # ``dual_cone`` feeds ``_dd`` a cone's sorted primitive rays; a double
+        # dual feeds it the rays of the dual
+        rng = random.Random(17200)
+        seen = {rank: 0 for rank in range(3, 6)}
+        while min(seen.values()) < 60:
+            rank = rng.randint(3, 5)
+            # every generator pairs > 0 with (1, ..., 1), so the cone is pointed
+            gens = [g for g in (tuple(rng.randint(-2, 3) for _ in range(rank))
+                                for _ in range(rng.randint(rank, rank + 5))) if sum(g) > 0]
+            if matrix_rank(gens) < rank:
+                continue
+            c = Cone(rank, gens)
+            d = dual_cone(c)
+            for rays in (c.rays, d.rays):
+                got = polyhedra._dd(rays, rank)
+                assert got == dd_reference(rays, rank), (rays, rank)
+                assert not got[0] and got[1]  # pointed, full-dimensional dual
+            seen[rank] += 1
+
+    def test_rows_in_every_order(self):
+        # every order of up to five rows, zero, repeated and rank-deficient
+        # rows (lineality) among them
+        rng = random.Random(17300)
+        seen = {"lineality": 0, "pointed": 0}
+        for _ in range(60):
+            rows, rank = random_dd_rows(rng)
+            for order in itertools.permutations(rows[:5]):
+                got = polyhedra._dd(order, rank)
+                assert got == dd_reference(order, rank), (order, rank)
+                seen["lineality" if got[0] else "pointed"] += 1
+        assert min(seen.values()) >= 500, seen
+
     @pytest.mark.parametrize("limit", (2, 4, 8))
     def test_ray_guard_same_as_reference(self, limit, monkeypatch):
         monkeypatch.setattr(polyhedra, "MAX_DD_RAYS", limit)
@@ -1812,6 +1846,40 @@ class TestZeroSetFacets:
             seen["not full-dimensional"] += got is None
             seen["facets"] += bool(got)
         assert min(seen.values()) >= 500, seen
+
+    def test_same_as_reference_body(self):
+        # the same 2000 row sets, with the zero sets passed in and left out
+        rng = random.Random(7700)
+        for _ in range(2000):
+            rank = rng.randint(1, 5)
+            rows = random_row_set(rng, rank)
+            zeros = polyhedra._dd(rows, rank)[2]
+            want = facet_rows_reference(rows, rank)
+            assert polyhedra._facet_rows(rows, rank) == want, (rank, rows)
+            assert polyhedra._facet_rows(rows, rank, zeros) == want, (rank, rows)
+            assert facet_rows_reference(rows, rank, zeros) == want, (rank, rows)
+
+    def test_many_rows_same_as_reference_body(self):
+        # 70 or more rows, so the zero masks take more than one 30-bit digit
+        rng = random.Random(7800)
+        seen = {"not full-dimensional": 0, "facets": 0, "multi-digit masks": 0}
+        for kind in ("free", "pointed dual", "flat") * 15:
+            rank = rng.randint(2, 4)
+            rows = [r for r in (tuple(rng.randint(-3, 3) for _ in range(rank))
+                                for _ in range(rng.randint(70, 90)))
+                    if any(r) and (kind == "free" or sum(r) > 0)]
+            # rows pairing > 0 with (1, ..., 1) keep it interior
+            rows += [tuple(rng.randint(1, 3) for _ in range(rank)) for _ in range(70 - len(rows))]
+            if kind == "flat":
+                # the negated sum of a few rows confines the cone to a hyperplane
+                rows.append(tuple(-sum(col) for col in zip(*rng.sample(rows, 3))))
+            zeros = polyhedra._dd(rows, rank)[2]
+            want = facet_rows_reference(rows, rank)
+            assert polyhedra._facet_rows(rows, rank) == want, (rank, rows)
+            assert polyhedra._facet_rows(rows, rank, zeros) == want, (rank, rows)
+            seen["not full-dimensional" if want is None else "facets"] += 1
+            seen["multi-digit masks"] += max(zeros, default=0).bit_length() > 30
+        assert min(seen.values()) >= 10, seen
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -149,6 +150,22 @@ def test_pickle_and_copy_rebuild_equal_values(cls):
     obj = MAKERS[cls]()
     for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
         assert type(clone) is cls and _fields(clone) == _fields(obj)
+
+
+@pytest.mark.parametrize("cls", [cls for cls in MAKERS if hasattr(cls, "to_json")],
+                         ids=lambda cls: cls.__name__)
+def test_canonical_json_is_sorted_compact_dumps(cls):
+    data = MAKERS[cls]().to_json()
+    assert dumps_canonical(data) == json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("data", [
+    [["\u00e9t\u00e9", ["\u03bb", "\U0001d53c"]], {"z": "\u2264", "a": [None]}],
+    {"big": [2 ** 64, -(2 ** 64) - 1, 3 ** 90], "flags": [True, False, None]},
+    [[[[]]], {}, "", 0, -1],
+], ids=("non-ascii", "big-ints-bools-none", "empty"))
+def test_canonical_json_of_plain_trees(data):
+    assert dumps_canonical(data) == json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def test_repr_of_a_halfspace():
