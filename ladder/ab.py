@@ -14,9 +14,10 @@ benchmark processes cannot promise.
   time is lower; a tie goes to neither.
 
 It prints per tree the median over rounds of the round's job p50 and p90 (in
-ms, nearest rank), the ratio B/A of those p50s, the rounds each tree won and
-the exact two-sided sign-test p-value of the wins, then the same as one JSON
-line, which also names each tree's short git sha (``<sha>-dirty`` if its
+ms, nearest rank), the ratio B/A of those p50s, the ratio B/A of the median
+round totals (the sum of a round's job times: the replay's view of
+``jobs_per_s``), the rounds each tree won and the exact two-sided sign-test
+p-value of the wins, then the same as one JSON line, which also names each tree's short git sha (``<sha>-dirty`` if its
 ``src/`` has uncommitted changes, ``nogit`` outside a git checkout).  With
 ``--out DIR`` that line is also written to ``DIR/BENCH_<sha A>_vs_<sha
 B>.json``; without it nothing is written.  Exit status 1 if an output differs.
@@ -64,8 +65,9 @@ def sign_test(wins, losses):
 def summarize(rounds):
     """``rounds`` is a list of ``(times_a, times_b)``, job times in seconds of
     one round.  Returns the medians over rounds of each tree's p50 and p90 in
-    ms, the ratio B/A of the median p50s, each tree's round wins on p50 and the
-    sign-test p-value of those wins."""
+    ms, the ratio B/A of the median p50s, the ratio B/A of the median round
+    totals, each tree's round wins on p50 and the sign-test p-value of those
+    wins."""
     p50 = [[percentile(times, 0.5) for times in pair] for pair in rounds]
     p90 = [[percentile(times, 0.9) for times in pair] for pair in rounds]
     wins_a = sum(a < b for a, b in p50)
@@ -74,7 +76,9 @@ def summarize(rounds):
     for side, name in enumerate("ab"):
         out[f"p50_ms_{name}"] = statistics.median(r[side] for r in p50) * 1e3
         out[f"p90_ms_{name}"] = statistics.median(r[side] for r in p90) * 1e3
-    out.update(ratio_p50=out["p50_ms_b"] / out["p50_ms_a"], rounds=len(rounds),
+    total_a, total_b = (statistics.median(sum(r[side]) for r in rounds) for side in (0, 1))
+    out.update(ratio_p50=out["p50_ms_b"] / out["p50_ms_a"], ratio_total=total_b / total_a,
+               rounds=len(rounds),
                wins_a=wins_a, wins_b=wins_b, sign_p=sign_test(wins_a, wins_b))
     return out
 
@@ -178,7 +182,8 @@ def main(argv=None):
         side = name.lower()
         print(f"tree {name} {tree}: p50 {result[f'p50_ms_{side}']:.4f} ms  "
               f"p90 {result[f'p90_ms_{side}']:.4f} ms  rounds won {result[f'wins_{side}']}")
-    print(f"B/A p50 {result['ratio_p50']:.4f}  sign-test p {result['sign_p']:.4g}  "
+    print(f"B/A p50 {result['ratio_p50']:.4f}  total {result['ratio_total']:.4f}  "
+          f"sign-test p {result['sign_p']:.4g}  "
           f"over {result['rounds']} rounds of {args.jobs} {args.workload} jobs; "
           f"{result['pinned_checked']} pinned digests checked, {len(problems)} mismatches")
     line = json.dumps(result, sort_keys=True)

@@ -250,8 +250,12 @@ def default_box(a: MonomialIdeal, lam_max):
     """Verification box: covers the minimal generators of every module
     compared at exponents up to lam_max."""
     lam_max = as_fraction(lam_max)
-    upper = a.max_entry() * (math.ceil(lam_max) + 2) + 2
-    return cube(a.nvars, 0, upper)
+    return _default_box(a, lam_max.numerator, lam_max.denominator)
+
+
+def _default_box(a: MonomialIdeal, p: int, q: int):
+    # default_box at lam_max = p/q, q > 0, in ints: ceil(p/q) = -(-p // q)
+    return cube(a.nvars, 0, a.max_entry() * (-(-p // q) + 2) + 2)
 
 
 class JumpReport(Record):

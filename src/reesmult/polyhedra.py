@@ -78,7 +78,7 @@ def as_rational(value):
 def as_exponent(lam) -> Fraction:
     """``as_fraction(lam)``, refused when negative: a multiplier exponent."""
     lam = as_fraction(lam)
-    if lam < 0:
+    if lam.numerator < 0:
         raise DomainError("lambda must be nonnegative")
     return lam
 

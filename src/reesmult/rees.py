@@ -22,8 +22,8 @@ from .ideals import (
     OMEGA,
     MonomialIdeal,
     MonomialModule,
+    _default_box,
     _multiplier_module,
-    default_box,
     first_non_closed_power,
     multiplier_module,
     newton,
@@ -260,13 +260,15 @@ def multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModul
     module's system, the cone's strict interior, for lam = 0.  The facets
     are read from the generators of ``alg.source`` and ``alg.kind``, which
     span ``alg.cone`` for every algebra the two cone builders return.
-    Memoised on ``(alg, gens, lam)`` once gens and lam are canonical."""
+    Memoised on ``(alg, gens, p, q)`` for canonical gens and lam = p/q in
+    lowest terms, once lam is checked: a float equal to a cached lam is refused."""
     lam = as_exponent(lam)
-    return _multiplier_module_general(alg, tuple(sorted({as_ints(g) for g in gens})), lam)
+    return _multiplier_module_general(alg, tuple(sorted({as_ints(g) for g in gens})),
+                                      lam.numerator, lam.denominator)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModuleSpec:
+def _multiplier_module_general(alg: GradedToricAlgebra, gens, p: int, q: int) -> GradedModuleSpec:
     # checks that read only the key: an error is raised on every call, never cached
     for g in gens:
         if len(g) != alg.ambient_rank:
@@ -275,7 +277,8 @@ def _multiplier_module_general(alg: GradedToricAlgebra, gens, lam) -> GradedModu
             raise DomainError("generator outside cone")
     if not gens:
         raise DomainError("no generating points")
-    if lam == 0:
+    lam = Fraction(p, q)
+    if p == 0:
         system = canonical_module(alg).system
     else:
         # facets (w, c), w != 0: rays of {<w, r> >= 0 per algebra generator r,
@@ -332,7 +335,8 @@ def verify_theoremB_T(a: MonomialIdeal, lam, k_range=(-3, 6), box=None) -> Verif
     alg = extended_rees_cone(a)
     module = multiplier_module_general(alg, (alg.t_inverse(),), lam)
     lo, hi = as_range(k_range)
-    box = default_box(a, lam + max(hi, 0)) if box is None else as_box(box, a.nvars)
+    p, q = lam.numerator, lam.denominator
+    box = _default_box(a, p + max(hi, 0) * q, q) if box is None else as_box(box, a.nvars)
 
     def details(count, sides):  # per level: equal thresholds on the normals both sides have
         shared = [(dict(lhs.constraints), rhs.constraints) for lhs, rhs in sides]
@@ -364,7 +368,8 @@ def verify_theoremB_S(a: MonomialIdeal, lam, n_range=(0, 5), box=None) -> Verifi
     lo, hi = as_range(n_range)
     if lo < 0:
         raise DomainError("decomposition index must be nonnegative")
-    box = default_box(a, lam + max(hi + 1, 0)) if box is None else as_box(box, a.nvars)
+    p, q = lam.numerator, lam.denominator
+    box = _default_box(a, p + max(hi + 1, 0) * q, q) if box is None else as_box(box, a.nvars)
     levels = ((n + 1, module.system.substitute_last(n + 1), box) for n in range(lo, hi + 1))
 
     def details(count, sides):  # the degree-0 piece is counted after the levels
@@ -399,7 +404,9 @@ def verify_theoremA(a: MonomialIdeal, lam, box=None) -> VerificationReport:
     lam = as_fraction(lam)
     ext = extended_rees_cone(a)
     rees = rees_cone(a)
-    box = default_box(a, lam if lam > 0 else 1) if box is None else as_box(box, a.nvars)
+    # lam <= 0 takes the box at 1, which is the box at 1/q: ceil(1/q) = 1
+    p, q = max(lam.numerator, 1), lam.denominator
+    box = _default_box(a, p, q) if box is None else as_box(box, a.nvars)
     rational_r = multiplier_module(a, lam).system.satisfies((1,) * a.nvars)
     rational_t = is_pair_rational(ext, ext.t_inverse(), lam)
     s_module = multiplier_module_general(rees, rees_ideal_generators(a), lam)

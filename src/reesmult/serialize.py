@@ -23,9 +23,15 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circula
 class Record:
     """Immutable value over the fields ``__slots__``, compared, hashed and shown
     field-wise; subclasses write every field once, through ``self._set``, in
-    ``__init__``."""
+    ``__init__``.
 
-    __slots__ = ()
+    The base's one slot ``_h`` memoises the hash of the field tuple on the
+    first ``hash``.  It is derived from the fields, not one of them, so
+    ``_key``, ``==``, ``repr`` and pickle never see it and a clone computes
+    its own.  A record with an unhashable field raises ``TypeError`` on
+    every ``hash`` and stores nothing."""
+
+    __slots__ = ("_h",)
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
@@ -46,7 +52,12 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key(self))
+        try:
+            return self._h
+        except AttributeError:
+            h = hash(self._key(self))
+            _set_hash(self, h)
+            return h
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -59,6 +70,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+_set_hash = Record._h.__set__
 
 
 def frac_str(value) -> str:

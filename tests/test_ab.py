@@ -59,6 +59,8 @@ def test_summarize_fixed_rounds(ab):
     assert got["p50_ms_a"] == pytest.approx(2.0) and got["p50_ms_b"] == pytest.approx(1.0)
     assert got["p90_ms_a"] == pytest.approx(5.0) and got["p90_ms_b"] == pytest.approx(3.0)
     assert got["ratio_p50"] == pytest.approx(0.5)
+    # round totals: A 10, 14, 12 ms; B 12.5, 8, 6 ms; medians 12 and 8 ms
+    assert got["ratio_total"] == pytest.approx(8 / 12)
     assert (got["rounds"], got["wins_a"], got["wins_b"]) == (3, 0, 2)
     assert got["sign_p"] == pytest.approx(0.5)
 

@@ -9,7 +9,9 @@ under ``perfbench`` is written."""
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -79,6 +81,36 @@ def test_verify_jobs_check_each_box_once(monkeypatch):
         total += len(checked)
     # 950 checks; a check in every walk made 2750
     assert total <= 1000, total
+
+
+def _package_caches():
+    """Every ``lru_cache`` of the package, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(reesmult.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        for value in vars(importlib.import_module(f"reesmult.{info.name}")).values():
+            if callable(getattr(value, "cache_info", None)):
+                found.setdefault(f"{value.__module__}.{value.__qualname__}", value)
+    return found
+
+
+def test_warm_verify_misses_no_cache():
+    # one lambda rotation of the menu runs every entry at every lambda of its
+    # grid; if that pass outgrows a cache, the next pass rebuilds what it evicted
+    caches = _package_caches()
+    assert len(caches) == 10, sorted(caches)
+    rotation = [jobs.job("verify", jobs.PINNED_SEED, i)
+                for i in range(len(jobs.VERIFY_MENU) * len(jobs.LAMBDAS))]
+    assert len(rotation) == 96 and len(set(rotation)) == 90
+    for cached in caches.values():
+        cached.cache_clear()
+    for job in rotation:
+        jobs.run(reesmult, "verify", job)
+    misses = {name: cached.cache_info().misses for name, cached in caches.items()}
+    for job in rotation:
+        jobs.run(reesmult, "verify", job)
+    assert {name: cached.cache_info().misses for name, cached in caches.items()} == misses
 
 
 def test_cli_jobs_match_pins(monkeypatch):

@@ -169,6 +169,20 @@ def test_interior_threshold_against_floor():
         assert type(got) is int and got == math.floor(lam * c) + 1, (lam, c)
 
 
+@pytest.mark.parametrize("lam, want", [
+    (0, Fraction(0)), (True, Fraction(1)), ("-0", Fraction(0)),
+    ("-1/2", "^lambda must be nonnegative$"), (Fraction(-1, 3), "^lambda must be nonnegative$"),
+    (0.5, "no floating point"),
+], ids=["zero", "true", "minus-zero", "negative-string", "negative-fraction", "float"])
+def test_as_exponent(lam, want):
+    if isinstance(want, str):
+        with pytest.raises(DomainError, match=want):
+            polyhedra.as_exponent(lam)
+    else:
+        got = polyhedra.as_exponent(lam)
+        assert type(got) is Fraction and got == want
+
+
 def _int_vector(rng, rank):
     """Entries mixing zeros, small values of either sign and values above 2**64,
     sometimes all scaled by a common factor so the gcd exceeds 1."""

@@ -3,7 +3,10 @@ every module parses with that version's grammar, so syntax from a newer
 Python fails here and not only on an older interpreter.  Each record is
 built through its own ``__init__``, so no module uses ``object.__new__``,
 and writes its fields only there, through ``self._set``: no module reads
-``object.__setattr__``."""
+``object.__setattr__``.  A slot descriptor's ``__set__`` is read only in
+``serialize.py``: by ``Record.__init_subclass__`` for the field setters of
+``_set``, and once at module level for the hash memo ``Record._h``, which
+only ``Record.__hash__`` writes."""
 
 from __future__ import annotations
 
@@ -54,3 +57,17 @@ def test_fields_written_only_by_set_in_init(path):
                  and id(node) not in allowed]
     assert not setattr_lines, f"{path.name} reads object.__setattr__ at lines {setattr_lines}"
     assert not set_lines, f"{path.name} uses _set outside self._set(...) in __init__ at {set_lines}"
+
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_slots_set_only_by_fields_and_hash_memo(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = sorted(ast.unparse(node) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "__set__")
+    want = ["Record._h.__set__", "getattr(cls, f).__set__"] if path.name == "serialize.py" else []
+    assert found == want
+    memo_writes = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name != "__hash__"
+                   for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "_set_hash"]
+    assert not memo_writes, f"{path.name} writes the hash memo outside __hash__"

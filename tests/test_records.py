@@ -139,6 +139,32 @@ def test_equal_fields_equal_values(cls):
 
 
 @RECORDS
+def test_hash_is_memoised_and_not_a_field(cls):
+    obj = MAKERS[cls]()
+
+    def memo():
+        return Record._h.__get__(obj, cls)
+
+    with pytest.raises(AttributeError):
+        memo()
+    if cls is VerificationReport:  # unhashable fields: raises every time, stores nothing
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(obj)
+        with pytest.raises(AttributeError):
+            memo()
+    else:
+        assert hash(obj) == memo() == hash(obj) == hash(_fields(obj))
+        clones = (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj))
+        assert all(hash(clone) == hash(obj) for clone in clones)
+    with pytest.raises(AttributeError):
+        obj._h = 0
+    with pytest.raises(AttributeError):
+        del obj._h
+    assert "_h" not in cls.__slots__ and "_h" not in repr(obj)
+
+
+@RECORDS
 def test_repr_names_each_field(cls):
     obj = MAKERS[cls]()
     fields = ", ".join(f"{f}={getattr(obj, f)!r}" for f in cls.__slots__)

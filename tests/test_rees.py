@@ -21,7 +21,9 @@ from reesmult import polyhedra
 from reesmult.errors import DomainError, NotNormalError, ParseError, ResourceLimitError
 from reesmult.hypersurface import LocalHypersurfaceModel, verify_local_decomposition
 from reesmult.ideals import (
+    _default_box,
     _multiplier_module,
+    default_box,
     first_non_closed_power,
     integral_closure,
     minimalize,
@@ -92,6 +94,15 @@ M_XY2 = minimalize([(2, 0), (1, 1), (0, 2)])
 M_X2Y3 = minimalize([(2, 0), (0, 3)])
 UNIT2 = minimalize([(0, 0)])
 M_XYZ = minimalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+# the ideals of the benchmark's verify workload: (x,y)^2, (x^3,xy,y^2),
+# (x,y,z)^2, (x,y,z)^3 and (x1..x4)^2
+VERIFY_IDEALS = (
+    ((2, 0), (1, 1), (0, 2)),
+    ((3, 0), (1, 1), (0, 2)),
+    tuple(g for g in itertools.product(range(3), repeat=3) if sum(g) == 2),
+    tuple(g for g in itertools.product(range(4), repeat=3) if sum(g) == 3),
+    tuple(g for g in itertools.product(range(3), repeat=4) if sum(g) == 2),
+)
 
 
 class TestConeConstruction:
@@ -363,6 +374,25 @@ class TestMemoisedModules:
                 multiplier_module_general(rees, [[0, 0, 0.0]], Fraction(1, 2))
             with pytest.raises(DomainError, match="generator outside cone"):
                 multiplier_module_general(rees, [(0, 0, -1)], Fraction(1, 2))
+
+    @pytest.mark.parametrize("kind", [REES, EXTENDED_REES])
+    def test_general_keyed_on_lowest_terms(self, kind):
+        # the key holds lam = p/q as two ints: every spelling of 1/2 is one entry
+        alg = rees_cone(M_XY2) if kind == REES else extended_rees_cone(M_XY2)
+        gens = rees_ideal_generators(M_XY2) if kind == REES else (alg.t_inverse(),)
+        _multiplier_module_general.cache_clear()
+        module = multiplier_module_general(alg, gens, Fraction(1, 2))
+        assert module.description == f"MULT_{'S' if kind == REES else 'T'}(1/2)"
+        for lam in ("1/2", "2/4", Fraction(2, 4)):
+            hits = _multiplier_module_general.cache_info().hits
+            assert multiplier_module_general(alg, gens, lam) is module
+            assert _multiplier_module_general.cache_info().hits == hits + 1
+        with pytest.raises(DomainError, match="no floating point"):
+            multiplier_module_general(alg, gens, 0.5)
+        for lam in (-1, Fraction(-1, 2), "-1/2"):
+            with pytest.raises(DomainError, match="^lambda must be nonnegative$"):
+                multiplier_module_general(alg, gens, lam)
+        assert multiplier_module_general(alg, gens, 0).system == canonical_module(alg).system
 
 
 class TestCanonicalModule:
@@ -750,6 +780,22 @@ class TestDefaultBoxes:
         assert verify_theoremB_T(M_XY2, lam, (hi - 1, hi)).box == graded(hi)
         if hi >= 0:
             assert verify_theoremB_S(M_XY2, lam, (0, hi)).box == graded(hi + 1)
+
+    @pytest.mark.parametrize("gens", VERIFY_IDEALS,
+                             ids=["xy^2", "x3-xy-y2", "xyz^2", "xyz^3", "x1..x4^2"])
+    def test_integer_boxes_are_default_box(self, gens):
+        # the verifiers' boxes from p, q in ints against default_box at lam + shift
+        # and against the ceiling of the Fraction; empty ranges, so no level runs
+        a = minimalize(gens)
+        for lam in map(Fraction, ("0", "1/3", "1/2", "2/3", "1", "3/2", "7/3")):
+            p, q = lam.numerator, lam.denominator
+            for shift in range(5):
+                want = default_box(a, lam + shift)
+                assert want == cube(a.nvars, 0, a.max_entry() * (math.ceil(lam + shift) + 2) + 2)
+                assert _default_box(a, p + shift * q, q) == want
+                assert verify_theoremB_T(a, lam, (shift + 1, shift)).box == want
+                assert verify_theoremB_S(a, lam, (shift, shift - 1)).box == want
+            assert verify_theoremA(a, lam).box == default_box(a, lam if lam > 0 else 1)
 
 
 class TestVerifierBoxes:
