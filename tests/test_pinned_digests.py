@@ -9,9 +9,7 @@ under ``perfbench`` is written."""
 from __future__ import annotations
 
 import contextlib
-import importlib
 import io
-import pkgutil
 import sys
 from pathlib import Path
 
@@ -26,6 +24,8 @@ write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 import jobs  # noqa: E402
 
 sys.dont_write_bytecode = write_bytecode
+
+from test_rees import package_caches  # noqa: E402
 
 VERIFY_REPLAYED = 800  # every pinned verify job
 CLI_REPLAYED = 800  # every pinned cli job
@@ -83,22 +83,10 @@ def test_verify_jobs_check_each_box_once(monkeypatch):
     assert total <= 1000, total
 
 
-def _package_caches():
-    """Every ``lru_cache`` of the package, by qualified name."""
-    found = {}
-    for info in pkgutil.iter_modules(reesmult.__path__):
-        if info.name == "__main__":  # importing it runs the CLI
-            continue
-        for value in vars(importlib.import_module(f"reesmult.{info.name}")).values():
-            if callable(getattr(value, "cache_info", None)):
-                found.setdefault(f"{value.__module__}.{value.__qualname__}", value)
-    return found
-
-
 def test_warm_verify_misses_no_cache():
     # one lambda rotation of the menu runs every entry at every lambda of its
     # grid; if that pass outgrows a cache, the next pass rebuilds what it evicted
-    caches = _package_caches()
+    caches = package_caches()
     assert len(caches) == 10, sorted(caches)
     rotation = [jobs.job("verify", jobs.PINNED_SEED, i)
                 for i in range(len(jobs.VERIFY_MENU) * len(jobs.LAMBDAS))]

@@ -305,6 +305,18 @@ class TestSliceOracle:
             _validate_slices(bad)
 
 
+def package_caches():
+    """Every module-level object with ``cache_info`` in the package, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(reesmult.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        for value in vars(importlib.import_module(f"reesmult.{info.name}")).values():
+            if callable(getattr(value, "cache_info", None)):
+                found.setdefault(value.__qualname__, value)
+    return found
+
+
 class TestCaches:
     def test_bounded(self):
         for cached in (newton, extended_rees_cone, rees_cone,
@@ -313,18 +325,11 @@ class TestCaches:
             assert cached.cache_info().maxsize == polyhedra.CACHE_SIZE > 0
 
     def test_every_cache_is_bounded(self):
-        # every module-level object with ``cache_info`` in the package, so a cache
-        # added later is checked without a hand list; the two rank-keyed caches
-        # hold one entry per rank and are the only unbounded ones
+        # every cache of the package, so a cache added later is checked without a
+        # hand list; the two rank-keyed caches hold one entry per rank and are the
+        # only unbounded ones
         unbounded = {"_unit_tuple", "orthant"}
-        found = {}
-        for info in pkgutil.iter_modules(reesmult.__path__):
-            if info.name == "__main__":  # importing it runs the CLI
-                continue
-            module = importlib.import_module(f"reesmult.{info.name}")
-            for name, value in vars(module).items():
-                if callable(getattr(value, "cache_info", None)):
-                    found.setdefault(value.__qualname__, value)
+        found = package_caches()
         assert {"_count", "_slice", "_reduced_fields", "_multiplier_module",
                 "_multiplier_module_general", "newton", "extended_rees_cone"} <= set(found)
         assert unbounded <= set(found)
