@@ -3,8 +3,7 @@
 Newton-polyhedron lattice conditions computed in exact rational
 arithmetic, toric cone models of Rees and extended Rees algebras, and
 machine verification of the graded decompositions of their multiplier
-modules together with the pair-level rationality biconditional and
-jumping-number periodicity they imply.
+modules together with the pair-level rationality biconditional they imply.
 """
 
 from .errors import DomainError, NotNormalError, ParseError, ReesmultError, ResourceLimitError

@@ -64,15 +64,19 @@ def _load_source(text: str):
         raise ParseError(f"malformed JSON input: {exc}") from exc
 
 
-def parse_ideal(text: str) -> MonomialIdeal:
+def _load_object(text: str, kind: str, keys):
+    """The values at ``keys`` of the JSON object ``text`` names, in order."""
     data = _load_source(text)
     if not isinstance(data, dict):
-        raise ParseError("ideal JSON must be an object")
+        raise ParseError(f"{kind} JSON must be an object")
     try:
-        nvars = data["nvars"]
-        gens = data["generators"]
+        return [data[k] for k in keys]
     except KeyError as exc:
-        raise ParseError(f"ideal JSON missing key {exc}") from exc
+        raise ParseError(f"{kind} JSON missing key {exc}") from exc
+
+
+def parse_ideal(text: str) -> MonomialIdeal:
+    nvars, gens = _load_object(text, "ideal", ("nvars", "generators"))
     if not _is_int(nvars) or not isinstance(gens, list):
         raise ParseError("ideal JSON: nvars must be int, generators a list")
     for g in gens:
@@ -82,13 +86,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
 
 def parse_model(text: str) -> LocalHypersurfaceModel:
-    data = _load_source(text)
-    if not isinstance(data, dict):
-        raise ParseError("model JSON must be an object")
-    try:
-        n, m, exps = data["n"], data["m"], data["exps"]
-    except KeyError as exc:
-        raise ParseError(f"model JSON missing key {exc}") from exc
+    n, m, exps = _load_object(text, "model", ("n", "m", "exps"))
     if not (_is_int(n) and _is_int(m) and isinstance(exps, list)
             and all(_is_int(e) for e in exps)):
         raise ParseError("model JSON: n, m integers and exps a list of integers")

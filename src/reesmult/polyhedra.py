@@ -184,8 +184,18 @@ def _dd(rows, rank):
     on every row both vanish on; distinct rays, extreme modulo the
     lineality, have distinct zero sets, so ``zr != zp and zr != zn`` skips
     exactly the pair itself.  Rays are primitive and unique modulo the
-    (non-unique) lineality basis.  Returns the lineality basis, the rays
-    and, per ray, the bitmask of the rows that vanish on it.
+    lineality.  Returns the lineality basis, the rays and, per ray, the
+    bitmask of the rows that vanish on it.
+
+    The lineality basis is the reduced echelon kernel basis of the rows,
+    up to sign: one vector per column j no row pivots on (a free column),
+    in column order.  It starts as e_j and only gains multiples of pivots,
+    whose support is their own column and earlier pivot columns, so it
+    stays 0 on the other free columns and positive at j.  A row pivots on
+    the first free column it pairs nonzero with, its leading column once
+    reduced by the rows before it, so the free columns are the echelon
+    form's.  A vector of the span 0 on the other free columns is unique up
+    to scale, and both bases are primitive.
     """
     mul = operator.mul
     lin = unit_vectors(rank)
@@ -329,40 +339,17 @@ def orthant(rank: int) -> Cone:
     return Cone(rank, tuple(units), tuple(HalfSpace(u, 0) for u in units))
 
 
-def _lineality_basis(lin):
-    """The canonical basis of the span of ``lin``, a ``_dd`` lineality basis.
-
-    Per free column f, a last nonzero position in the span, the primitive
-    vector of the span that is 0 on every other free column, first nonzero
-    entry positive; ordered by f.  For the lineality space of a cone given
-    by rows, these are the kernel vectors a reduced row echelon form of the
-    rows yields.  Elimination runs right to left in integers: every step is
-    a primitive combination of two rows.
-    """
-    rows = list(lin)
-    for r in range(len(rows)):
-        # the rows below r vanish right of the free column that r takes
-        col, k = max((max(j for j, e in enumerate(row) if e), i)
-                     for i, row in enumerate(rows) if i >= r)
-        rows[r], rows[k] = rows[k], rows[r]
-        p = rows[r]
-        rows = [_combine(p[col], row, -row[col], p) if i != r and row[col] else row
-                for i, row in enumerate(rows)]
-    rows = [row if next(e for e in row if e) > 0 else _neg(row) for row in rows]
-    return rows[::-1]
-
-
 def homogeneous_rays(normals, rank):
     """Generators of {x : <a, x> >= 0 for a in normals}.
 
     The extreme rays of one ``_dd`` when the cone is pointed.  Otherwise
-    the lineality directions are the ``_lineality_basis`` vectors as +/-
-    pairs, and the pointed part's extreme rays are those of the cone cut
-    down to the orthogonal complement of the lineality space.
+    that run's lineality basis, first nonzero entries made positive (the
+    reduced echelon kernel basis, see ``_dd``), as +/- pairs, plus the
+    extreme rays of the cone cut down to the lineality's complement.
     """
     lin, rays, _ = _dd(normals, rank)
     if lin:
-        basis = _lineality_basis(lin)
+        basis = [l if next(e for e in l if e) > 0 else _neg(l) for l in lin]
         pairs = basis + [_neg(l) for l in basis]
         _, rays, _ = _dd(list(normals) + pairs, rank)
         rays = pairs + rays

@@ -219,18 +219,6 @@ def strict_interior_points(facets, box):
     return out
 
 
-def box_points_satisfying(facets, box):
-    """Integer box points satisfying every (normal, threshold) weakly."""
-    out = []
-    for m in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        if all(
-            sum(w * e for w, e in zip(normal, m)) >= threshold
-            for normal, threshold in facets
-        ):
-            out.append(m)
-    return out
-
-
 def brute_lattice_points(system, box):
     """Every box point that satisfies the system, by itertools.product."""
     return [

@@ -77,9 +77,19 @@ class TestNewton:
         assert "parse error" in err
 
     def test_inline_array_is_json(self, capsys):
-        code, _, err = run_main(capsys, "newton", "-i", "[[1,0],[0,1]]")
-        assert code == 2
-        assert "ideal JSON must be an object" in err
+        # an array is not an object; keys are looked up in order, so the
+        # first missing one is named
+        for argv, message in (
+            (["newton", "-i", "[[1,0],[0,1]]"], "ideal JSON must be an object"),
+            (["verify", "local", "-m", "[2,2,[2,3]]"], "model JSON must be an object"),
+            (["newton", "-i", "{}"], "ideal JSON missing key 'nvars'"),
+            (["newton", "-i", '{"generators":[[1]]}'], "ideal JSON missing key 'nvars'"),
+            (["newton", "-i", '{"nvars":1}'], "ideal JSON missing key 'generators'"),
+            (["verify", "local", "-m", "{}"], "model JSON missing key 'n'"),
+            (["verify", "local", "-m", '{"exps":[2],"n":1}'], "model JSON missing key 'm'"),
+            (["verify", "local", "-m", '{"n":2,"m":2}'], "model JSON missing key 'exps'"),
+        ):
+            assert run_main(capsys, *argv) == (2, "", f"parse error: {message}\n"), argv
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"

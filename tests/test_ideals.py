@@ -609,8 +609,11 @@ class TestJumpingNumbers:
             assert below == at == above
 
     def test_periodicity(self):
-        # a module jump at lam implies one at lam + 1, within range
-        for a in (M_X2Y3, M_XY, M_XY2):
+        # a module jump at lam implies one at lam + 1, within range; on the
+        # hand examples and 300 seeded random ideals of rank 1-4
+        rng = random.Random(4040)
+        ideals = [M_X2Y3, M_XY, M_XY2] + [random_ideal(rng, rng.randint(1, 4)) for _ in range(300)]
+        for a in ideals:
             report = jumping_numbers(a, 3)
             for j in report.jumps:
                 if j + 1 <= 3:

@@ -1905,12 +1905,23 @@ class TestZeroSetFacets:
 
 
 def lineality_basis(rows, rank):
-    return polyhedra._lineality_basis(polyhedra._dd(rows, rank)[0])
+    """``_dd``'s lineality basis as ``homogeneous_rays`` uses it: each
+    vector's first nonzero entry made positive, nothing else changed."""
+    lin = polyhedra._dd(rows, rank)[0]
+    free = [c for c in range(rank) if c not in oracles._rref(rows)[1]]
+    # one vector per free column, in column order: positive there, 0 on the
+    # other free columns and right of it
+    assert len(lin) == len(free), (rank, rows, lin)
+    for l, f in zip(lin, free):
+        assert l[f] > 0 and not any(l[f + 1:]), (rank, rows, lin)
+        assert all(l[g] == 0 for g in free if g != f), (rank, rows, lin)
+    return [l if next(e for e in l if e) > 0 else tuple(-e for e in l) for l in lin]
 
 
 class TestLinealityBasis:
-    """The integer basis read off the ``_dd`` lineality against the
-    ``Fraction`` row reduction it replaced, vector for vector."""
+    """``_dd``'s own lineality basis, signed, against the ``Fraction`` row
+    reduction's kernel basis, vector for vector; ``lineality_basis`` also
+    checks the free-column invariant ``_dd``'s docstring states."""
 
     def test_random_matrices(self):
         rng = random.Random(8800)
@@ -1936,22 +1947,6 @@ class TestLinealityBasis:
             seen[want_rank] += 1
         assert min(seen.values()) >= 50, seen
 
-    def test_any_basis_of_the_span(self):
-        # the basis depends on the span alone, not on the vectors ``_dd`` gave
-        rng = random.Random(8850)
-        for _ in range(600):
-            rank = rng.randint(1, 6)
-            rows = [tuple(rng.randint(-3, 3) for _ in range(rank))
-                    for _ in range(rng.randint(0, rank - 1))]
-            want = kernel_basis(rows, rank)
-            while True:
-                mix = [[rng.randint(-2, 2) for _ in want] for _ in want]
-                if matrix_rank(mix) == len(want):
-                    break
-            lin = [primitive([sum(c * v[j] for c, v in zip(m, want)) for j in range(rank)])
-                   for m in mix]
-            assert polyhedra._lineality_basis(lin) == want, (rank, lin)
-
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_empty_and_zero_rows_give_units(self, rank):
         units = unit_vectors(rank)
@@ -1971,6 +1966,30 @@ class TestLinealityBasis:
         row = st.tuples(*[st.integers(-4, 4)] * rank)
         rows = data.draw(st.lists(row, max_size=rank + 2))
         assert lineality_basis(rows, rank) == kernel_basis(rows, rank)
+
+    def test_second_run_gets_the_kernel_basis_rows(self, monkeypatch):
+        # the signs keep the rows of the second run, and their order, as
+        # they were with the kernel basis, so ``MAX_DD_RAYS`` trips alike
+        runs, dd = [], polyhedra._dd
+
+        def recording_dd(rows, rank):
+            runs.append(list(rows))
+            return dd(rows, rank)
+
+        monkeypatch.setattr(polyhedra, "_dd", recording_dd)
+        monkeypatch.setattr(oracles, "_dd", recording_dd)
+        rng = random.Random(8850)
+        checked = 0
+        while checked < 300:
+            rank = rng.randint(1, 6)
+            rows = random_row_set(rng, rank)
+            if matrix_rank(rows) == rank:
+                continue
+            homogeneous_rays(rows, rank)
+            homogeneous_rays_by_kernel_basis(rows, rank)
+            assert runs[0] == rows and runs[1] == runs[2], rows
+            runs.clear()
+            checked += 1
 
 
 def facet_normals(c):

@@ -2,7 +2,8 @@
 caller: its name is read (``_name`` or ``module._name``) somewhere in the
 package outside its own definition.  An import alone is not a read, and a
 read inside a helper that has no caller does not count, so a helper that
-only dead helpers call is dead too."""
+only dead helpers call is dead too.  And the primitive combination of two
+vectors, ``polyhedra._combine``, has one reader: the double description."""
 
 from __future__ import annotations
 
@@ -45,3 +46,11 @@ def test_every_private_helper_has_a_caller():
             break
         dead = now
     assert not dead, f"private helpers with no caller in src/reesmult: {sorted(dead)}"
+
+
+def test_only_the_double_description_combines():
+    """``polyhedra._combine`` is read only inside ``polyhedra._dd``, so no
+    second elimination routine grows beside the double description."""
+    readers = {getattr(top, "name", "module level") for tree in TREES for top in tree.body
+               if any(_reads(node) == "_combine" for node in ast.walk(top))}
+    assert readers == {"_dd"}, sorted(readers)
